@@ -1,6 +1,8 @@
 """p-capacities, equilibrium measures and square tilings on the
 boundaries of rooted trees."""
 
+from types import ModuleType as _ModuleType
+
 from .capacity import (
     CapacityInterval,
     EquilibriumResult,
@@ -83,4 +85,6 @@ from .trees import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing the names above also binds the submodules; keep them out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -249,30 +249,24 @@ class LevelEquilibriumResult:
 # the recursion
 
 
-def _run_explicit(tree, p, boundary_values):
-    """One bottom-up/top-down sweep; boundary_values feed leaves+tails."""
-    pe = as_exponent(p)
-    n = tree.n_edges
-    c = np.zeros(n)
-    acc = np.zeros(n)
-    has_kids = np.array([len(tree.children_of(i)) > 0 for i in range(n)])
-    for k in range(tree.depth, -1, -1):
-        a, b = tree.level_slice(k)
-        ids = np.arange(a, b)
-        vals = np.where(has_kids[a:b], _phi(acc[a:b], p), boundary_values[a:b])
-        c[a:b] = vals
-        if k > 0:
-            np.add.at(acc, tree.parent[a:b], vals)
-    # top-down measure
+def _tent_capacities(tree, pe, boundary_values):
+    """Bottom-up half of the sweep: c at every edge, with
+    boundary_values feeding the leaves and tails."""
+    inner = tree.n_children > 0
+    c, _ = tree.sweep_up(lambda a, b, S: np.where(
+        inner[a:b], _phi(S, pe), boundary_values[a:b]))
+    return c
+
+
+def _run_explicit(tree, pe, boundary_values):
+    """One bottom-up/top-down sweep; returns (c, M)."""
+    c = _tent_capacities(tree, pe, boundary_values)
     factor = (1.0 - np.clip(c, 0.0, 1.0) ** (pe.conjugate - 1.0))
     factor = np.clip(factor, 0.0, None) ** (pe.p - 1.0)
-    prod = np.ones(n)
-    for k in range(1, tree.depth + 1):
-        a, b = tree.level_slice(k)
-        par = tree.parent[a:b]
-        prod[a:b] = prod[par] * factor[par]
-    M = c * prod
-    return c, M
+    # M(a) = c(a) * product of the factors of the strict ancestors of a
+    of_parent = np.ones(tree.n_edges)
+    of_parent[1:] = factor[tree.parent[1:]]
+    return c, c * tree.push_down(of_parent, np.multiply)
 
 
 def capacity_recursive(tree, p, tail_policy="interval"):
@@ -288,9 +282,9 @@ def capacity_recursive(tree, p, tail_policy="interval"):
         return _capacity_symmetric(tree, pe, tail_policy)
 
     t_lo, t_hi = _tail_arrays(tree, tail_policy, pe)
-    is_true_leaf = np.array([tree.is_true_leaf(i) for i in range(tree.n_edges)])
-    b_lo = np.where(is_true_leaf, 1.0, t_lo)
-    b_hi = np.where(is_true_leaf, 1.0, t_hi)
+    # true leaves carry 1; inner edges ignore their boundary value
+    b_lo = np.where(tree.tail, t_lo, 1.0)
+    b_hi = np.where(tree.tail, t_hi, 1.0)
 
     c_lo, M_lo = _run_explicit(tree, pe, b_lo)
     truncated = bool(np.any(tree.tail))
@@ -378,25 +372,6 @@ def capacity_of_set(tree, boundary_set, p):
     )
 
 
-def _leaf_indicator_capacity(tree, member, p):
-    """Capacity of {true leaves with member flag} without building the
-    spanned subtree: absent leaves carry 0, which the recursion
-    propagates exactly as if their branches were pruned."""
-    pe = as_exponent(p)
-    member = np.asarray(member, dtype=float)
-    n = tree.n_edges
-    vals = np.zeros(n)
-    acc = np.zeros(n)
-    has_kids = np.array([len(tree.children_of(i)) > 0 for i in range(n)])
-    for k in range(tree.depth, -1, -1):
-        a, b = tree.level_slice(k)
-        v = np.where(has_kids[a:b], _phi(acc[a:b], pe), member[a:b])
-        vals[a:b] = v
-        if k > 0:
-            np.add.at(acc, tree.parent[a:b], v)
-    return float(vals[0])
-
-
 # ---------------------------------------------------------------------------
 # rescaling onto tents
 
@@ -466,27 +441,22 @@ class ResistanceResult:
 
 
 def _tail_resistance(t):
-    if t <= 0.0:
-        return math.inf
-    return (1.0 - t) / t
+    """Resistance (1 - t)/t below a tail of capacity t; infinite at 0."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(t > 0.0, (1.0 - t) / t, math.inf)
 
 
 def _resistance_explicit(tree, seeds):
-    n = tree.n_edges
-    R = np.zeros(n)
-    g_acc = np.zeros(n)  # sum over children of 1/(1 + R(child))
-    for k in range(tree.depth, -1, -1):
-        a, b = tree.level_slice(k)
-        for i in range(a, b):
-            if tree.children_of(i):
-                R[i] = math.inf if g_acc[i] == 0.0 else 1.0 / g_acc[i]
-            elif tree.is_tail(i):
-                R[i] = seeds[i]
-            else:
-                R[i] = 0.0
-            if k > 0:
-                g_acc[tree.parent_of(i)] += (
-                    0.0 if math.isinf(R[i]) else 1.0 / (1.0 + R[i]))
+    R = np.where(tree.tail, seeds, 0.0)
+    inner = tree.n_children > 0
+
+    def step(a, b, G):  # G sums the children's conductances 1/(1 + R)
+        with np.errstate(divide="ignore"):
+            R[a:b] = np.where(inner[a:b], 1.0 / G, R[a:b])
+        return 1.0 / (1.0 + R[a:b])
+
+    tree.sweep_up(step)
     return R
 
 
@@ -494,21 +464,10 @@ def total_resistance(tree, tail_policy="interval"):
     """Series-parallel resistance of the tree below its root edge."""
     if isinstance(tree, SymmetricTree):
         return _resistance_symmetric(tree, tail_policy)
-    bounds = _resolve_tail_bounds(tree, tail_policy, 2.0)
-    t_lo = np.zeros(tree.n_edges)
-    t_hi = np.ones(tree.n_edges)
-    if isinstance(bounds, dict):
-        for i in tree.tail_ids():
-            v = bounds.get(i, (0.0, 1.0))
-            vlo, vhi = (v, v) if isinstance(v, (int, float)) else v
-            t_lo[i], t_hi[i] = vlo, vhi
-    else:
-        t_lo[:], t_hi[:] = bounds
-    seeds_low = np.array([_tail_resistance(t) for t in t_hi])
-    R_low = _resistance_explicit(tree, seeds_low)
+    t_lo, t_hi = _tail_arrays(tree, tail_policy, 2.0)
+    R_low = _resistance_explicit(tree, _tail_resistance(t_hi))
     if np.any(tree.tail) and np.any(t_lo[tree.tail] != t_hi[tree.tail]):
-        seeds_high = np.array([_tail_resistance(t) for t in t_lo])
-        R_high = _resistance_explicit(tree, seeds_high)
+        R_high = _resistance_explicit(tree, _tail_resistance(t_lo))
     else:
         R_high = R_low
     return ResistanceResult(tree, float(R_low[0]), float(R_high[0]),

@@ -80,33 +80,21 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     add = is_forward_additive(tree, M, tol=tol * scale)
 
     V = potential_all(tree, signed_power(M, pe))
-    begin = np.empty(tree.n_edges)
-    begin[tree.root] = 0.0
-    begin[1:] = V.end_values[tree.parent[1:]]
-
     E = energy_all(tree, M, pe)
-    residuals = np.abs(M * (1.0 - begin) - E)
+    residuals = np.abs(M * (1.0 - V.begin_values(tree)) - E)
 
     # mass sitting on a tail edge makes every tent through it unverifiable
-    undetermined = [i for i in tree.tail_ids() if M[i] > tol * scale]
-    blocked = np.zeros(tree.n_edges, dtype=bool)
-    blocked[undetermined] = True
-    for i in range(tree.n_edges - 1, 0, -1):
-        if blocked[i]:
-            blocked[tree.parent[i]] = True
+    on_tail = tree.tail & (M > tol * scale)
+    undetermined = np.flatnonzero(on_tail).tolist()
+    blocked, _ = tree.sweep_up(lambda a, b, S: on_tail[a:b] + S)
 
-    checkable = residuals[~blocked]
+    checkable = residuals[blocked == 0]
     max_residual = float(checkable.max()) if checkable.size else 0.0
 
-    recovered, irregular = [], []
-    for z in tree.true_leaves():
-        if M[z] <= tol * scale:
-            continue
-        v = float(V.end_values[z])
-        if abs(v - 1.0) <= tol:
-            recovered.append(int(z))
-        elif v < 1.0 - tol:
-            irregular.append(int(z))
+    z = np.flatnonzero(tree.true_leaf_mask() & (M > tol * scale))
+    v = V.end_values[z]
+    recovered = z[np.abs(v - 1.0) <= tol].tolist()
+    irregular = z[v < 1.0 - tol].tolist()
 
     ok = add.ok and max_residual <= tol * scale and not undetermined
     return CharacterizationReport(
@@ -157,8 +145,7 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     worst = int(np.argmax(V.end_values))
     max_value = float(V.end_values[worst])
     equality = [int(i) for i in np.nonzero(np.abs(V.end_values - 1.0) <= tol)[0]]
-    interior_strict = all(tree.is_true_leaf(i) or tree.is_tail(i)
-                          for i in equality)
+    interior_strict = bool(np.all(tree.n_children[equality] == 0))
     return PotentialBoundReport(
         ok=max_value <= 1.0 + tol,
         max_value=max_value,
@@ -205,25 +192,20 @@ def capacity_equation_check(tree, c, p, tol=1e-9):
         raise ValueError("capacity array length does not match the tree")
     q = pe.conjugate
 
-    W = np.zeros(tree.n_edges)
     # a tail edge's continuation is not materialized; grant it the
     # energy split c = c^q + W its seeded value implies, so parents
     # close exactly and the tail itself carries no checkable residual
-    skipped = 0
-    for i in tree.tail_ids():
-        W[i] = c[i] - c[i] ** q
-        skipped += 1
-    acc = np.zeros(tree.n_edges)
-    for lev in range(tree.depth, -1, -1):
-        lo, hi = tree.level_slice(lev)
-        ids = np.arange(lo, hi)
-        has_kids = np.array([not tree.is_leaf(i) for i in ids])
-        W[ids[has_kids]] = ((1.0 - c[ids[has_kids]] ** (q - 1.0)) ** pe.p
-                            * acc[ids[has_kids]])
-        if lev > 0:
-            np.add.at(acc, tree.parent[ids], c[ids] ** q + W[ids])
+    W = np.where(tree.tail, c - c ** q, 0.0)
+    inner = tree.n_children > 0
 
+    def step(a, b, S):  # S sums c^q + W over the children
+        m = inner[a:b]
+        W[a:b][m] = (1.0 - c[a:b][m] ** (q - 1.0)) ** pe.p * S[m]
+        return c[a:b] ** q + W[a:b]
+
+    tree.sweep_up(step)
     residuals = np.abs(c * (1.0 - c ** (q - 1.0)) - W)
     ok = float(residuals.max()) <= tol * max(float(c[tree.root]), 1e-12)
     return EquationReport(ok=bool(ok), max_residual=float(residuals.max()),
-                          residuals=residuals, skipped_tails=skipped)
+                          residuals=residuals,
+                          skipped_tails=int(np.count_nonzero(tree.tail)))

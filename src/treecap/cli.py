@@ -205,14 +205,14 @@ def _cmd_capacity(args):
 
 
 def _cmd_equilibrium(args):
-    from .capacity import capacity_recursive
+    from .capacity import LevelEquilibriumResult, capacity_recursive
 
     tree = _load_tree(args)
     res = capacity_recursive(tree, args.p, tail_policy=args.tail_policy)
-    try:
+    if isinstance(res, LevelEquilibriumResult):
+        payload = res.to_json()  # per level: no zero entries to drop
+    else:
         payload = res.to_json(keep_zero=args.include_zero)
-    except TypeError:  # per-level results have no zero entries to drop
-        payload = res.to_json()
     payload["p"] = args.p
     return 0, payload
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .capacity import (CapacityInterval, _leaf_indicator_capacity,
+from .capacity import (CapacityInterval, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
 from .potential import as_exponent
 from .trees import SphericallySymmetric, Subdyadic, build_tree, predecessor_path
@@ -164,15 +164,15 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
     if target < 0:
         raise ValueError("capacity targets are nonnegative")
     tree = build_tree(SphericallySymmetric([n] * depth))
-    lo, hi = tree.level_slice(depth)
-    total = hi - lo
-
-    member = np.zeros(tree.n_edges)
+    leaves = np.flatnonzero(tree.true_leaf_mask())
+    total = len(leaves)
 
     def cap(m):
-        member[lo:lo + total] = 0.0
-        member[lo:lo + m] = 1.0
-        return _leaf_indicator_capacity(tree, member, pe)
+        # absent leaves carry 0, which the recursion propagates exactly
+        # as if their branches were pruned
+        member = np.zeros(tree.n_edges)
+        member[leaves[:m]] = 1.0
+        return float(_tent_capacities(tree, pe, member)[0])
 
     full = cap(total)
     if target > full + tol:
@@ -194,6 +194,6 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
         raise ValueError(
             f"leaf granularity too coarse: best subset has capacity "
             f"{achieved}, off target by {abs(achieved - target):.3e}")
-    return CompactSetResult(tree=tree, leaves=list(range(lo, lo + best)),
+    return CompactSetResult(tree=tree, leaves=leaves[:best].tolist(),
                             capacity=achieved, target=float(target),
                             n_leaves_total=total)

@@ -57,15 +57,18 @@ class VertexFunction:
         p = tree.parent_of(alpha)
         return self.at_root if p is None else float(self.end_values[p])
 
+    def begin_values(self, tree):
+        """Values at the begin vertex of every edge, as an array."""
+        out = np.empty(tree.n_edges)
+        out[0] = self.at_root
+        out[1:] = np.asarray(self.end_values, dtype=float)[tree.parent[1:]]
+        return out
+
 
 def potential_all(tree, f):
     """The potential If as a VertexFunction: If(x) sums f over the
     predecessor edges of x, and If(root vertex) = 0."""
-    f = np.asarray(f, dtype=float)
-    out = f.copy()
-    for i in range(1, tree.n_edges):
-        out[i] += out[tree.parent_of(i)]
-    return VertexFunction(out, 0.0)
+    return VertexFunction(tree.push_down(f, np.add), 0.0)
 
 
 def potential(tree, f, x=None):
@@ -83,12 +86,8 @@ def potential(tree, f, x=None):
 
 def energy_all(tree, M, p):
     """Tent energies: at each edge a, the sum of M(b)^(p') over b >= a."""
-    pc = as_exponent(p).conjugate
-    M = np.asarray(M, dtype=float)
-    e = np.abs(M) ** pc
-    for i in range(tree.n_edges - 1, 0, -1):
-        e[tree.parent_of(i)] += e[i]
-    return e
+    e = np.abs(np.asarray(M, dtype=float)) ** as_exponent(p).conjugate
+    return tree.sweep_up(lambda a, b, S: e[a:b] + S)[0]
 
 
 def energy(tree, mu, p, alpha=None):
@@ -129,15 +128,17 @@ def is_p_harmonic(tree, g, p, tol=1e-9):
     """Check that the p-Laplacian vanishes at the end vertex of every
     non-leaf, non-tail edge.  Leaf end vertices are boundary points and
     are not constrained."""
-    worst = 0.0
-    worst_edge = None
-    violations = {}
-    for i in range(tree.n_edges):
-        if not tree.children_of(i) or tree.is_tail(i):
-            continue
-        v = p_laplacian(tree, g, i, p)
-        if abs(v) > tol:
-            violations[i] = v
-        if abs(v) > worst:
-            worst, worst_edge = abs(v), i
-    return HarmonicityReport(worst <= tol, worst, worst_edge, violations)
+    pe = as_exponent(p)
+    # flux along each edge towards its end vertex; at the end vertex of
+    # x the Laplacian is the inflow through x minus the outflow through
+    # its children (tails have no children, so they drop out here)
+    d = g.begin_values(tree) - np.asarray(g.end_values, dtype=float)
+    flux = np.sign(d) * np.abs(d) ** (pe.p - 1.0)
+    _, outflow = tree.sweep_up(lambda a, b, S: flux[a:b])
+    lap = np.where(tree.n_children > 0, flux - outflow, 0.0)
+    worst_edge = int(np.argmax(np.abs(lap)))
+    worst = float(abs(lap[worst_edge]))
+    bad = np.flatnonzero(np.abs(lap) > tol)
+    return HarmonicityReport(worst <= tol, worst,
+                             worst_edge if worst > 0.0 else None,
+                             dict(zip(bad.tolist(), lap[bad].tolist())))

@@ -82,22 +82,20 @@ def build_tiling(tree, measure, tol=1e-9):
     if M[tree.root] <= 0.0:
         raise ValueError("zero measure tiles nothing")
 
-    V = potential_all(tree, M)  # p = 2: the potential of M itself
-    n = tree.n_edges
-    x = np.zeros(n)
-    for i in range(n):
-        cur = x[i]
-        for c in tree.children_of(i):
-            x[c] = cur
-            cur += M[c]
+    # p = 2: a square's top sits at the potential of M at its begin vertex
+    y = potential_all(tree, M).begin_values(tree)
+    # siblings sit side by side in id order, the first at its parent's x:
+    # offset each edge by the mass of its earlier siblings, then add up
+    # the offsets along the predecessor path
+    before = np.concatenate(([0.0], np.cumsum(M)[:-1]))
+    offset = np.zeros(tree.n_edges)
+    offset[1:] = before[1:] - before[tree.first_child[tree.parent[1:]]]
+    x = tree.push_down(offset, np.add)
 
-    squares = []
-    for i in range(n):
-        if M[i] == 0.0:
-            continue
-        y = V.at_begin(tree, i)
-        squares.append(TilingSquare(edge=i, x=float(x[i]), y=float(y),
-                                    side=float(M[i])))
+    ids = np.flatnonzero(M)
+    squares = [TilingSquare(edge=i, x=xi, y=yi, side=side)
+               for i, xi, yi, side in zip(ids.tolist(), x[ids].tolist(),
+                                          y[ids].tolist(), M[ids].tolist())]
     return Tiling(tree=tree, width=float(M[tree.root]), height=1.0,
                   squares=squares)
 

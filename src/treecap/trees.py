@@ -7,8 +7,7 @@ Conventions used throughout the package:
   the edges strictly between it and the root edge, so the root edge has
   level 0.  The end vertex of an edge at level k has level k + 1.
 * Edge ids are assigned breadth first, so ids are sorted by level and,
-  within a level, by the order children were listed.  Bottom-up passes
-  can therefore iterate ids in reverse.
+  within a level, by the order children were listed.
 * A leaf is an edge without children.  A leaf flagged as a *tail*
   stands for an unexplored infinite subtree below a truncation depth;
   a leaf that is not a tail is a genuine endpoint of the tree.  The
@@ -18,14 +17,29 @@ Conventions used throughout the package:
   measure is stored through its co-potential M, where M[a] is the mass
   of the boundary piece seen through edge a; forward additivity
   M[a] = sum of M over children of a is what makes M a measure.
+
+An explicit Tree is stored in compressed sparse row form.  Breadth
+first ids make parent[1:] non-decreasing with parent[i] < i, so the
+children of edge i are the contiguous id range
+[first_child[i], first_child[i] + n_children[i]) and every level is one
+contiguous id range as well.  Only this module knows the level layout;
+every pass over an explicit tree goes through the two primitives
+
+* Tree.sweep_up(step): levels from the deepest up; for level [a, b) it
+  calls step(a, b, S), where S[j] sums step's outputs over the children
+  of edge a + j (0 at a leaf), and stores the result as out[a:b].
+  Returns (out, S) for the whole tree.
+* Tree.push_down(values, op): out[0] = values[0] and
+  out[i] = op(out[parent[i]], values[i]), one level at a time.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from itertools import chain
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -121,37 +135,91 @@ def _spec_degree_sequence(spec, depth):
 
 
 class Tree:
-    """Immutable arena of edges with BFS ids.
+    """Immutable arena of edges with BFS ids, stored as CSR arrays.
 
-    parent[i] is -1 for the root edge.  children[i] preserves input
-    order, which fixes sibling order everywhere downstream (tilings,
-    digit maps).  orig_ids maps this tree's ids back to the tree it was
-    cut from, when it was produced by tent() or spanned_subtree().
+    parent (parent[0] = -1), first_child, n_children and level are int
+    arrays and tail is a bool array, all indexed by edge id.  children,
+    when given, must list exactly the children that parent implies, in
+    id order; it is checked and not stored.  orig_ids maps this tree's
+    ids back to the tree it was cut from, when it was produced by tent()
+    or spanned_subtree().
     """
 
-    def __init__(self, parent, children, tail, labels=None,
+    def __init__(self, parent, children=None, tail=None, labels=None,
                  level_degrees=None, continuation=None, orig_ids=None):
         self.parent = np.asarray(parent, dtype=np.int64)
-        self.children = children
-        n = len(parent)
-        level = np.zeros(n, dtype=np.int64)
-        for i in range(1, n):
-            level[i] = level[self.parent[i]] + 1
-        self.level = level
-        self.tail = np.asarray(tail, dtype=bool)
+        n = self.parent.size
+        if self.parent.ndim != 1 or n == 0:
+            raise TreeStructureError("parent must be a nonempty 1-d array")
+        rest = self.parent[1:]
+        if (self.parent[0] != -1 or np.any(rest < 0)
+                or np.any(rest >= np.arange(1, n)) or np.any(np.diff(rest) < 0)):
+            raise TreeStructureError(
+                "edge ids are not in BFS order: need parent[0] = -1, "
+                "0 <= parent[i] < i and parent[1:] non-decreasing")
+        self.n_children = np.bincount(rest, minlength=n)
+        self.first_child = 1 + np.cumsum(self.n_children) - self.n_children
+        if children is not None and not self._lists_children(children):
+            raise TreeStructureError("children lists disagree with parent")
+        # first_child of a level's first edge is where the next level starts
+        starts = [0]
+        while starts[-1] < n:
+            starts.append(int(self.first_child[starts[-1]]))
+        self._starts = starts
+        self.level = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        self.tail = (np.zeros(n, dtype=bool) if tail is None
+                     else np.asarray(tail, dtype=bool))
+        if self.tail.shape != (n,):
+            raise TreeStructureError("need one tail flag per edge")
+        if np.any(self.tail & (self.n_children > 0)):
+            raise TreeStructureError("tail edges must be leaves")
         self.labels = labels
         self.level_degrees = level_degrees
         self.continuation = continuation
         self.orig_ids = orig_ids
         self.spec = None  # generating spec, when built from one
-        if n == 0:
-            raise TreeStructureError("empty tree")
-        if not np.all(np.diff(level) >= 0):
-            raise TreeStructureError("edge ids are not in BFS order")
-        has_kids = np.array([len(c) > 0 for c in children])
-        if np.any(self.tail & has_kids):
-            raise TreeStructureError("tail edges must be leaves")
-        self._level_starts = None
+        self._label_index = None
+
+    def _lists_children(self, children):
+        n = self.n_edges
+        if len(children) != n:
+            return False
+        counts = np.fromiter(map(len, children), dtype=np.int64, count=n)
+        flat = np.fromiter(chain.from_iterable(children), dtype=np.int64)
+        return (np.array_equal(counts, self.n_children)
+                and np.array_equal(flat, np.arange(1, n)))
+
+    # -- the two sweep primitives ---------------------------------------
+
+    def sweep_up(self, step):
+        """Bottom-up pass, deepest level first.
+
+        For each level [a, b) calls step(a, b, S), where S[j] is the sum
+        of out over the children of edge a + j, in id order (0.0 at a
+        leaf), and stores the returned values as out[a:b].  Returns
+        (out, S) over the whole tree.
+        """
+        s = self._starts
+        out = np.empty(self.n_edges)
+        S = np.zeros(self.n_edges)
+        for k in range(self.depth, -1, -1):
+            a, b = s[k], s[k + 1]
+            out[a:b] = step(a, b, S[a:b])
+            if k > 0:
+                S[s[k - 1]:a] = np.bincount(self.parent[a:b] - s[k - 1],
+                                            weights=out[a:b],
+                                            minlength=a - s[k - 1])
+        return out, S
+
+    def push_down(self, values, op):
+        """Top-down pass: out[0] = values[0] and
+        out[i] = op(out[parent[i]], values[i]), as float arrays."""
+        s = self._starts
+        out = np.array(values, dtype=float)
+        for k in range(1, self.depth + 1):
+            a, b = s[k], s[k + 1]
+            out[a:b] = op(out[self.parent[a:b]], out[a:b])
+        return out
 
     # -- basic queries ------------------------------------------------
 
@@ -165,10 +233,11 @@ class Tree:
 
     @property
     def depth(self):
-        return int(self.level[-1])
+        return len(self._starts) - 2
 
     def children_of(self, i):
-        return self.children[i]
+        first = int(self.first_child[i])
+        return list(range(first, first + int(self.n_children[i])))
 
     def parent_of(self, i):
         p = int(self.parent[i])
@@ -178,38 +247,46 @@ class Tree:
         return int(self.level[i])
 
     def is_leaf(self, i):
-        return not self.children[i]
+        return bool(self.n_children[i] == 0)
 
     def is_tail(self, i):
         return bool(self.tail[i])
 
     def is_true_leaf(self, i):
-        return not self.children[i] and not self.tail[i]
+        return self.is_leaf(i) and not self.tail[i]
+
+    def true_leaf_mask(self):
+        return (self.n_children == 0) & ~self.tail
 
     def true_leaves(self):
-        return [i for i in range(self.n_edges)
-                if not self.children[i] and not self.tail[i]]
+        return np.flatnonzero(self.true_leaf_mask()).tolist()
 
     def tail_ids(self):
         return np.flatnonzero(self.tail).tolist()
 
     def level_slice(self, k):
         """Contiguous id range [start, stop) of level k."""
-        if self._level_starts is None:
-            bounds = np.searchsorted(self.level,
-                                     np.arange(self.depth + 2))
-            self._level_starts = bounds
-        return int(self._level_starts[k]), int(self._level_starts[k + 1])
+        return self._starts[k], self._starts[k + 1]
 
     def label_of(self, i):
         return self.labels[i] if self.labels is not None else i
 
     def id_of_label(self, label):
+        """Edge id of a label.  A string also matches the label whose
+        str() it is, since JSON object keys are always strings."""
         if self.labels is None:
-            return int(label)
+            i = int(label)
+            if not 0 <= i < self.n_edges:
+                raise KeyError(f"edge id {i} out of range")
+            return i
+        if self._label_index is None:
+            ids = range(self.n_edges)
+            index = dict(zip(map(str, self.labels), ids))
+            index.update(zip(self.labels, ids))
+            self._label_index = index
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except (KeyError, TypeError):
             raise KeyError(f"unknown edge label {label!r}") from None
 
     # -- construction ---------------------------------------------------
@@ -236,10 +313,8 @@ class Tree:
         if len(roots) != 1:
             raise TreeStructureError(
                 f"need exactly one root edge, found {sorted(map(repr, roots))}")
-        tails = set(tails)
         order = [roots[0]]
         parent = [-1]
-        children: list = [[]]
         index = {roots[0]: 0}
         head = 0
         while head < len(order):
@@ -248,18 +323,17 @@ class Tree:
                 if c in index:
                     raise TreeStructureError("cycle in adjacency")
                 index[c] = len(order)
-                parent.append(index[e])
-                children[index[e]].append(index[c])
-                children.append([])
+                parent.append(head)
                 order.append(c)
             head += 1
         if len(order) != len(mentioned):
             raise TreeStructureError("adjacency is not connected to the root")
-        tail_flags = [lab in tails for lab in order]
+        tail = np.zeros(len(order), dtype=bool)
         for lab in tails:
             if lab not in index:
                 raise TreeStructureError(f"tail {lab!r} is not an edge")
-        return cls(parent, children, tail_flags, labels=order)
+            tail[index[lab]] = True
+        return cls(parent, tail=tail, labels=order)
 
 
 class SymmetricTree:
@@ -374,11 +448,11 @@ def build_tree(spec, depth=None, layout="auto", max_edges=None):
         truncated = len(prefix) > 0 or eventual is not None
         continuation = (prefix, eventual) if truncated else None
 
+    widths = [1]  # edges per level
     n_total = 1
-    card = 1
     for d in degs:
-        card *= d
-        n_total += card
+        widths.append(widths[-1] * d)
+        n_total += widths[-1]
         if layout != "compact" and n_total > cap:
             break
 
@@ -390,24 +464,13 @@ def build_tree(spec, depth=None, layout="auto", max_edges=None):
         raise TreeTooLargeError(
             f"{n_total}+ edges exceed the explicit budget {cap}")
 
-    parent = [-1]
-    children: list = [[]]
-    frontier = [0]
-    for d in degs:
-        nxt = []
-        for e in frontier:
-            for _ in range(d):
-                i = len(parent)
-                parent.append(e)
-                children[e].append(i)
-                children.append([])
-                nxt.append(i)
-        frontier = nxt
-    tail = [False] * len(parent)
-    if truncated:
-        for e in frontier:
-            tail[e] = True
-    tree = Tree(parent, children, tail,
+    # each edge of level k has degs[k] children, listed in id order
+    n_children = np.repeat(degs + [0], widths)
+    parent = np.concatenate(
+        ([-1], np.repeat(np.arange(n_children.size), n_children)))
+    tail = np.zeros(len(parent), dtype=bool)
+    tail[len(parent) - widths[-1]:] = truncated
+    tree = Tree(parent, tail=tail,
                 level_degrees=degs, continuation=continuation)
     tree.spec = spec
     return tree
@@ -427,6 +490,17 @@ def predecessor_path(tree, x):
     return out[::-1]
 
 
+def _subtree(tree, order):
+    """The tree on the sorted host ids order, which must hold order[0]
+    and the parent of every other id in it; orig_ids maps back."""
+    parent = np.searchsorted(order, tree.parent[order])
+    parent[0] = -1
+    labels = None
+    if tree.labels is not None:
+        labels = list(map(tree.labels.__getitem__, order.tolist()))
+    return Tree(parent, tail=tree.tail[order], labels=labels, orig_ids=order)
+
+
 def tent(tree, alpha):
     """The subtree of edges at or below alpha, re-rooted at alpha.
 
@@ -434,25 +508,14 @@ def tent(tree, alpha):
     """
     if isinstance(tree, SymmetricTree):
         return tree.tent_profile(tree.level_of(alpha))
-    order = [alpha]
-    parent = [-1]
-    children: list = [[]]
-    index = {alpha: 0}
-    head = 0
-    while head < len(order):
-        e = order[head]
-        for c in tree.children_of(e):
-            index[c] = len(order)
-            parent.append(index[e])
-            children[index[e]].append(index[c])
-            children.append([])
-            order.append(c)
-        head += 1
-    tail = [tree.is_tail(e) for e in order]
-    labels = None
-    if tree.labels is not None:
-        labels = [tree.labels[e] for e in order]
-    return Tree(parent, children, tail, labels=labels, orig_ids=order)
+    # the descendants of alpha on each level form one contiguous id range
+    ranges = []
+    lo, hi = int(alpha), int(alpha) + 1
+    while lo < hi:
+        ranges.append(np.arange(lo, hi))
+        lo, hi = (int(tree.first_child[lo]),
+                  int(tree.first_child[hi - 1] + tree.n_children[hi - 1]))
+    return _subtree(tree, np.concatenate(ranges))
 
 
 def spanned_subtree(tree, boundary_set):
@@ -461,34 +524,17 @@ def spanned_subtree(tree, boundary_set):
     The result is a finite tree (no tails can occur on the paths);
     orig_ids maps back to the host tree.  Sibling order is inherited.
     """
-    E = sorted(set(boundary_set))
-    if not E:
+    E = np.unique(np.fromiter(boundary_set, dtype=np.int64))
+    if not E.size:
         raise ValueError("empty boundary set spans nothing")
-    keep = set()
-    for z in E:
-        if not tree.is_true_leaf(z):
-            raise ValueError(f"edge {z} is not a true leaf")
-        keep.update(predecessor_path(tree, z))
-    order = [0]
-    parent = [-1]
-    children: list = [[]]
-    index = {0: 0}
-    head = 0
-    while head < len(order):
-        e = order[head]
-        for c in tree.children_of(e):
-            if c in keep:
-                index[c] = len(order)
-                parent.append(index[e])
-                children[index[e]].append(index[c])
-                children.append([])
-                order.append(c)
-        head += 1
-    tail = [False] * len(order)
-    labels = None
-    if tree.labels is not None:
-        labels = [tree.labels[e] for e in order]
-    return Tree(parent, children, tail, labels=labels, orig_ids=order)
+    ok = (E >= 0) & (E < tree.n_edges)
+    ok[ok] = tree.true_leaf_mask()[E[ok]]
+    if not ok.all():
+        raise ValueError(f"edge {E[~ok][0]} is not a true leaf")
+    marked = np.zeros(tree.n_edges)
+    marked[E] = 1.0
+    below, _ = tree.sweep_up(lambda a, b, S: marked[a:b] + S)
+    return _subtree(tree, np.flatnonzero(below))
 
 
 def confluent(tree, zeta, eta):
@@ -514,16 +560,11 @@ class AdditivityReport:
 def is_forward_additive(tree, f, tol=1e-12):
     """Check f(alpha) = sum of f over children at every non-leaf edge."""
     f = np.asarray(f, dtype=float)
-    worst = 0.0
-    worst_edge = None
-    for i in range(tree.n_edges):
-        kids = tree.children_of(i)
-        if not kids:
-            continue
-        r = abs(f[i] - sum(f[k] for k in kids))
-        if r > worst:
-            worst, worst_edge = r, i
-    return AdditivityReport(worst <= tol, worst, worst_edge)
+    _, S = tree.sweep_up(lambda a, b, S: f[a:b])
+    r = np.where(tree.n_children > 0, np.abs(f - S), 0.0)
+    i = int(np.argmax(r))
+    worst = float(r[i])
+    return AdditivityReport(worst <= tol, worst, i if worst > 0.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +592,16 @@ class BoundaryMeasure:
     @classmethod
     def from_leaf_masses(cls, tree, masses):
         """Additivize leaf masses upward into a co-potential."""
-        M = np.zeros(tree.n_edges)
-        for leaf, m in masses.items():
-            if tree.children_of(leaf):
-                raise ValueError(f"edge {leaf} is not a leaf")
-            if m < 0:
-                raise ValueError("negative mass")
-            M[leaf] = m
-        for i in range(tree.n_edges - 1, 0, -1):
-            M[tree.parent_of(i)] += M[i]
+        ids = np.fromiter(masses.keys(), dtype=np.int64, count=len(masses))
+        m = np.fromiter(masses.values(), dtype=float, count=len(masses))
+        inner = tree.n_children[ids] > 0
+        if inner.any():
+            raise ValueError(f"edge {ids[inner][0]} is not a leaf")
+        if np.any(m < 0):
+            raise ValueError("negative mass")
+        at_leaf = np.zeros(tree.n_edges)
+        at_leaf[ids] = m
+        M, _ = tree.sweep_up(lambda a, b, S: at_leaf[a:b] + S)
         return cls(tree, M, validate=False)
 
     @property
@@ -567,13 +609,12 @@ class BoundaryMeasure:
         return float(self.M[0])
 
     def leaf_masses(self):
-        return {i: float(self.M[i]) for i in range(self.tree.n_edges)
-                if not self.tree.children_of(i) and self.M[i] != 0.0}
+        ids = np.flatnonzero((self.tree.n_children == 0) & (self.M != 0.0))
+        return dict(zip(ids.tolist(), self.M[ids].tolist()))
 
     def support_leaves(self, tol=0.0):
-        return frozenset(i for i in range(self.tree.n_edges)
-                         if not self.tree.children_of(i)
-                         and self.M[i] > tol)
+        return frozenset(np.flatnonzero(
+            (self.tree.n_children == 0) & (self.M > tol)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +671,13 @@ def tree_from_json(obj, depth=None, layout="auto"):
         return build_tree(spec_from_json(obj["spec"]),
                           depth=depth if depth is not None else obj.get("depth"),
                           layout=layout)
+    if depth is not None:
+        raise TreeStructureError(
+            "a truncation depth applies to tree specs, not to an explicit "
+            "adjacency")
     adjacency = {rec["id"]: rec.get("children", []) for rec in obj["edges"]}
     tails = [rec["id"] for rec in obj["edges"] if rec.get("tail")]
-    tree = Tree.from_adjacency(adjacency, root=obj.get("root"))
-    if tails:
-        tree = Tree(tree.parent, tree.children,
-                    [lab in set(tails) for lab in tree.labels],
-                    labels=tree.labels)
-    return tree
+    return Tree.from_adjacency(adjacency, root=obj.get("root"), tails=tails)
 
 
 def load_tree(path, depth=None):

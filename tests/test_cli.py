@@ -189,3 +189,58 @@ def test_threads_env(capsys, tree_file, monkeypatch):
     code, _, _ = run(capsys, ["capacity", "--tree", tree_file])
     assert code == 0
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_verify_leaf_masses_on_integer_labels(capsys, tmp_path):
+    from treecap import Tree
+
+    adj = Tree.from_adjacency({10: [3, 7], 3: [], 7: [1, 2], 1: [], 2: []})
+    tfile = tmp_path / "int.json"
+    tfile.write_text(json.dumps(tree_to_json(adj)))
+    code, out, _ = run(capsys, ["equilibrium", "--tree", str(tfile)])
+    assert code == 0
+    M = json.loads(out)["M"]
+    masses = {str(lab): M[str(lab)] for lab in (3, 1, 2)}
+    mfile = tmp_path / "leaf.json"
+    mfile.write_text(json.dumps({"leaf_masses": masses}))
+    code, out, err = run(capsys, ["verify", "--tree", str(tfile),
+                                  "--measure", str(mfile)])
+    assert code == 0, err
+    assert json.loads(out)["is_equilibrium"] is True
+
+    mfile.write_text(json.dumps({"leaf_masses": {"4": 0.5}}))
+    code, _, err = run(capsys, ["verify", "--tree", str(tfile),
+                                "--measure", str(mfile)])
+    assert code == 2 and "unknown edge label" in err
+
+
+def test_depth_on_explicit_adjacency_exits_2(capsys, tmp_path):
+    from treecap import Tree
+
+    tfile = tmp_path / "adj.json"
+    tfile.write_text(json.dumps(tree_to_json(
+        Tree.from_adjacency({"r": ["a"], "a": []}))))
+    code, _, err = run(capsys, ["capacity", "--tree", str(tfile),
+                                "--depth", "4"])
+    assert code == 2 and "treecap:" in err
+
+
+def test_equilibrium_compact_layout(capsys, tmp_path):
+    tfile = tmp_path / "hom.json"
+    tfile.write_text(json.dumps({"spec": {"variant": "homogeneous", "n": 2},
+                                 "depth": 30}))
+    code, out, _ = run(capsys, ["equilibrium", "--tree", str(tfile),
+                                "--include-zero"])
+    payload = json.loads(out)
+    assert code == 0
+    assert len(payload["levels"]["c"]) == 31
+    assert "M" not in payload
+
+
+def test_all_exports_no_modules():
+    import types
+
+    import treecap
+    assert treecap.__all__
+    for name in treecap.__all__:
+        assert not isinstance(getattr(treecap, name), types.ModuleType), name

@@ -250,3 +250,36 @@ def test_edge_function_mapping():
     assert m == {"0": 1.0, "1": 0.5}
     m = edge_function_to_mapping(t, f, keep_zero=True)
     assert len(m) == 3
+
+
+def test_children_must_agree_with_parent():
+    with pytest.raises(TreeStructureError):
+        Tree([-1, 0, 0], [[1], [2], []], [False] * 3)
+    with pytest.raises(TreeStructureError):  # sibling order swapped
+        Tree([-1, 0, 0], [[2, 1], [], []], [False] * 3)
+    t = Tree([-1, 0, 0, 1], [[1, 2], [3], [], []], [False] * 4)
+    assert t.children_of(0) == [1, 2] and t.children_of(1) == [3]
+
+
+@pytest.mark.parametrize("parent", [[0, 0], [-1, 1], [-1, 0, 3, 1],
+                                    [-1, 0, 1, 0], [-1, -1]])
+def test_parent_must_be_in_bfs_order(parent):
+    with pytest.raises(TreeStructureError):
+        Tree(parent)
+
+
+def test_depth_rejected_for_explicit_adjacency():
+    obj = tree_to_json(Tree.from_adjacency({"r": ["a"], "a": []}))
+    assert tree_from_json(obj).n_edges == 2
+    with pytest.raises(TreeStructureError):
+        tree_from_json(obj, depth=3)
+
+
+def test_string_keys_find_integer_labels():
+    t = Tree.from_adjacency({10: [3, 7], 3: [], 7: []})
+    assert t.id_of_label(7) == t.id_of_label("7") == 2
+    with pytest.raises(KeyError):
+        t.id_of_label("8")
+    # an exact label wins over another label's string form
+    t = Tree.from_adjacency({1: ["1"], "1": []})
+    assert (t.id_of_label(1), t.id_of_label("1")) == (0, 1)
