@@ -54,7 +54,6 @@ from .tiling import (
     emit_svg,
     measure_from_tiling,
     tiling_from_json,
-    tiling_to_json,
     validate_tiling,
 )
 from .trees import (

@@ -13,6 +13,7 @@ certificate of the measure being an equilibrium.
 from __future__ import annotations
 
 import io
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +41,6 @@ class Tiling:
     width: float
     height: float
     squares: list
-
-    def square_of(self, edge):
-        for s in self.squares:
-            if s.edge == edge:
-                return s
-        return None
 
     def area_defect(self):
         return abs(sum(s.side ** 2 for s in self.squares)
@@ -78,7 +73,7 @@ def build_tiling(tree, measure, tol=1e-9):
         raise ValueError(
             "not an equilibrium measure at p = 2: max residual "
             f"{rep.max_residual:.3e}, undetermined tails "
-            f"{rep.undetermined}")
+            f"{_first_ids(rep.undetermined)}")
     if M[tree.root] <= 0.0:
         raise ValueError("zero measure tiles nothing")
 
@@ -122,67 +117,175 @@ class TilingReport:
         }
 
 
+def _first_ids(ids, limit=10):
+    """Count and the first `limit` ids, so a message stays short."""
+    ids = list(ids)
+    head = ", ".join(str(i) for i in ids[:limit])
+    return f"{len(ids)} [{head}{', ...' if len(ids) > limit else ''}]"
+
+
+def _worst(*defects):
+    """Largest entry of the defect arrays, at least 0.0; NaN counts as
+    an infinite defect, so it cannot slip past a comparison with tol."""
+    d = np.concatenate([np.ravel(v) for v in defects])
+    if d.size == 0:
+        return 0.0
+    return max(0.0, float(np.where(np.isnan(d), np.inf, d).max()))
+
+
 def validate_tiling(tiling, tol=1e-9):
     """Geometric validation: every square inside the rectangle, no two
     squares overlapping in their interiors, total area equal to the
     rectangle's, and each square resting exactly on the bottom edge of
-    its parent square within the parent's horizontal extent."""
+    its parent square within the parent's horizontal extent.  Every
+    coordinate must be finite, every side positive, and every square
+    must name its own edge of the tree.  The tree supplies each edge's
+    parent and nothing else; overlap is judged from raw geometry alone.
+    ok holds exactly when no check left a message.
+
+    Two squares overlap when their x-intersection and y-intersection
+    both exceed tol.  A square whose own width or height is within tol
+    overlaps nothing.  The others are swept in order of their top edge,
+    in O(n log n): the active squares are kept in a list ordered by
+    (x, index), and a square leaves it once its bottom is within tol of
+    the sweep line.  Invariant: until the first overlap, the active
+    squares pairwise intersect by more than tol in y, so their
+    x-intersections are at most tol, and their right edges increase
+    along the list.  A new square can then overlap only its
+    x-predecessor and the successors that start before its right edge,
+    so the first overlapping square is always found and ok is exact.
+    The sweep stops after that square: max_overlap and the overlap
+    messages cover its overlaps with earlier squares only."""
     w, h = tiling.width, tiling.height
+    squares = tiling.squares
     msgs = []
 
-    containment = 0.0
-    for s in tiling.squares:
-        containment = max(containment,
-                          -s.x, -s.y, s.x + s.side - w, s.y + s.side - h)
-        if s.side <= 0:
-            msgs.append(f"square {s.edge} has nonpositive side")
+    edge = [s.edge for s in squares]
+    x = np.array([s.x for s in squares], dtype=float)
+    y = np.array([s.y for s in squares], dtype=float)
+    side = np.array([s.side for s in squares], dtype=float)
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(side)
+    with np.errstate(invalid="ignore", over="ignore"):
+        right, bottom = x + side, y + side
+        sized = finite & (right - x > tol) & (bottom - y > tol)
+    nonfinite = np.flatnonzero(~finite)
+    if nonfinite.size:
+        msgs.append("squares with non-finite geometry: "
+                    + _first_ids(edge[i] for i in nonfinite))
+    if not np.isfinite([w, h]).all():
+        msgs.append(f"rectangle {w} x {h} is not finite")
+    nonpositive = np.flatnonzero(side <= 0)
+    if nonpositive.size:
+        msgs.append("squares with nonpositive side: "
+                    + _first_ids(edge[i] for i in nonpositive))
+
+    # every square names a distinct edge of the tree
+    tree = tiling.tree
+    n_edges = tree.n_edges
+    e = np.asarray(edge)
+    if e.dtype.kind != "i":  # no squares, or ids numpy cannot hold as ints
+        e = np.array([v if isinstance(v, (int, np.integer))
+                      and 0 <= v < n_edges else -1 for v in edge],
+                     dtype=np.int64)
+    known = (e >= 0) & (e < n_edges)
+    if not known.all():
+        msgs.append("squares naming no edge of the tree: "
+                    + _first_ids(edge[i] for i in np.flatnonzero(~known)))
+    held = np.flatnonzero(known)
+    repeated = np.flatnonzero(np.bincount(e[held], minlength=n_edges) > 1)
+    if repeated.size:
+        msgs.append("edges with more than one square: "
+                    + _first_ids(repeated.tolist()))
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        containment = _worst(-x, -y, right - w, bottom - h)
     if containment > tol:
         msgs.append(f"a square leaves the rectangle by {containment:.3e}")
 
-    # sweep by top edge; only squares overlapping in y can collide
-    order = sorted(tiling.squares, key=lambda s: s.y)
-    active = []
     max_overlap = 0.0
-    for s in order:
-        active = [a for a in active if a.y + a.side > s.y + tol]
-        for a in active:
-            dx = min(a.x + a.side, s.x + s.side) - max(a.x, s.x)
-            dy = min(a.y + a.side, s.y + s.side) - max(a.y, s.y)
-            if dx > tol and dy > tol:
-                max_overlap = max(max_overlap, min(dx, dy))
-                msgs.append(f"squares {a.edge} and {s.edge} overlap "
-                            f"by {min(dx, dy):.3e}")
-        active.append(s)
-    area_defect = abs(sum(s.side ** 2 for s in tiling.squares) - w * h)
+    for a, b, amount in _first_overlaps(x, y, right, bottom, sized, tol):
+        max_overlap = max(max_overlap, amount)
+        msgs.append(f"squares {edge[a]} and {edge[b]} overlap "
+                    f"by {amount:.3e}")
+
+    # square by square: numpy's square rounds differently from ** and
+    # would move the last bits of the report
+    try:
+        area_defect = tiling.area_defect()
+    except OverflowError:  # ** raises where a product would give inf
+        area_defect = float("inf")
+    if np.isnan(area_defect):
+        area_defect = float("inf")
     if area_defect > tol * max(1.0, w * h):
         msgs.append(f"area defect {area_defect:.3e}")
 
     # each square hangs off the bottom of its parent's square
-    tree = tiling.tree
-    by_edge = {s.edge: s for s in tiling.squares}
-    adjacency = 0.0
-    for s in tiling.squares:
-        if s.edge == tree.root:
-            adjacency = max(adjacency, abs(s.y))
-            continue
-        par = by_edge.get(tree.parent_of(s.edge))
-        if par is None:
-            msgs.append(f"square {s.edge} has no parent square")
-            adjacency = max(adjacency, float("inf"))
-            continue
-        adjacency = max(adjacency,
-                        abs(s.y - (par.y + par.side)),
-                        par.x - s.x, s.x + s.side - (par.x + par.side))
+    slot = np.full(n_edges, -1)
+    slot[e[held]] = held
+    par = tree.parent[e[held]]
+    is_root = par < 0
+    par_slot = np.where(is_root, -1, slot[par])
+    orphans = held[~is_root & (par_slot < 0)]
+    if orphans.size:
+        msgs.append("squares with no parent square: "
+                    + _first_ids(edge[i] for i in orphans))
+    c = held[par_slot >= 0]
+    pc = par_slot[par_slot >= 0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        adjacency = float("inf") if orphans.size else _worst(
+            np.abs(y[held[is_root]]), np.abs(y[c] - bottom[pc]),
+            x[pc] - x[c], right[c] - right[pc])
     if adjacency > tol:
         msgs.append(f"parent adjacency broken by {adjacency:.3e}")
 
-    ok = (containment <= tol and max_overlap == 0.0
-          and area_defect <= tol * max(1.0, w * h) and adjacency <= tol)
-    return TilingReport(ok=bool(ok), containment_defect=float(containment),
+    return TilingReport(ok=not msgs, containment_defect=float(containment),
                         max_overlap=float(max_overlap),
                         area_defect=float(area_defect),
                         adjacency_defect=float(adjacency),
-                        n_squares=len(tiling.squares), messages=msgs)
+                        n_squares=len(squares), messages=msgs)
+
+
+def _first_overlaps(x, y, right, bottom, sized, tol):
+    """The sweep of validate_tiling: (a, b, overlap) for each earlier
+    square a that the first overlapping square b overlaps, in sweep
+    order; nothing when no two of the `sized` squares overlap."""
+    cand = np.flatnonzero(sized)
+    by_y = cand[np.argsort(y[cand], kind="stable")].tolist()
+    by_x = cand[np.lexsort((cand, x[cand]))]
+    rank = np.empty(len(x), dtype=np.intp)
+    rank[by_x] = np.arange(by_x.size)
+    # an unswept square's bottom is more than tol below the sweep line,
+    # so squares leave in bottom order only after they entered
+    by_bottom = cand[np.argsort(bottom[cand], kind="stable")].tolist()
+    by_x, rank = by_x.tolist(), rank.tolist()
+    x, y, right, bottom = (v.tolist() for v in (x, y, right, bottom))
+
+    active = []  # ranks in (x, index) order of the squares on the line
+    left = 0
+    for b in by_y:
+        yb, xb, rb = y[b], x[b], right[b]
+        while left < len(by_bottom) and bottom[by_bottom[left]] - yb <= tol:
+            del active[bisect_left(active, rank[by_bottom[left]])]
+            left += 1
+        # every active square meets b by more than tol in y, so only the
+        # x-intersection decides; it shrinks away from b's slot
+        at = bisect_left(active, rank[b])
+        hits = []
+        k = at - 1
+        while k >= 0 and right[by_x[active[k]]] - xb > tol:
+            hits.append(by_x[active[k]])
+            k -= 1
+        k = at
+        while k < len(active) and rb - x[by_x[active[k]]] > tol:
+            hits.append(by_x[active[k]])
+            k += 1
+        if hits:
+            hits.sort(key=lambda a: (y[a], a))
+            return [(a, b, min(min(right[a], rb) - max(x[a], xb),
+                               min(bottom[a], bottom[b]) - max(y[a], yb)))
+                    for a in hits]
+        active.insert(at, rank[b])
+    return []
 
 
 def measure_from_tiling(tree, tiling, tol=1e-9):
@@ -195,15 +298,10 @@ def measure_from_tiling(tree, tiling, tol=1e-9):
     if not geo.ok:
         raise ValueError("tiling fails validation: " + "; ".join(geo.messages))
     M = np.zeros(tree.n_edges)
-    for s in tiling.squares:
-        M[s.edge] = s.side
+    M[[s.edge for s in tiling.squares]] = [s.side for s in tiling.squares]
     mu = BoundaryMeasure(tree, M, validate=True, tol=tol)
     rep = verify_equilibrium(tree, mu, 2, tol=tol)
     return mu, rep
-
-
-def tiling_to_json(tiling):
-    return tiling.to_json()
 
 
 def tiling_from_json(tree, obj):

@@ -1,10 +1,15 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from treecap import (
     BoundaryMeasure,
+    Homogeneous,
     SphericallySymmetric,
     Tiling,
+    TilingReport,
     TilingSquare,
     build_tiling,
     build_tree,
@@ -121,3 +126,162 @@ def test_deep_random_tilings():
         mu, ver = measure_from_tiling(tree, til)
         assert ver.is_equilibrium
         assert float(np.abs(mu.M - r.measure.M).max()) <= 1e-12
+
+
+def reference_validate(tiling, tol=1e-9):
+    """validate_tiling's definitions checked square by square and pair
+    by pair, in O(n^2): the reference its sweep is tested against.
+    Assumes finite geometry; max_overlap is over all pairs."""
+    tree, w, h, squares = tiling.tree, tiling.width, tiling.height, \
+        tiling.squares
+    edges = [s.edge for s in squares]
+    broken = (any(not 0 <= e < tree.n_edges for e in edges)
+              or len(set(edges)) < len(edges)
+              or any(s.side <= 0 for s in squares))
+    containment = 0.0
+    for s in squares:
+        containment = max(containment, -s.x, -s.y,
+                          s.x + s.side - w, s.y + s.side - h)
+    max_overlap = 0.0
+    for i, a in enumerate(squares):
+        for s in squares[i + 1:]:
+            dx = min(a.x + a.side, s.x + s.side) - max(a.x, s.x)
+            dy = min(a.y + a.side, s.y + s.side) - max(a.y, s.y)
+            if dx > tol and dy > tol:
+                max_overlap = max(max_overlap, min(dx, dy))
+    area_defect = abs(sum(s.side ** 2 for s in squares) - w * h)
+    by_edge = {s.edge: s for s in squares}
+    adjacency = 0.0
+    for s in squares:
+        if not 0 <= s.edge < tree.n_edges:
+            continue
+        if s.edge == tree.root:
+            adjacency = max(adjacency, abs(s.y))
+            continue
+        par = by_edge.get(tree.parent_of(s.edge))
+        if par is None:
+            adjacency = float("inf")
+            continue
+        adjacency = max(adjacency, abs(s.y - (par.y + par.side)),
+                        par.x - s.x, s.x + s.side - (par.x + par.side))
+    ok = (not broken and containment <= tol and max_overlap == 0.0
+          and area_defect <= tol * max(1.0, w * h) and adjacency <= tol)
+    return TilingReport(ok=ok, containment_defect=containment,
+                        max_overlap=max_overlap, area_defect=area_defect,
+                        adjacency_defect=adjacency,
+                        n_squares=len(squares), messages=[])
+
+
+def perturbed(rng, til):
+    """One square shifted, one resized, one duplicated, one dropped."""
+    sq = til.squares
+    out = []
+    for kind in ("shift", "resize", "duplicate", "drop"):
+        i = int(rng.integers(len(sq)))
+        s = sq[i]
+        if kind == "shift":
+            along = rng.integers(2, size=2)  # x, y or both, or neither
+            dx, dy = rng.uniform(-1, 1, size=2) * s.side * along
+            moved = [TilingSquare(s.edge, s.x + dx, s.y + dy, s.side)]
+            squares = sq[:i] + moved + sq[i + 1:]
+        elif kind == "resize":
+            grown = [TilingSquare(s.edge, s.x, s.y,
+                                  s.side * rng.uniform(0.5, 1.5))]
+            squares = sq[:i] + grown + sq[i + 1:]
+        elif kind == "duplicate":
+            squares = sq[:i] + [s] + sq[i:]
+        else:
+            squares = sq[:i] + sq[i + 1:]
+        out.append(Tiling(tree=til.tree, width=til.width,
+                          height=til.height, squares=squares))
+    return out
+
+
+def test_sweep_agrees_with_all_pairs_reference():
+    rng = np.random.default_rng(20260101)
+    from helpers import random_tree
+    for _ in range(40):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 200)))
+        til = build_tiling(tree, capacity_recursive(tree, 2).measure)
+        assert validate_tiling(til) == reference_validate(til)
+        for bad in perturbed(rng, til):
+            got, want = validate_tiling(bad), reference_validate(bad)
+            assert got.ok == want.ok
+            assert (got.max_overlap > 0) == (want.max_overlap > 0)
+            assert got.ok or got.messages
+
+
+def test_sweep_finds_overlaps_in_square_soups():
+    # squares on a coarse grid: many exact touches and ties in x and y,
+    # and squares narrower than tol, which overlap nothing
+    rng = np.random.default_rng(7)
+    tree = build_tree(SphericallySymmetric([3, 3, 3]))
+    sides = [1e-12, 1 / 8, 2 / 8, 3 / 8]
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        squares = [TilingSquare(edge=i, x=float(rng.integers(0, 8)) / 8,
+                                y=float(rng.integers(0, 8)) / 8,
+                                side=sides[rng.integers(4)])
+                   for i in range(n)]
+        til = Tiling(tree=tree, width=1.5, height=1.5, squares=squares)
+        got, want = validate_tiling(til), reference_validate(til)
+        assert (got.max_overlap > 0) == (want.max_overlap > 0)
+        assert got.ok == want.ok
+
+
+def test_validator_rejects_non_finite_geometry():
+    t, r, til = fixture_tiling()
+    for field in ("x", "y", "side"):
+        for bad in (math.nan, math.inf, -math.inf):
+            s = til.squares[1]
+            broken = TilingSquare(**{**vars(s), field: bad})
+            squares = [til.squares[0], broken, til.squares[2]]
+            rep = validate_tiling(Tiling(tree=t, width=til.width,
+                                         height=til.height, squares=squares))
+            assert not rep.ok
+            assert any("non-finite" in m for m in rep.messages)
+            assert not math.isnan(rep.containment_defect)
+            assert not math.isnan(rep.area_defect)
+            assert not math.isnan(rep.adjacency_defect)
+    for w, h in ((math.nan, 1.0), (til.width, math.inf)):
+        rep = validate_tiling(Tiling(tree=t, width=w, height=h,
+                                     squares=til.squares))
+        assert not rep.ok and rep.messages
+    nan_y = Tiling(tree=t, width=til.width, height=til.height,
+                   squares=[til.squares[0],
+                            TilingSquare(edge=1, x=0.0, y=math.nan,
+                                         side=1 / 3), til.squares[2]])
+    with pytest.raises(ValueError, match="non-finite"):
+        measure_from_tiling(t, nan_y)
+
+
+@pytest.mark.parametrize("edge", [-1, 7, 1])
+def test_validator_rejects_unknown_and_repeated_edges(edge):
+    t, r, til = fixture_tiling()  # 3 edges; squares 0, 1, 2
+    s = til.squares[2]
+    squares = [til.squares[0], til.squares[1],
+               TilingSquare(edge=edge, x=s.x, y=s.y, side=s.side)]
+    rep = validate_tiling(Tiling(tree=t, width=til.width,
+                                 height=til.height, squares=squares))
+    assert not rep.ok
+    assert any(f"[{edge}]" in m for m in rep.messages)
+
+
+def test_undetermined_tail_message_is_capped():
+    t = build_tree(Homogeneous(2), depth=14, layout="explicit")
+    with pytest.raises(ValueError) as exc:
+        build_tiling(t, capacity_recursive(t, 2).measure)
+    msg = str(exc.value)
+    assert "undetermined tails 16384 [" in msg and len(msg) < 300
+
+
+def test_validates_32k_squares_quickly():
+    # the all-pairs sweep this replaced took minutes here
+    t = build_tree(SphericallySymmetric([2] * 14))
+    til = build_tiling(t, capacity_recursive(t, 2).measure)
+    start = time.perf_counter()
+    rep = validate_tiling(til)
+    elapsed = time.perf_counter() - start
+    assert rep.ok and rep.n_squares == 32767 and not rep.messages
+    assert rep.max_overlap == 0.0 and rep.area_defect <= 1e-9
+    assert elapsed < 20.0
