@@ -10,10 +10,11 @@ recovered top-down through
 
     M(a) = c(a) * prod over ancestors g of (1 - c(g)^(p'-1))^(p-1).
 
-Spherically symmetric trees admit two independent evaluation routes:
-the per-level scalar version of the same recursion, and the level
-counting series  c = (sum_k card(k)^(1-p'))^(1-p)  used both for
-symmetric_capacity and for certifying tail seeds.
+A compact spherically symmetric tree runs the same sweeps on its
+weighted quotient, one node per level, so both layouts share one
+recursion.  The level counting series  c = (sum_k card(k)^(1-p'))^(1-p)
+stays an independent route, used both for symmetric_capacity and for
+certifying tail seeds.
 """
 
 from __future__ import annotations
@@ -143,46 +144,49 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     return CapacityInterval(lo, hi)
 
 
-def _tail_seed(continuation, p):
-    """Certified capacity interval of the tent below a truncation tail."""
-    prefix, eventual = continuation
-    iv = symmetric_capacity(list(prefix), p, tail_degree=eventual)
-    return iv.lower, iv.upper
-
-
-def _resolve_tail_bounds(tree, tail_policy, p):
-    """Uniform (lo, hi) tail values, or per-tail arrays for mappings."""
+def _tail_arrays(tree, tail_policy, p):
+    """Lower and upper tail values per edge (read at tails only); under
+    "interval", the certified capacity of the continuation when known."""
+    lo = np.zeros(tree.n_edges)
+    hi = np.ones(tree.n_edges)
+    if isinstance(tail_policy, dict):
+        for i in tree.tail_ids():
+            v = tail_policy.get(i, (0.0, 1.0))
+            vlo, vhi = (v, v) if isinstance(v, (int, float)) else v
+            lo[i], hi[i] = float(vlo), float(vhi)
+        return lo, hi
     if tail_policy == "interval":
-        cont = getattr(tree, "continuation", None)
-        if cont is not None:
-            return _tail_seed(cont, p)
-        return 0.0, 1.0
-    if tail_policy == "pessimistic":
-        return 0.0, 0.0
-    if tail_policy == "optimistic":
-        return 1.0, 1.0
-    if isinstance(tail_policy, (int, float)):
+        if tree.continuation is not None:
+            prefix, eventual = tree.continuation
+            iv = symmetric_capacity(list(prefix), p, tail_degree=eventual)
+            lo[:], hi[:] = iv.lower, iv.upper
+    elif tail_policy == "pessimistic":
+        hi[:] = 0.0
+    elif tail_policy == "optimistic":
+        lo[:] = 1.0
+    elif isinstance(tail_policy, (int, float)):
         t = float(tail_policy)
         if not 0.0 <= t <= 1.0:
             raise ValueError("tail value must lie in [0, 1]")
-        return t, t
-    if isinstance(tail_policy, dict):
-        return tail_policy  # per tail id: value or (lo, hi)
-    raise ValueError(f"unknown tail policy {tail_policy!r}")
-
-
-def _tail_arrays(tree, tail_policy, p):
-    bounds = _resolve_tail_bounds(tree, tail_policy, p)
-    lo = np.zeros(tree.n_edges)
-    hi = np.ones(tree.n_edges)
-    if isinstance(bounds, dict):
-        for i in tree.tail_ids():
-            v = bounds.get(i, (0.0, 1.0))
-            vlo, vhi = (v, v) if isinstance(v, (int, float)) else v
-            lo[i], hi[i] = float(vlo), float(vhi)
+        lo[:], hi[:] = t, t
     else:
-        lo[:], hi[:] = bounds
+        raise ValueError(f"unknown tail policy {tail_policy!r}")
     return lo, hi
+
+
+def _tail_runs(tree, tail_policy, p, run):
+    """run(q, t) for the lower and the upper tail values t, on q: the
+    tree itself, or the weighted quotient of a compact symmetric tree.
+    Returns (q, lower run, upper run); one run when the values agree."""
+    q = tree
+    if isinstance(tree, SymmetricTree):
+        if isinstance(tail_policy, dict):  # its tails have no single ids
+            raise ValueError("per-tail values need an explicit tree")
+        q = tree.quotient
+    t_lo, t_hi = _tail_arrays(q, tail_policy, p)
+    lower = run(q, t_lo)
+    upper = run(q, t_hi) if np.any(t_lo[q.tail] != t_hi[q.tail]) else lower
+    return q, lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +227,8 @@ class LevelEquilibriumResult:
     """Per-level recursion output for a compact symmetric truncation.
 
     Arrays are indexed by level 0..depth; every edge at a level shares
-    the value, so c and M at an edge are c_levels[level] etc."""
+    the value, so c and M at an edge are c_levels[level] etc.  They are
+    the per-node values of the run on the tree's quotient."""
 
     tree: SymmetricTree
     p: float
@@ -233,7 +238,9 @@ class LevelEquilibriumResult:
     c_levels_upper: np.ndarray
     m_levels_upper: np.ndarray
 
-    def to_json(self):
+    def to_json(self, keep_zero=False):
+        """keep_zero matches EquilibriumResult.to_json and changes
+        nothing: per-level output has no zero entries to drop."""
         return {
             "capacity": self.capacity.to_json(),
             "levels": {
@@ -275,80 +282,34 @@ def capacity_recursive(tree, p, tail_policy="interval"):
     tail_policy: "interval" (certified bracket; level-regular trees
     seed their tails from the level counting series, others use [0,1]),
     "pessimistic" (0), "optimistic" (1), a number in [0,1], or a dict
-    {tail id: value or (lo, hi)}.
+    {tail id: value or (lo, hi)}.  A compact SymmetricTree runs on its
+    quotient and returns a LevelEquilibriumResult; it takes no dict.
     """
     pe = as_exponent(p)
-    if isinstance(tree, SymmetricTree):
-        return _capacity_symmetric(tree, pe, tail_policy)
-
-    t_lo, t_hi = _tail_arrays(tree, tail_policy, pe)
     # true leaves carry 1; inner edges ignore their boundary value
-    b_lo = np.where(tree.tail, t_lo, 1.0)
-    b_hi = np.where(tree.tail, t_hi, 1.0)
-
-    c_lo, M_lo = _run_explicit(tree, pe, b_lo)
-    truncated = bool(np.any(tree.tail))
-    if truncated and np.any(t_lo[tree.tail] != t_hi[tree.tail]):
-        c_hi, M_hi = _run_explicit(tree, pe, b_hi)
-    else:
-        c_hi, M_hi = c_lo, M_lo
-
+    q, (c_lo, M_lo), (c_hi, M_hi) = _tail_runs(
+        tree, tail_policy, pe,
+        lambda q, t: _run_explicit(q, pe, np.where(q.tail, t, 1.0)))
     lo, hi = float(c_lo[0]), float(c_hi[0])
-    if truncated and tail_policy == "interval":
+    if np.any(q.tail) and tail_policy == "interval":
         # certified seeds promise containment; absorb float rounding
         lo, hi = _pad_interval(lo, hi)
+    capacity = CapacityInterval(min(lo, hi), max(lo, hi))
+    if q is not tree:
+        return LevelEquilibriumResult(
+            tree=tree, p=pe.p, capacity=capacity,
+            c_levels=c_lo, m_levels=M_lo,
+            c_levels_upper=c_hi, m_levels_upper=M_hi)
     upper_run = None
     if c_hi is not c_lo:
         upper_run = (c_hi, BoundaryMeasure(tree, M_hi, validate=False),
                      signed_power(M_hi, pe))
     return EquilibriumResult(
-        tree=tree, p=pe.p,
-        capacity=CapacityInterval(min(lo, hi), max(lo, hi)),
+        tree=tree, p=pe.p, capacity=capacity,
         c_of_alpha=c_lo,
         measure=BoundaryMeasure(tree, M_lo, validate=False),
         equilibrium_function=signed_power(M_lo, pe),
         upper_run=upper_run,
-    )
-
-
-def _level_run(degrees, pe, boundary_value):
-    D = len(degrees)
-    c = np.zeros(D + 1)
-    c[D] = boundary_value
-    for k in range(D - 1, -1, -1):
-        c[k] = float(_phi(degrees[k] * c[k + 1], pe))
-    factor = (1.0 - np.clip(c, 0.0, 1.0) ** (pe.conjugate - 1.0))
-    factor = np.clip(factor, 0.0, None) ** (pe.p - 1.0)
-    M = np.empty(D + 1)
-    M[0] = c[0]
-    prod = 1.0
-    for k in range(1, D + 1):
-        prod *= factor[k - 1]
-        M[k] = c[k] * prod
-    return c, M
-
-
-def _capacity_symmetric(tree, pe, tail_policy):
-    if tree.truncated:
-        bounds = _resolve_tail_bounds(tree, tail_policy, pe)
-        if isinstance(bounds, dict):
-            raise ValueError("per-tail values need an explicit tree")
-        b_lo, b_hi = bounds
-    else:
-        b_lo = b_hi = 1.0
-    c_lo, M_lo = _level_run(tree.degrees, pe, b_lo)
-    if b_hi != b_lo:
-        c_hi, M_hi = _level_run(tree.degrees, pe, b_hi)
-    else:
-        c_hi, M_hi = c_lo, M_lo
-    lo, hi = float(c_lo[0]), float(c_hi[0])
-    if tree.truncated and tail_policy == "interval":
-        lo, hi = _pad_interval(lo, hi)
-    return LevelEquilibriumResult(
-        tree=tree, p=pe.p,
-        capacity=CapacityInterval(min(lo, hi), max(lo, hi)),
-        c_levels=c_lo, m_levels=M_lo,
-        c_levels_upper=c_hi, m_levels_upper=M_hi,
     )
 
 
@@ -461,37 +422,10 @@ def _resistance_explicit(tree, seeds):
 
 
 def total_resistance(tree, tail_policy="interval"):
-    """Series-parallel resistance of the tree below its root edge."""
-    if isinstance(tree, SymmetricTree):
-        return _resistance_symmetric(tree, tail_policy)
-    t_lo, t_hi = _tail_arrays(tree, tail_policy, 2.0)
-    R_low = _resistance_explicit(tree, _tail_resistance(t_hi))
-    if np.any(tree.tail) and np.any(t_lo[tree.tail] != t_hi[tree.tail]):
-        R_high = _resistance_explicit(tree, _tail_resistance(t_lo))
-    else:
-        R_high = R_low
+    """Series-parallel resistance of the tree below its root edge; a
+    compact SymmetricTree runs on its quotient and reports per level."""
+    q, R_high, R_low = _tail_runs(
+        tree, tail_policy, 2.0,
+        lambda q, t: _resistance_explicit(q, _tail_resistance(t)))
     return ResistanceResult(tree, float(R_low[0]), float(R_high[0]),
-                            R_low, R_high)
-
-
-def _resistance_symmetric(tree, tail_policy):
-    if tree.truncated:
-        bounds = _resolve_tail_bounds(tree, tail_policy, 2.0)
-        if isinstance(bounds, dict):
-            raise ValueError("per-tail values need an explicit tree")
-        b_lo, b_hi = bounds
-    else:
-        b_lo = b_hi = 1.0
-
-    def run(t):
-        D = tree.depth
-        R = np.zeros(D + 1)
-        R[D] = _tail_resistance(t) if tree.truncated else 0.0
-        for k in range(D - 1, -1, -1):
-            R[k] = (1.0 + R[k + 1]) / tree.degrees[k]
-        return R
-
-    R_low = run(b_hi)
-    R_high = run(b_lo) if b_lo != b_hi else R_low
-    return ResistanceResult(tree, float(R_low[0]), float(R_high[0]),
-                            R_low, R_high, per_level=True)
+                            R_low, R_high, per_level=q is not tree)

@@ -205,14 +205,11 @@ def _cmd_capacity(args):
 
 
 def _cmd_equilibrium(args):
-    from .capacity import LevelEquilibriumResult, capacity_recursive
+    from .capacity import capacity_recursive
 
     tree = _load_tree(args)
     res = capacity_recursive(tree, args.p, tail_policy=args.tail_policy)
-    if isinstance(res, LevelEquilibriumResult):
-        payload = res.to_json()  # per level: no zero entries to drop
-    else:
-        payload = res.to_json(keep_zero=args.include_zero)
+    payload = res.to_json(keep_zero=args.include_zero)
     payload["p"] = args.p
     return 0, payload
 

@@ -163,7 +163,9 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
         raise ValueError("depth must be >= 1")
     if target < 0:
         raise ValueError("capacity targets are nonnegative")
-    tree = build_tree(SphericallySymmetric([n] * depth))
+    # the leaf bisection needs the leaves one by one: an explicit arena,
+    # refused by its size before anything is allocated
+    tree = build_tree(SphericallySymmetric([n] * depth), layout="explicit")
     leaves = np.flatnonzero(tree.true_leaf_mask())
     total = len(leaves)
 

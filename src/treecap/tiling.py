@@ -13,6 +13,7 @@ certificate of the measure being an equilibrium.
 from __future__ import annotations
 
 import io
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -124,6 +125,16 @@ def _first_ids(ids, limit=10):
     return f"{len(ids)} [{head}{', ...' if len(ids) > limit else ''}]"
 
 
+def _floats(values):
+    """values as a float array; a number beyond the float range (a
+    huge Python int) reads as NaN, so it fails the finiteness check."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array([v if abs(v) <= sys.float_info.max else np.nan
+                         for v in values], dtype=float)
+
+
 def _worst(*defects):
     """Largest entry of the defect arrays, at least 0.0; NaN counts as
     an infinite defect, so it cannot slip past a comparison with tol."""
@@ -156,14 +167,14 @@ def validate_tiling(tiling, tol=1e-9):
     so the first overlapping square is always found and ok is exact.
     The sweep stops after that square: max_overlap and the overlap
     messages cover its overlaps with earlier squares only."""
-    w, h = tiling.width, tiling.height
+    w, h = _floats([tiling.width, tiling.height]).tolist()
     squares = tiling.squares
     msgs = []
 
     edge = [s.edge for s in squares]
-    x = np.array([s.x for s in squares], dtype=float)
-    y = np.array([s.y for s in squares], dtype=float)
-    side = np.array([s.side for s in squares], dtype=float)
+    x = _floats([s.x for s in squares])
+    y = _floats([s.y for s in squares])
+    side = _floats([s.side for s in squares])
     finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(side)
     with np.errstate(invalid="ignore", over="ignore"):
         right, bottom = x + side, y + side

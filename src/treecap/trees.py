@@ -31,6 +31,13 @@ every pass over an explicit tree goes through the two primitives
   Returns (out, S) for the whole tree.
 * Tree.push_down(values, op): out[0] = values[0] and
   out[i] = op(out[parent[i]], values[i]), one level at a time.
+
+A Tree may carry a multiplicity per edge: mult[i] identical copies of
+the subtree of edge i hang off the end vertex of its parent, and
+sweep_up weights each child's output by it.  Such a tree is a weighted
+quotient, one node per orbit of identical subtrees; every pass built on
+the two primitives then returns the value of each copy.  SymmetricTree
+runs the sweeps on its quotient, a path with one node per level.
 """
 
 from __future__ import annotations
@@ -142,11 +149,14 @@ class Tree:
     when given, must list exactly the children that parent implies, in
     id order; it is checked and not stored.  orig_ids maps this tree's
     ids back to the tree it was cut from, when it was produced by tent()
-    or spanned_subtree().
+    or spanned_subtree().  mult, when given, holds the multiplicity
+    (>= 1) of every edge and makes the tree a weighted quotient; ids,
+    n_edges and the per-edge arrays then count quotient nodes.
     """
 
     def __init__(self, parent, children=None, tail=None, labels=None,
-                 level_degrees=None, continuation=None, orig_ids=None):
+                 level_degrees=None, continuation=None, orig_ids=None,
+                 mult=None):
         self.parent = np.asarray(parent, dtype=np.int64)
         n = self.parent.size
         if self.parent.ndim != 1 or n == 0:
@@ -173,6 +183,10 @@ class Tree:
             raise TreeStructureError("need one tail flag per edge")
         if np.any(self.tail & (self.n_children > 0)):
             raise TreeStructureError("tail edges must be leaves")
+        self.mult = None if mult is None else np.asarray(mult, dtype=np.int64)
+        if mult is not None and (self.mult.shape != (n,)
+                                 or self.mult.min() < 1):
+            raise TreeStructureError("need one multiplicity >= 1 per edge")
         self.labels = labels
         self.level_degrees = level_degrees
         self.continuation = continuation
@@ -196,8 +210,9 @@ class Tree:
 
         For each level [a, b) calls step(a, b, S), where S[j] is the sum
         of out over the children of edge a + j, in id order (0.0 at a
-        leaf), and stores the returned values as out[a:b].  Returns
-        (out, S) over the whole tree.
+        leaf), each child weighted by its multiplicity when mult is set,
+        and stores the returned values as out[a:b].  Returns (out, S)
+        over the whole tree.
         """
         s = self._starts
         out = np.empty(self.n_edges)
@@ -206,8 +221,9 @@ class Tree:
             a, b = s[k], s[k + 1]
             out[a:b] = step(a, b, S[a:b])
             if k > 0:
+                w = out[a:b] if self.mult is None else out[a:b] * self.mult[a:b]
                 S[s[k - 1]:a] = np.bincount(self.parent[a:b] - s[k - 1],
-                                            weights=out[a:b],
+                                            weights=w,
                                             minlength=a - s[k - 1])
         return out, S
 
@@ -341,7 +357,9 @@ class SymmetricTree:
 
     Edge ids are still the BFS ids of the explicit arena (they may be
     astronomically large), defined arithmetically: level k occupies
-    ids [offset(k), offset(k+1)) in child-after-child order.
+    ids [offset(k), offset(k+1)) in child-after-child order.  The sweeps
+    run on quotient: a path Tree with one node per level, node k of
+    multiplicity degrees[k - 1], the last one a tail when truncated.
     """
 
     def __init__(self, degrees, truncated, continuation=None):
@@ -357,6 +375,10 @@ class SymmetricTree:
             card *= d
             offs.append(offs[-1] + card)
         self._offsets = offs  # offsets[k] = first id of level k
+        levels = np.arange(self.depth + 1)
+        self.quotient = Tree(levels - 1, mult=(1, *self.degrees),
+                             tail=self.truncated & (levels == self.depth),
+                             continuation=continuation)
 
     @property
     def depth(self):
@@ -498,7 +520,9 @@ def _subtree(tree, order):
     labels = None
     if tree.labels is not None:
         labels = list(map(tree.labels.__getitem__, order.tolist()))
-    return Tree(parent, tail=tree.tail[order], labels=labels, orig_ids=order)
+    mult = None if tree.mult is None else tree.mult[order]
+    return Tree(parent, tail=tree.tail[order], labels=labels, orig_ids=order,
+                mult=mult)
 
 
 def tent(tree, alpha):

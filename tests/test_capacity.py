@@ -10,6 +10,7 @@ from treecap import (
     Homogeneous,
     LevelEquilibriumResult,
     SphericallySymmetric,
+    Subdyadic,
     build_tree,
     capacity_of_set,
     capacity_recursive,
@@ -119,6 +120,48 @@ def test_compact_layout_agrees_with_explicit():
                                                      rel=1e-12)
             assert re.c_of_alpha[lo] == pytest.approx(rc.c_levels[lev],
                                                       rel=1e-12)
+
+
+def _agree(a, b):
+    return np.allclose(a, b, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (Homogeneous(2), 7), (Homogeneous(3), 5), (Homogeneous(5), 4),
+    (Subdyadic([2, 0, 1]), 7), (SphericallySymmetric([2, 3, 1, 2]), None),
+    (SphericallySymmetric([2, 3, 1, 2, 2]), 3)])
+def test_compact_layout_agrees_with_explicit_at_every_level(spec, depth):
+    te = build_tree(spec, depth=depth, layout="explicit")
+    tc = build_tree(spec, depth=depth, layout="compact")
+    for policy in ("interval", "pessimistic", "optimistic", 0.3):
+        for p in (1.05, 1.5, 2.0, 2.7, 8.0, 30.0):
+            re = capacity_recursive(te, p, tail_policy=policy)
+            rc = capacity_recursive(tc, p, tail_policy=policy)
+            c_hi, mu_hi = (re.upper_run[:2] if re.upper_run
+                           else (re.c_of_alpha, re.measure))
+            # every edge of the explicit layout matches its level's value
+            for e, c in ((re.c_of_alpha, rc.c_levels),
+                         (re.measure.M, rc.m_levels),
+                         (c_hi, rc.c_levels_upper),
+                         (mu_hi.M, rc.m_levels_upper)):
+                assert _agree(e, c[te.level]), (p, policy)
+            assert _agree([re.capacity.lower, re.capacity.upper],
+                          [rc.capacity.lower, rc.capacity.upper])
+        ee = total_resistance(te, tail_policy=policy)
+        ec = total_resistance(tc, tail_policy=policy)
+        assert ec.per_level and not ee.per_level
+        assert _agree(ee.below_lower, ec.below_lower[te.level]), policy
+        assert _agree(ee.below_upper, ec.below_upper[te.level]), policy
+
+
+def test_compact_layout_refuses_per_tail_values():
+    for tc in (build_tree(Homogeneous(2), depth=30),
+               build_tree(SphericallySymmetric([2, 2]), layout="compact")):
+        policy = {z: 0.5 for z in range(3)}
+        with pytest.raises(ValueError, match="need an explicit tree"):
+            capacity_recursive(tc, 2, tail_policy=policy)
+        with pytest.raises(ValueError, match="need an explicit tree"):
+            total_resistance(tc, tail_policy=policy)
 
 
 def test_tail_policies():

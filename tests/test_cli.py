@@ -118,6 +118,14 @@ def test_construct_set(capsys):
     assert len(payload["leaves"]) == payload["n_leaves"]
 
 
+def test_construct_set_beyond_the_explicit_budget_exits_2(capsys):
+    code, out, err = run(capsys, ["construct-set", "--target", "0.3",
+                                  "--depth", "20"])
+    assert code == 2 and out == ""
+    assert err.startswith("treecap:") and "explicit budget" in err
+    assert "Traceback" not in err
+
+
 def test_construct_tree(capsys):
     code, out, _ = run(capsys, ["construct-tree", "--target", "0.3",
                                 "--digits", "30"])

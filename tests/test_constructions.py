@@ -5,6 +5,7 @@ import pytest
 
 from treecap import (
     SphericallySymmetric,
+    TreeTooLargeError,
     build_tree,
     capacity_of_set,
     compact_set_of_capacity,
@@ -114,3 +115,9 @@ def test_compact_set_edge_cases():
         compact_set_of_capacity(1, 2, 0.1)
     with pytest.raises(ValueError):
         compact_set_of_capacity(2, 2, -0.5)
+
+
+def test_compact_set_refuses_depth_beyond_the_explicit_budget():
+    # 2^21 - 1 edges: refused by the size check, before any arena exists
+    with pytest.raises(TreeTooLargeError, match="explicit budget"):
+        compact_set_of_capacity(2, 2, 0.3, depth=20)

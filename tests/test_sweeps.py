@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from treecap import (SphericallySymmetric, Tree, build_tree,
-                     capacity_recursive, potential_all, total_resistance)
+from treecap import (Homogeneous, SphericallySymmetric, Tree,
+                     TreeStructureError, build_tree, capacity_recursive,
+                     energy_all, is_forward_additive, potential_all, tent,
+                     total_resistance)
 from helpers import random_tree
 
 
@@ -106,3 +108,61 @@ def test_push_down_keeps_input():
     v = np.array([1.0, 2.0, 3.0, 4.0])
     assert t.push_down(v, np.add).tolist() == [1.0, 3.0, 4.0, 7.0]
     assert v.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def expand(q):
+    """The explicit tree a weighted quotient stands for: mult[c] copies
+    of node c under every copy of its parent.  Returns the tree and the
+    quotient node of each of its edges."""
+    node, parent = [0], [-1]
+    head = 0
+    while head < len(node):
+        for c in q.children_of(node[head]):
+            node.extend([c] * int(q.mult[c]))
+            parent.extend([head] * int(q.mult[c]))
+        head += 1
+    return Tree(parent, tail=q.tail[node]), np.array(node)
+
+
+def test_weighted_quotient_sweeps_match_expanded_tree():
+    q = Tree([-1, 0, 0, 1, 1, 2, 5], tail=[0, 0, 0, 1, 0, 0, 0],
+             mult=[1, 2, 3, 1, 4, 2, 5])
+    t, node = expand(q)
+    assert t.n_edges == 1 + 2 + 3 + 2 + 8 + 6 + 30
+    w = np.random.default_rng(5).uniform(0.1, 1.0, q.n_edges)
+    leaf = q.n_children == 0
+
+    def step_on(nodes):  # the same step, read through each edge's node
+        def step(a, b, S):
+            i = nodes[a:b]
+            return np.where(leaf[i], w[i], S / (1.0 + S) + 0.5 * w[i])
+        return step
+
+    out_q, S_q = q.sweep_up(step_on(np.arange(q.n_edges)))
+    out_t, S_t = t.sweep_up(step_on(node))
+    np.testing.assert_allclose(out_t, out_q[node], rtol=1e-15)
+    np.testing.assert_allclose(S_t, S_q[node], rtol=1e-15)
+    assert tent(q, 2).mult.tolist() == [3, 2, 5]
+    assert build_tree(SphericallySymmetric([2])).mult is None
+    for bad in ([1, 2], [1, 0, 1, 1, 1, 1, 1]):
+        with pytest.raises(TreeStructureError):
+            Tree(q.parent, mult=bad)
+
+
+def test_quotient_energies_and_additivity_match_explicit_layout():
+    te = build_tree(Homogeneous(3), depth=5, layout="explicit")
+    tc = build_tree(Homogeneous(3), depth=5, layout="compact")
+    q = tc.quotient
+    assert q.n_edges == 6 and q.mult.tolist() == [1, 3, 3, 3, 3, 3]
+    for p in (1.5, 2.0, 3.0):
+        M = capacity_recursive(tc, p).m_levels
+        Me = capacity_recursive(te, p).measure.M
+        np.testing.assert_allclose(energy_all(q, M, p)[te.level],
+                                   energy_all(te, Me, p), rtol=1e-14)
+        rep = is_forward_additive(q, M, tol=1e-15)
+        assert rep.ok
+        assert rep.max_violation == pytest.approx(
+            is_forward_additive(te, Me).max_violation, abs=1e-16)
+        broken = M.copy()
+        broken[3] *= 1.01
+        assert is_forward_additive(q, broken).worst_edge == 2

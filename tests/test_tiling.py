@@ -255,6 +255,20 @@ def test_validator_rejects_non_finite_geometry():
         measure_from_tiling(t, nan_y)
 
 
+@pytest.mark.parametrize("field", ["x", "y", "side"])
+def test_validator_reports_ints_beyond_float_range(field):
+    t, r, til = fixture_tiling()
+    broken = TilingSquare(**{**vars(til.squares[1]), field: 10 ** 400})
+    rep = validate_tiling(Tiling(tree=t, width=til.width, height=til.height,
+                                 squares=[til.squares[0], broken,
+                                          til.squares[2]]))
+    assert not rep.ok
+    assert "squares with non-finite geometry: 1 [1]" in rep.messages
+    wide = validate_tiling(Tiling(tree=t, width=10 ** 400, height=1.0,
+                                  squares=til.squares))
+    assert not wide.ok and any("not finite" in m for m in wide.messages)
+
+
 @pytest.mark.parametrize("edge", [-1, 7, 1])
 def test_validator_rejects_unknown_and_repeated_edges(edge):
     t, r, til = fixture_tiling()  # 3 edges; squares 0, 1, 2
