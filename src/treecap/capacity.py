@@ -12,20 +12,24 @@ recovered top-down through
 
 A compact spherically symmetric tree runs the same sweeps on its
 weighted quotient, one node per level, so both layouts share one
-recursion.  The level counting series  c = (sum_k card(k)^(1-p'))^(1-p)
-stays an independent route, used both for symmetric_capacity and for
-certifying tail seeds.
+recursion.  The capacity of a set E of true leaves is one run on the
+host tree with boundary values 1 on E and 0 on every other leaf and
+tail: an edge off E gets c = M = 0 exactly.  The level counting series
+c = (sum_k card(k)^(1-p'))^(1-p) stays an independent route, used both
+for symmetric_capacity and for certifying tail seeds; where the degree
+becomes constant its tail is geometric and summed in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .potential import as_exponent, signed_power, potential_all
-from .trees import BoundaryMeasure, SymmetricTree, spanned_subtree, tent
+from .trees import BoundaryMeasure, SymmetricTree, leaf_indicator, tent
 
 ROUNDING_PAD = 1e-13
 
@@ -68,9 +72,9 @@ def homogeneous_capacity(n, p):
     return (1.0 - float(n) ** (1.0 - pe.conjugate)) ** (pe.p - 1.0)
 
 
-def _pad_interval(lo, hi, pad=ROUNDING_PAD):
-    lo = max(0.0, lo - pad * (1.0 + abs(lo)))
-    hi = min(1.0, hi + pad * (1.0 + abs(hi)))
+def _pad_interval(lo, hi):
+    lo = max(0.0, lo - ROUNDING_PAD * (1.0 + abs(lo)))
+    hi = min(1.0, hi + ROUNDING_PAD * (1.0 + abs(hi)))
     return lo, hi
 
 
@@ -84,10 +88,12 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
 
     degrees lists the forward degree per level; without tail_degree the
     tree ends after the last listed level (exact finite sum), otherwise
-    it continues with constant degree tail_degree.  depth caps the
-    number of series terms; the remainder is bounded by comparison with
-    the worst (smallest) continuing degree, so a continuation that may
-    stop branching (degree 1) only yields the trivial lower bound 0.
+    it continues with constant degree tail_degree, a geometric series
+    summed in closed form.  A depth that cuts into the listed levels
+    caps the number of series terms; the remainder is bounded by
+    comparison with the worst (smallest) continuing degree, so a
+    continuation that may stop branching (degree 1) only yields the
+    trivial lower bound 0.
     """
     pe = as_exponent(p)
     degrees = [int(d) for d in degrees]
@@ -96,52 +102,28 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     if tail_degree is not None and tail_degree < 1:
         raise ValueError("tail degree must be >= 1")
     finite = tail_degree is None
-    n_levels = len(degrees) + 1 if finite else None
     if not finite and tail_degree == 1:
         # the series grows by a constant term per level from some point
         # on, so it diverges and the boundary is capacity zero exactly
         return CapacityInterval(0.0, 0.0)
-
-    auto = depth is None
-    if auto:
-        depth = n_levels if finite else max(len(degrees) + 64, 64)
     q = 1.0 - pe.conjugate  # negative
 
-    def deg_at(k):
-        return degrees[k] if k < len(degrees) else tail_degree
+    # terms card(0..n-1) one by one; a tail continues from card(n) on
+    n = len(degrees) + finite
+    cut = depth is not None and max(depth, 1) < n
+    n = max(depth, 1) if cut else n
+    log_card = list(accumulate(map(math.log, degrees), initial=0.0))
+    partial = sum(math.exp(q * x) for x in log_card[:n])
+    if finite and not cut:
+        return CapacityInterval(partial ** (1.0 - pe.p),
+                                partial ** (1.0 - pe.p))
 
-    partial = 0.0
-    log_card = 0.0
-    k = 0
-    while True:
-        term = math.exp(q * log_card)
-        partial += term
-        k += 1
-        if finite and k >= n_levels:
-            return CapacityInterval(partial ** (1.0 - pe.p),
-                                    partial ** (1.0 - pe.p))
-        if k >= depth:
-            if auto and not finite and term > 1e-18 * partial and k < 200_000:
-                depth += 64  # keep going while terms still matter
-            else:
-                break
-        log_card += math.log(deg_at(k - 1))
-
-    # bound the omitted levels k, k+1, ... by a geometric comparison
-    remaining = degrees[k:] if k < len(degrees) else []
-    d_min = min(remaining + ([tail_degree] if not finite else []),
-                default=1)
-    log_card += math.log(deg_at(k - 1))
-    head = math.exp(q * log_card)
-    if d_min >= 2:
-        tail_ub = head / (1.0 - d_min ** q)
-        upper_sum = partial + tail_ub
-        lo = upper_sum ** (1.0 - pe.p)
-    else:
-        lo = 0.0
-    hi = partial ** (1.0 - pe.p)
-    lo, hi = _pad_interval(lo, hi)
-    return CapacityInterval(lo, hi)
+    # levels k >= n: card(k) >= card(n) d^(k-n), equality for the tail
+    d = min(degrees[n:] + ([] if finite else [tail_degree]), default=1)
+    rest = math.exp(q * log_card[n]) / (1.0 - d ** q) if d >= 2 else math.inf
+    lo = (partial + rest) ** (1.0 - pe.p)
+    hi = partial ** (1.0 - pe.p) if cut else lo
+    return CapacityInterval(*_pad_interval(lo, hi))
 
 
 def _tail_arrays(tree, tail_policy, p):
@@ -314,19 +296,14 @@ def capacity_recursive(tree, p, tail_policy="interval"):
 
 
 def capacity_of_set(tree, boundary_set, p):
-    """Capacity of a set of true leaves, with the equilibrium measure
-    extended by zero to the host tree."""
+    """Capacity of a set of true leaves, with the equilibrium measure on
+    the host tree: one run whose boundary values are the indicator of
+    the set, so every other leaf and every tail carries 0."""
     pe = as_exponent(p)
-    sub = spanned_subtree(tree, boundary_set)  # validates the set
-    res = capacity_recursive(sub, pe, tail_policy="pessimistic")
-    n = tree.n_edges
-    c = np.zeros(n)
-    M = np.zeros(n)
-    ids = np.asarray(sub.orig_ids)
-    c[ids] = res.c_of_alpha
-    M[ids] = res.measure.M
+    c, M = _run_explicit(tree, pe, leaf_indicator(tree, boundary_set))
+    cap = float(c[0])
     return EquilibriumResult(
-        tree=tree, p=pe.p, capacity=res.capacity,
+        tree=tree, p=pe.p, capacity=CapacityInterval(cap, cap),
         c_of_alpha=c,
         measure=BoundaryMeasure(tree, M, validate=False),
         equilibrium_function=signed_power(M, pe),

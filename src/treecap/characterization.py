@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potential import as_exponent, energy_all, potential_all, signed_power
-from .trees import BoundaryMeasure, is_forward_additive
+from .trees import BoundaryMeasure, is_forward_additive, require_explicit
 
 
 def _co_potential(tree, measure):
@@ -30,11 +30,6 @@ def _co_potential(tree, measure):
     if M.shape != (tree.n_edges,):
         raise ValueError("measure length does not match the tree")
     return M
-
-
-def _require_explicit(tree):
-    if not hasattr(tree, "parent"):
-        raise TypeError("verification needs an explicitly stored tree")
 
 
 @dataclass
@@ -71,7 +66,7 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     support leaves where the potential reaches 1, which for a genuine
     equilibrium is exactly the set the measure equilibrates.
     """
-    _require_explicit(tree)
+    require_explicit(tree, "verification")
     pe = as_exponent(p)
     M = _co_potential(tree, measure)
     total = float(M[tree.root])
@@ -111,7 +106,8 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
 
 
 def recover_equilibrium_set(tree, measure, p, tol=1e-9):
-    """Support leaves where the potential of measure reaches 1."""
+    """Support leaves where the potential of measure reaches 1; kept as
+    deliberate API for the set recovery of verify_equilibrium alone."""
     return verify_equilibrium(tree, measure, p, tol=tol).recovered_set
 
 
@@ -138,7 +134,7 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     at or below 1, with equality only at boundary points.  Equality at
     the end of a non-leaf edge means the measure pushes the potential
     to 1 strictly inside the tree, reported via interior_strict."""
-    _require_explicit(tree)
+    require_explicit(tree, "verification")
     pe = as_exponent(p)
     M = _co_potential(tree, measure)
     V = potential_all(tree, signed_power(M, pe))
@@ -183,7 +179,7 @@ def capacity_equation_check(tree, c, p, tol=1e-9):
     children; true leaves carry c = 1 and W = 0.  Tail edges hold
     seeded values with no materialized children, so they are skipped.
     """
-    _require_explicit(tree)
+    require_explicit(tree, "verification")
     pe = as_exponent(p)
     if hasattr(c, "c_of_alpha"):
         c = c.c_of_alpha

@@ -226,11 +226,10 @@ def _cmd_verify(args):
 def _cmd_tile(args):
     from .capacity import capacity_recursive
     from .tiling import build_tiling, emit_svg, validate_tiling
+    from .trees import require_explicit
 
     tree = _load_tree(args)
-    if not hasattr(tree, "parent"):
-        raise ValueError("tiling needs an explicitly stored tree; lower "
-                         "--depth or rebuild with an explicit layout")
+    require_explicit(tree, "tiling")
     if args.measure is not None:
         mu = _load_measure(tree, _read_json(args.measure))
     else:

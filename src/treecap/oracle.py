@@ -84,7 +84,7 @@ def _warm_start(n, paths):
     return f
 
 
-def _dual_bound(f, A, paths, leaf_rows, p):
+def _dual_bound(f, A, leaf_rows, p):
     """Lower bound from the candidate measure with leaf weights
     f(leaf edge)^(p-1); exact at the optimum."""
     pe = as_exponent(p)
@@ -154,7 +154,7 @@ def _solve_subgradient(A, paths, p, tol, max_iter, eta0, leaf_rows):
     f = _feasible_correction(_warm_start(n, paths), A, paths)
     best = float(np.sum(f ** p))
     best_f = f.copy()
-    lower = _dual_bound(f, A, paths, leaf_rows, p)
+    lower = _dual_bound(f, A, leaf_rows, p)
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
@@ -168,7 +168,7 @@ def _solve_subgradient(A, paths, p, tol, max_iter, eta0, leaf_rows):
         if val < best:
             best, best_f = val, f.copy()
         if it % 20 == 0:
-            lower = max(lower, _dual_bound(best_f, A, paths, leaf_rows, p))
+            lower = max(lower, _dual_bound(best_f, A, leaf_rows, p))
             if best - lower <= tol * max(lower, 1e-12):
                 return best_f, it, True
         if stall >= 200:
@@ -206,7 +206,7 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, max_iter=50_000,
 
     f = _feasible_correction(f, A, paths)
     value = float(np.sum(f ** pe.p))
-    lower = _dual_bound(f, A, paths, leaf_rows, pe.p)
+    lower = _dual_bound(f, A, leaf_rows, pe.p)
     gap_ok = value - lower <= max(tol, 1e-6) * max(lower, 1e-12)
     if not ok and not gap_ok:
         raise OracleConvergenceError(

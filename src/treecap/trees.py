@@ -52,9 +52,6 @@ import numpy as np
 
 MAX_EXPLICIT_EDGES = 2_000_000
 
-BoundarySet = frozenset
-EdgeFunction = np.ndarray
-
 
 class TreeStructureError(ValueError):
     """Malformed tree input: cycles, several roots, bad degrees."""
@@ -388,16 +385,6 @@ class SymmetricTree:
     def n_edges(self):
         return self._offsets[-1]
 
-    @property
-    def root(self):
-        return 0
-
-    def level_card(self, k):
-        return self._offsets[k + 1] - self._offsets[k]
-
-    def degree_at(self, k):
-        return self.degrees[k] if k < len(self.degrees) else 0
-
     def level_of(self, i):
         if not 0 <= i < self.n_edges:
             raise KeyError(f"edge id {i} out of range")
@@ -542,12 +529,18 @@ def tent(tree, alpha):
     return _subtree(tree, np.concatenate(ranges))
 
 
-def spanned_subtree(tree, boundary_set):
-    """Union of the predecessor paths of the given true leaves.
+def require_explicit(tree, what):
+    """Raise TypeError unless tree is an explicit Tree; what names the
+    operation that needs one."""
+    if not isinstance(tree, Tree):
+        raise TypeError(f"{what} needs an explicitly stored tree; lower "
+                        "the depth or build it with an explicit layout")
 
-    The result is a finite tree (no tails can occur on the paths);
-    orig_ids maps back to the host tree.  Sibling order is inherited.
-    """
+
+def leaf_indicator(tree, boundary_set):
+    """Indicator of a set of true leaves, as an edge function: 1.0 on
+    the set (duplicate ids count once), 0.0 on every other edge."""
+    require_explicit(tree, "a boundary subset")
     E = np.unique(np.fromiter(boundary_set, dtype=np.int64))
     if not E.size:
         raise ValueError("empty boundary set spans nothing")
@@ -557,6 +550,16 @@ def spanned_subtree(tree, boundary_set):
         raise ValueError(f"edge {E[~ok][0]} is not a true leaf")
     marked = np.zeros(tree.n_edges)
     marked[E] = 1.0
+    return marked
+
+
+def spanned_subtree(tree, boundary_set):
+    """Union of the predecessor paths of the given true leaves.
+
+    The result is a finite tree (no tails can occur on the paths);
+    orig_ids maps back to the host tree.  Sibling order is inherited.
+    """
+    marked = leaf_indicator(tree, boundary_set)
     below, _ = tree.sweep_up(lambda a, b, S: marked[a:b] + S)
     return _subtree(tree, np.flatnonzero(below))
 
@@ -678,8 +681,13 @@ def tree_to_json(tree):
             out["depth"] = tree.depth
         return out
     if isinstance(tree, SymmetricTree):
+        if tree.truncated:
+            raise ValueError("a truncated compact tree without its spec "
+                             "would lose its continuation")
         return {"spec": {"variant": "symmetric",
                          "degrees": list(tree.degrees)}}
+    if tree.mult is not None:
+        raise ValueError("a weighted quotient would lose its multiplicities")
     edges = []
     for i in range(tree.n_edges):
         rec = {"id": tree.label_of(i),

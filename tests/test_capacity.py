@@ -1,7 +1,10 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecap import (
     BoundaryMeasure,
@@ -11,11 +14,14 @@ from treecap import (
     LevelEquilibriumResult,
     SphericallySymmetric,
     Subdyadic,
+    Tree,
     build_tree,
     capacity_of_set,
     capacity_recursive,
     homogeneous_capacity,
     rescaling_constant,
+    signed_power,
+    spanned_subtree,
     symmetric_capacity,
     total_resistance,
 )
@@ -102,6 +108,40 @@ def test_symmetric_capacity_tail_bounds():
     short = symmetric_capacity([2] * 40, 3, tail_degree=2, depth=12)
     assert short.lower <= full.midpoint <= short.upper
     assert short.width > full.width
+
+
+def series_capacity_mp(degrees, tail_degree, p):
+    """The level counting series of degrees continued by tail_degree,
+    its geometric tail summed in closed form, at 50 digits."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        q = 1 - p / (p - 1)
+        card, total = mpmath.mpf(1), mpmath.mpf(0)
+        for d in degrees:
+            total += card ** q
+            card *= d
+        total += card ** q / (1 - mpmath.mpf(tail_degree) ** q)
+        return total ** (1 - p)
+
+
+SERIES_DEGREES = ([], [1], [2], [3, 1, 2], [1, 1, 1], [5, 2], [2] * 10,
+                  [1, 4, 1, 1, 3], [7] * 8, [1] * 12 + [2])
+
+
+@pytest.mark.parametrize("degrees", SERIES_DEGREES, ids=str)
+def test_symmetric_capacity_brackets_the_exact_series(degrees):
+    n = len(degrees)
+    depths = {None, 1, max(n // 2, 1), n, n + 3, n + 20}
+    for tail, p in itertools.product(
+            (2, 3, 5), (1.05, 1.2, 1.5, 2.0, 2.7, 4.0, 8.0, 16.0, 30.0,
+                        1000.0)):
+        exact = series_capacity_mp(degrees, tail, p)
+        for depth in depths:
+            iv = symmetric_capacity(degrees, p, depth=depth,
+                                    tail_degree=tail)
+            assert iv.lower <= exact <= iv.upper, (tail, p, depth)
+            if depth is None or depth >= n:  # the whole series is summed
+                assert iv.width <= 4.1e-13, (tail, p, depth)
 
 
 def test_compact_layout_agrees_with_explicit():
@@ -218,6 +258,55 @@ def test_capacity_monotone_in_the_set():
         assert part.capacity.midpoint <= full + 1e-12
         assert capacity_of_set(tree, leaves, p).capacity.midpoint == \
             pytest.approx(full, rel=1e-12)
+
+
+def set_capacity_reference(tree, boundary_set, p):
+    """Capacity of a leaf set by the whole-boundary run on the spanned
+    subtree, its edge functions copied back into the host tree."""
+    sub = spanned_subtree(tree, boundary_set)
+    res = capacity_recursive(sub, p, tail_policy="pessimistic")
+    ids = np.asarray(sub.orig_ids)
+    c, M = np.zeros(tree.n_edges), np.zeros(tree.n_edges)
+    c[ids] = res.c_of_alpha
+    M[ids] = res.measure.M
+    return res.capacity, c, M
+
+
+@st.composite
+def trees_with_leaf_sets(draw):
+    """A BFS-ordered tree with some leaves flagged as tails, and a
+    nonempty list of its true leaves that may repeat ids."""
+    kids = draw(st.lists(st.integers(0, 4), min_size=1, max_size=60))
+    parent = [-1]
+    for i, k in enumerate(kids):
+        if i >= len(parent):
+            break
+        parent.extend([i] * k)
+    n_children = np.bincount(parent[1:], minlength=len(parent))
+    leaves = np.flatnonzero(n_children == 0)
+    tail = np.zeros(len(parent), dtype=bool)
+    tail[leaves] = draw(st.lists(st.booleans(), min_size=leaves.size,
+                                 max_size=leaves.size))
+    tail[leaves[draw(st.integers(0, leaves.size - 1))]] = False
+    true_leaves = np.flatnonzero((n_children == 0) & ~tail).tolist()
+    E = draw(st.lists(st.sampled_from(true_leaves), min_size=1,
+                      max_size=2 * len(true_leaves)))
+    return Tree(parent, tail=tail), E
+
+
+@pytest.mark.parametrize("p", [1.05, 1.3, 2.0, 2.7, 8.0, 30.0])
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=trees_with_leaf_sets())
+def test_capacity_of_set_is_bit_identical_to_the_spanned_subtree_run(p,
+                                                                     case):
+    tree, E = case
+    cap, c, M = set_capacity_reference(tree, E, p)
+    res = capacity_of_set(tree, E, p)
+    assert res.capacity == cap
+    assert res.c_of_alpha.tobytes() == c.tobytes()
+    assert res.measure.M.tobytes() == M.tobytes()
+    assert (res.equilibrium_function.tobytes()
+            == signed_power(M, p).tobytes())
 
 
 def test_capacity_of_single_leaf_is_path():

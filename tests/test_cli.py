@@ -126,6 +126,17 @@ def test_construct_set_beyond_the_explicit_budget_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_capacity_of_set_on_a_compact_tree_exits_2(capsys, tmp_path):
+    tfile = tmp_path / "deep.json"
+    tfile.write_text(json.dumps({"spec": {"variant": "homogeneous", "n": 2},
+                                 "depth": 30}))
+    code, out, err = run(capsys, ["capacity", "--tree", str(tfile),
+                                  "--set", "5"])
+    assert code == 2 and out == ""
+    assert err.startswith("treecap:") and "explicitly stored" in err
+    assert "Traceback" not in err
+
+
 def test_construct_tree(capsys):
     code, out, _ = run(capsys, ["construct-tree", "--target", "0.3",
                                 "--digits", "30"])

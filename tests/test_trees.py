@@ -225,6 +225,24 @@ def test_tree_json_roundtrip_keeps_truncation():
     assert back.n_edges == big.n_edges and back.truncated
 
 
+def test_tree_json_refuses_a_weighted_quotient():
+    compact = build_tree(SphericallySymmetric([2, 3, 2]), layout="compact")
+    with pytest.raises(ValueError, match="multiplicities"):
+        tree_to_json(compact.quotient)
+    back = tree_from_json(tree_to_json(compact), layout="compact")
+    assert back.degrees == compact.degrees and not back.truncated
+
+
+def test_tree_json_refuses_a_truncated_compact_tree_without_spec():
+    profile = build_tree(Homogeneous(2), depth=6, layout="compact")
+    with pytest.raises(ValueError, match="continuation"):
+        tree_to_json(profile.tent_profile(2))
+    finite = build_tree(SphericallySymmetric([2, 3]),
+                        layout="compact").tent_profile(1)
+    back = tree_from_json(tree_to_json(finite), layout="compact")
+    assert back.degrees == (3,) and not back.truncated
+
+
 def test_tree_json_tail_flags():
     obj = {"root": "r",
            "edges": [{"id": "r", "children": ["a", "b"]},
