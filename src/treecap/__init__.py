@@ -72,7 +72,6 @@ from .trees import (
     edge_function_from_mapping,
     edge_function_to_mapping,
     is_forward_additive,
-    load_tree,
     predecessor_path,
     spanned_subtree,
     spec_from_json,

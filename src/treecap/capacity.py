@@ -126,16 +126,27 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     return CapacityInterval(*_pad_interval(lo, hi))
 
 
+def _tail_value(v):
+    """(lower, upper) of a tail value: a number or a pair lo <= hi."""
+    lo, hi = (v, v) if isinstance(v, (int, float)) else v
+    lo, hi = float(lo), float(hi)
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ValueError(f"tail value {v!r} is not a number or a pair "
+                         "lo <= hi inside [0, 1]")
+    return lo, hi
+
+
 def _tail_arrays(tree, tail_policy, p):
     """Lower and upper tail values per edge (read at tails only); under
     "interval", the certified capacity of the continuation when known."""
     lo = np.zeros(tree.n_edges)
     hi = np.ones(tree.n_edges)
     if isinstance(tail_policy, dict):
-        for i in tree.tail_ids():
-            v = tail_policy.get(i, (0.0, 1.0))
-            vlo, vhi = (v, v) if isinstance(v, (int, float)) else v
-            lo[i], hi[i] = float(vlo), float(vhi)
+        tails = set(tree.tail_ids())
+        for i, v in tail_policy.items():
+            if i not in tails:
+                raise ValueError(f"tail policy names {i!r}, not a tail id")
+            lo[i], hi[i] = _tail_value(v)
         return lo, hi
     if tail_policy == "interval":
         if tree.continuation is not None:
@@ -147,10 +158,7 @@ def _tail_arrays(tree, tail_policy, p):
     elif tail_policy == "optimistic":
         lo[:] = 1.0
     elif isinstance(tail_policy, (int, float)):
-        t = float(tail_policy)
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("tail value must lie in [0, 1]")
-        lo[:], hi[:] = t, t
+        lo[:], hi[:] = _tail_value(tail_policy)
     else:
         raise ValueError(f"unknown tail policy {tail_policy!r}")
     return lo, hi
@@ -204,21 +212,17 @@ class EquilibriumResult:
         }
 
 
-@dataclass
-class LevelEquilibriumResult:
-    """Per-level recursion output for a compact symmetric truncation.
+class LevelEquilibriumResult(EquilibriumResult):
+    """EquilibriumResult of a compact symmetric truncation.  Its tree is
+    the weighted quotient, one node per level, so every array is indexed
+    by level 0..depth: every edge at a level shares the value."""
 
-    Arrays are indexed by level 0..depth; every edge at a level shares
-    the value, so c and M at an edge are c_levels[level] etc.  They are
-    the per-node values of the run on the tree's quotient."""
-
-    tree: SymmetricTree
-    p: float
-    capacity: CapacityInterval
-    c_levels: np.ndarray
-    m_levels: np.ndarray
-    c_levels_upper: np.ndarray
-    m_levels_upper: np.ndarray
+    c_levels = property(lambda r: r.c_of_alpha)
+    m_levels = property(lambda r: r.measure.M)
+    c_levels_upper = property(
+        lambda r: r.upper_run[0] if r.upper_run else r.c_of_alpha)
+    m_levels_upper = property(
+        lambda r: (r.upper_run[1] if r.upper_run else r.measure).M)
 
     def to_json(self, keep_zero=False):
         """keep_zero matches EquilibriumResult.to_json and changes
@@ -258,6 +262,28 @@ def _run_explicit(tree, pe, boundary_values):
     return c, c * tree.push_down(of_parent, np.multiply)
 
 
+def _equilibrium_result(tree, pe, lower, upper, pad=False):
+    """The result of the (c, M) runs lower and upper (the same object
+    when the tails agree) on tree, or on the quotient of a compact
+    SymmetricTree; pad absorbs float rounding into the bracket."""
+    q = tree.quotient if isinstance(tree, SymmetricTree) else tree
+    (c, M), (c_hi, M_hi) = lower, upper
+    lo, hi = float(c[0]), float(c_hi[0])
+    if pad:
+        lo, hi = _pad_interval(lo, hi)
+    upper_run = None
+    if c_hi is not c:
+        upper_run = (c_hi, BoundaryMeasure(q, M_hi, validate=False),
+                     signed_power(M_hi, pe))
+    cls = EquilibriumResult if q is tree else LevelEquilibriumResult
+    return cls(tree=q, p=pe.p,
+               capacity=CapacityInterval(min(lo, hi), max(lo, hi)),
+               c_of_alpha=c,
+               measure=BoundaryMeasure(q, M, validate=False),
+               equilibrium_function=signed_power(M, pe),
+               upper_run=upper_run)
+
+
 def capacity_recursive(tree, p, tail_policy="interval"):
     """Capacity of the whole stored boundary with equilibrium data.
 
@@ -265,34 +291,17 @@ def capacity_recursive(tree, p, tail_policy="interval"):
     seed their tails from the level counting series, others use [0,1]),
     "pessimistic" (0), "optimistic" (1), a number in [0,1], or a dict
     {tail id: value or (lo, hi)}.  A compact SymmetricTree runs on its
-    quotient and returns a LevelEquilibriumResult; it takes no dict.
+    quotient, takes no dict, and returns a LevelEquilibriumResult whose
+    tree is the quotient.
     """
     pe = as_exponent(p)
     # true leaves carry 1; inner edges ignore their boundary value
-    q, (c_lo, M_lo), (c_hi, M_hi) = _tail_runs(
+    q, lower, upper = _tail_runs(
         tree, tail_policy, pe,
         lambda q, t: _run_explicit(q, pe, np.where(q.tail, t, 1.0)))
-    lo, hi = float(c_lo[0]), float(c_hi[0])
-    if np.any(q.tail) and tail_policy == "interval":
-        # certified seeds promise containment; absorb float rounding
-        lo, hi = _pad_interval(lo, hi)
-    capacity = CapacityInterval(min(lo, hi), max(lo, hi))
-    if q is not tree:
-        return LevelEquilibriumResult(
-            tree=tree, p=pe.p, capacity=capacity,
-            c_levels=c_lo, m_levels=M_lo,
-            c_levels_upper=c_hi, m_levels_upper=M_hi)
-    upper_run = None
-    if c_hi is not c_lo:
-        upper_run = (c_hi, BoundaryMeasure(tree, M_hi, validate=False),
-                     signed_power(M_hi, pe))
-    return EquilibriumResult(
-        tree=tree, p=pe.p, capacity=capacity,
-        c_of_alpha=c_lo,
-        measure=BoundaryMeasure(tree, M_lo, validate=False),
-        equilibrium_function=signed_power(M_lo, pe),
-        upper_run=upper_run,
-    )
+    # certified seeds promise containment; absorb float rounding
+    pad = bool(np.any(q.tail)) and tail_policy == "interval"
+    return _equilibrium_result(tree, pe, lower, upper, pad=pad)
 
 
 def capacity_of_set(tree, boundary_set, p):
@@ -300,14 +309,8 @@ def capacity_of_set(tree, boundary_set, p):
     the host tree: one run whose boundary values are the indicator of
     the set, so every other leaf and every tail carries 0."""
     pe = as_exponent(p)
-    c, M = _run_explicit(tree, pe, leaf_indicator(tree, boundary_set))
-    cap = float(c[0])
-    return EquilibriumResult(
-        tree=tree, p=pe.p, capacity=CapacityInterval(cap, cap),
-        c_of_alpha=c,
-        measure=BoundaryMeasure(tree, M, validate=False),
-        equilibrium_function=signed_power(M, pe),
-    )
+    run = _run_explicit(tree, pe, leaf_indicator(tree, boundary_set))
+    return _equilibrium_result(tree, pe, run, run)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +364,8 @@ class ResistanceResult:
     1 + below[b]; a true leaf grounds at 0 and a tail seeds at
     (1 - t)/t for a tail capacity value t.  total is below[root], the
     resistance of the tree minus its root edge, so the p = 2 capacity
-    of the stored boundary is 1/(1 + total).  per_level marks compact
-    symmetric trees, whose arrays are indexed by level.
+    of the stored boundary is 1/(1 + total).  A compact symmetric tree
+    reports on its quotient, so its arrays are indexed by level.
     """
 
     tree: object
@@ -370,7 +373,8 @@ class ResistanceResult:
     upper: float
     below_lower: np.ndarray
     below_upper: np.ndarray
-    per_level: bool = False
+
+    per_level = property(lambda r: r.tree.mult is not None)
 
     def capacity_interval(self):
         lo = 1.0 / (1.0 + self.upper) if np.isfinite(self.upper) else 0.0
@@ -400,9 +404,9 @@ def _resistance_explicit(tree, seeds):
 
 def total_resistance(tree, tail_policy="interval"):
     """Series-parallel resistance of the tree below its root edge; a
-    compact SymmetricTree runs on its quotient and reports per level."""
+    compact SymmetricTree runs on its quotient and reports on it."""
     q, R_high, R_low = _tail_runs(
         tree, tail_policy, 2.0,
         lambda q, t: _resistance_explicit(q, _tail_resistance(t)))
-    return ResistanceResult(tree, float(R_low[0]), float(R_high[0]),
-                            R_low, R_high, per_level=q is not tree)
+    return ResistanceResult(q, float(R_low[0]), float(R_high[0]),
+                            R_low, R_high)

@@ -19,17 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potential import as_exponent, energy_all, potential_all, signed_power
-from .trees import BoundaryMeasure, is_forward_additive, require_explicit
-
-
-def _co_potential(tree, measure):
-    if isinstance(measure, BoundaryMeasure):
-        M = measure.M
-    else:
-        M = np.asarray(measure, dtype=float)
-    if M.shape != (tree.n_edges,):
-        raise ValueError("measure length does not match the tree")
-    return M
+from .trees import co_potential, is_forward_additive, require_explicit
 
 
 @dataclass
@@ -68,7 +58,7 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     """
     require_explicit(tree, "verification")
     pe = as_exponent(p)
-    M = _co_potential(tree, measure)
+    M = co_potential(tree, measure)
     total = float(M[tree.root])
     scale = max(total, 1e-12)
 
@@ -136,7 +126,7 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     to 1 strictly inside the tree, reported via interior_strict."""
     require_explicit(tree, "verification")
     pe = as_exponent(p)
-    M = _co_potential(tree, measure)
+    M = co_potential(tree, measure)
     V = potential_all(tree, signed_power(M, pe))
     worst = int(np.argmax(V.end_values))
     max_value = float(V.end_values[worst])

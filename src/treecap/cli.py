@@ -16,15 +16,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from pathlib import Path
 
 
 def _read_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in a file, or on stdin for -."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} holds {type(obj).__name__} JSON, not an "
+                         "object")
+    return obj
 
 
 def _dump(payload, fmt):
@@ -48,16 +53,10 @@ def _human_lines(obj, prefix):
 
 
 def _parse_set(text, tree):
-    ids = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            ids.append(int(part))
-        except ValueError:
-            ids.append(tree.id_of_label(part))
-    return ids
+    """Edge ids of comma separated leaf labels (plain ids on a tree
+    without labels)."""
+    return [tree.id_of_label(part.strip())
+            for part in text.split(",") if part.strip()]
 
 
 def _load_measure(tree, obj):
@@ -66,6 +65,8 @@ def _load_measure(tree, obj):
     if "M" in obj:
         return BoundaryMeasure(tree, obj["M"], validate=False)
     if "leaf_masses" in obj:
+        if not isinstance(obj["leaf_masses"], dict):
+            raise ValueError('"leaf_masses" must map leaf labels to masses')
         masses = {tree.id_of_label(k): float(v)
                   for k, v in obj["leaf_masses"].items()}
         return BoundaryMeasure.from_leaf_masses(tree, masses)
@@ -108,8 +109,9 @@ def _build_parser():
     sp.add_argument("--tail-policy", default="interval", type=_tail_policy,
                     help="interval | pessimistic | optimistic | number")
     sp.add_argument("--set", default=None,
-                    help="comma separated leaf ids/labels; capacity of "
-                         "that subset instead of the whole boundary")
+                    help="comma separated leaf labels (ids on a tree "
+                         "without labels); capacity of that subset "
+                         "instead of the whole boundary")
 
     sp = sub.add_parser("equilibrium",
                         help="capacity with equilibrium measure and "
@@ -178,22 +180,26 @@ def _build_parser():
     return ap
 
 
-def _load_tree(args):
-    from .trees import tree_from_json
+def _load_tree(args, explicit_for=None):
+    """Load --tree; explicit_for names what needs it explicitly stored."""
+    from .trees import require_explicit, tree_from_json
 
     obj = _read_json(args.tree)
     depth = args.depth
-    if (depth is None and "depth" not in obj
-            and obj.get("spec", {}).get("variant") in ("homogeneous",
-                                                       "subdyadic")):
+    spec = obj.get("spec")
+    if (depth is None and "depth" not in obj and isinstance(spec, dict)
+            and spec.get("variant") in ("homogeneous", "subdyadic")):
         depth = 24
-    return tree_from_json(obj, depth=depth)
+    tree = tree_from_json(obj, depth=depth)
+    if explicit_for:
+        require_explicit(tree, explicit_for)
+    return tree
 
 
 def _cmd_capacity(args):
     from .capacity import capacity_of_set, capacity_recursive
 
-    tree = _load_tree(args)
+    tree = _load_tree(args, args.set is not None and "a boundary subset")
     if args.set is not None:
         ids = _parse_set(args.set, tree)
         res = capacity_of_set(tree, ids, args.p)
@@ -226,10 +232,8 @@ def _cmd_verify(args):
 def _cmd_tile(args):
     from .capacity import capacity_recursive
     from .tiling import build_tiling, emit_svg, validate_tiling
-    from .trees import require_explicit
 
-    tree = _load_tree(args)
-    require_explicit(tree, "tiling")
+    tree = _load_tree(args, "tiling")
     if args.measure is not None:
         mu = _load_measure(tree, _read_json(args.measure))
     else:
@@ -286,7 +290,7 @@ def _cmd_construct_tree(args):
 def _cmd_oracle(args):
     from .oracle import OracleConvergenceError, oracle_capacity
 
-    tree = _load_tree(args)
+    tree = _load_tree(args, "the oracle")
     ids = (_parse_set(args.set, tree) if args.set is not None
            else tree.true_leaves())
     try:
@@ -313,6 +317,13 @@ _COMMANDS = {
 }
 
 
+def _check_finite(args):
+    """float() reads nan and inf; no float option takes them."""
+    for name, v in vars(args).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite")
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     threads = args.threads or os.environ.get("TREECAP_THREADS")
@@ -321,6 +332,7 @@ def main(argv=None):
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ.setdefault(var, str(threads))
     try:
+        _check_finite(args)
         code, payload = _COMMANDS[args.cmd](args)
     except BrokenPipeError:
         return 1

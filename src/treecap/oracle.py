@@ -19,7 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import as_exponent
-from .trees import predecessor_path
+from .trees import leaf_indicator, predecessor_path
+
+MAX_ITER = 50_000  # subgradient iterations
+ETA0 = 0.1  # subgradient step scale: step t is ETA0 / sqrt(t)
 
 
 class OracleConvergenceError(RuntimeError):
@@ -44,19 +47,13 @@ class OracleResult:
 
 
 def _constraint_matrix(tree, boundary_set):
-    if len(boundary_set) > 200_000:
-        raise ValueError("too many boundary points for the dense oracle")
-    E = sorted(set(boundary_set))
-    if not E:
-        raise ValueError("empty boundary set")
-    paths = []
-    for z in E:
-        if not tree.is_true_leaf(z):
-            raise ValueError(f"edge {z} is not a true leaf")
-        paths.append(predecessor_path(tree, z))
+    """Leaf ids of the set, their predecessor paths, and the dense
+    leaves x edges matrix of the paths."""
+    E = np.flatnonzero(leaf_indicator(tree, boundary_set))
     n = tree.n_edges
-    if len(paths) * n > 50_000_000:
+    if E.size * n > 50_000_000:
         raise ValueError("problem too large for the dense oracle")
+    paths = [predecessor_path(tree, z) for z in E.tolist()]
     A = np.zeros((len(paths), n))
     for r, pth in enumerate(paths):
         A[r, pth] = 1.0
@@ -146,8 +143,8 @@ def _solve_slsqp(A, paths, p, tol):
     return res.x, int(res.nit), bool(res.success)
 
 
-def _solve_subgradient(A, paths, p, tol, max_iter, eta0, leaf_rows):
-    """Projected subgradient with step eta0/sqrt(t) and per-leaf path
+def _solve_subgradient(A, paths, p, tol, leaf_rows):
+    """Projected subgradient with step ETA0/sqrt(t) and per-leaf path
     correction; stops when the best value stalls or the certified gap
     closes."""
     n = A.shape[1]
@@ -157,9 +154,9 @@ def _solve_subgradient(A, paths, p, tol, max_iter, eta0, leaf_rows):
     lower = _dual_bound(f, A, leaf_rows, p)
     stall = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         grad = p * f ** (p - 1.0)
-        f = _feasible_correction(f - (eta0 / np.sqrt(it)) * grad, A, paths)
+        f = _feasible_correction(f - (ETA0 / np.sqrt(it)) * grad, A, paths)
         val = float(np.sum(f ** p))
         if val < best - tol * max(best, 1e-12):
             stall = 0
@@ -176,8 +173,7 @@ def _solve_subgradient(A, paths, p, tol, max_iter, eta0, leaf_rows):
     return best_f, it, False
 
 
-def oracle_capacity(tree, boundary_set, p, tol=1e-6, max_iter=50_000,
-                    method="auto", eta0=0.1):
+def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     """Capacity of a set of true leaves by direct convex minimization.
 
     method: "auto" solves the p = 2 case exactly through its KKT
@@ -187,8 +183,7 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, max_iter=50_000,
     lower_bound is the dual certificate from the candidate measure.
     """
     pe = as_exponent(p)
-    E, paths, A = _constraint_matrix(tree, boundary_set)
-    leaf_rows = np.array([pth[-1] for pth in paths])
+    leaf_rows, paths, A = _constraint_matrix(tree, boundary_set)
 
     if method == "auto" and pe.p == 2.0:
         f = _solve_kkt_p2(A)
@@ -198,8 +193,7 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, max_iter=50_000,
         f, it, ok = _solve_slsqp(A, paths, pe.p, tol)
         used = "slsqp"
     elif method == "subgradient":
-        f, it, ok = _solve_subgradient(A, paths, pe.p, tol, max_iter,
-                                       eta0, leaf_rows)
+        f, it, ok = _solve_subgradient(A, paths, pe.p, tol, leaf_rows)
         used = "subgradient"
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -210,7 +204,7 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, max_iter=50_000,
     gap_ok = value - lower <= max(tol, 1e-6) * max(lower, 1e-12)
     if not ok and not gap_ok:
         raise OracleConvergenceError(
-            f"no convergence within {max_iter} iterations "
+            f"no convergence within {MAX_ITER} iterations "
             f"(best {value}, certified lower bound {lower})",
             best=value, lower_bound=lower)
     return OracleResult(value=value, lower_bound=lower, f=f,

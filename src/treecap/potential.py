@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trees import co_potential
+
 
 @dataclass(frozen=True)
 class PExponent:
@@ -22,6 +24,9 @@ class PExponent:
     def __post_init__(self):
         if not (self.p > 1.0 and np.isfinite(self.p)):
             raise ValueError(f"p must lie in (1, oo), got {self.p}")
+        if self.conjugate <= 1.0:  # p/(p - 1) rounds to 1 from about 2^53
+            raise ValueError(f"p = {self.p} is too large: its conjugate "
+                             "p/(p - 1) rounds to 1")
 
     @property
     def conjugate(self):
@@ -92,8 +97,7 @@ def energy_all(tree, M, p):
 
 def energy(tree, mu, p, alpha=None):
     """p-energy of a measure over the tent at alpha (whole tree if None)."""
-    M = mu.M if hasattr(mu, "M") else mu
-    e = energy_all(tree, M, p)
+    e = energy_all(tree, co_potential(tree, mu), p)
     return float(e[0 if alpha is None else alpha])
 
 

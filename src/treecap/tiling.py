@@ -21,7 +21,9 @@ import numpy as np
 
 from .characterization import verify_equilibrium
 from .potential import potential_all
-from .trees import BoundaryMeasure
+from .trees import BoundaryMeasure, co_potential
+
+SVG_SCALE = 512.0  # pixels per unit length in emit_svg
 
 
 @dataclass(frozen=True)
@@ -65,16 +67,13 @@ def build_tiling(tree, measure, tol=1e-9):
     zero are dropped, which cannot orphan anything since a child mass
     never exceeds its parent's.
     """
-    if isinstance(measure, BoundaryMeasure):
-        M = measure.M
-    else:
-        M = np.asarray(measure, dtype=float)
-    rep = verify_equilibrium(tree, M, 2, tol=tol)
+    rep = verify_equilibrium(tree, measure, 2, tol=tol)
     if not rep.is_equilibrium:
         raise ValueError(
             "not an equilibrium measure at p = 2: max residual "
             f"{rep.max_residual:.3e}, undetermined tails "
             f"{_first_ids(rep.undetermined)}")
+    M = co_potential(tree, measure)
     if M[tree.root] <= 0.0:
         raise ValueError("zero measure tiles nothing")
 
@@ -323,11 +322,11 @@ def tiling_from_json(tree, obj):
                   height=float(obj["height"]), squares=squares)
 
 
-def emit_svg(tiling, labels=False, scale=512.0):
-    """Deterministic SVG rendering; squares are drawn sorted by (y, x)
-    so identical tilings serialize identically."""
-    w = tiling.width * scale
-    h = tiling.height * scale
+def emit_svg(tiling, labels=False):
+    """Deterministic SVG rendering at SVG_SCALE pixels per unit; squares
+    are drawn sorted by (y, x), so identical tilings serialize alike."""
+    w = tiling.width * SVG_SCALE
+    h = tiling.height * SVG_SCALE
     out = io.StringIO()
     out.write('<svg xmlns="http://www.w3.org/2000/svg" '
               f'width="{w:.6g}" height="{h:.6g}" '
@@ -335,13 +334,13 @@ def emit_svg(tiling, labels=False, scale=512.0):
     out.write(f'<rect x="0" y="0" width="{w:.6g}" height="{h:.6g}" '
               'fill="none" stroke="black"/>\n')
     for s in sorted(tiling.squares, key=lambda s: (s.y, s.x)):
-        out.write(f'<rect x="{s.x * scale:.8g}" y="{s.y * scale:.8g}" '
-                  f'width="{s.side * scale:.8g}" '
-                  f'height="{s.side * scale:.8g}" '
+        out.write(f'<rect x="{s.x * SVG_SCALE:.8g}" y="{s.y * SVG_SCALE:.8g}" '
+                  f'width="{s.side * SVG_SCALE:.8g}" '
+                  f'height="{s.side * SVG_SCALE:.8g}" '
                   'fill="none" stroke="black" stroke-width="0.5"/>\n')
         if labels:
-            out.write(f'<text x="{(s.x + s.side / 2) * scale:.8g}" '
-                      f'y="{(s.y + s.side / 2) * scale:.8g}" '
+            out.write(f'<text x="{(s.x + s.side / 2) * SVG_SCALE:.8g}" '
+                      f'y="{(s.y + s.side / 2) * SVG_SCALE:.8g}" '
                       'font-size="8" text-anchor="middle">'
                       f'{tiling.tree.label_of(s.edge)}</text>\n')
     out.write('</svg>\n')

@@ -42,7 +42,6 @@ runs the sweeps on its quotient, a path with one node per level.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -408,15 +407,6 @@ class SymmetricTree:
     def is_tail(self, i):
         return self.truncated and self.level_of(i) == self.depth
 
-    def is_true_leaf(self, i):
-        return not self.truncated and self.level_of(i) == self.depth
-
-    def true_leaves(self):
-        # lazy: the deepest level may hold astronomically many ids
-        if self.truncated:
-            return range(0)
-        return range(self._offsets[self.depth], self._offsets[self.depth + 1])
-
     def tail_ids(self):
         if not self.truncated:
             return range(0)
@@ -428,7 +418,7 @@ class SymmetricTree:
                              continuation=self.continuation)
 
 
-def build_tree(spec, depth=None, layout="auto", max_edges=None):
+def build_tree(spec, depth=None, layout="auto"):
     """Realize a tree specification.
 
     Infinite specs (Homogeneous, Subdyadic, and SphericallySymmetric
@@ -440,7 +430,7 @@ def build_tree(spec, depth=None, layout="auto", max_edges=None):
     the budget), "compact" returns a SymmetricTree, "auto" picks
     compact only when the arena would not fit.
     """
-    cap = MAX_EXPLICIT_EDGES if max_edges is None else max_edges
+    cap = MAX_EXPLICIT_EDGES
     if isinstance(spec, Explicit):
         tree = Tree.from_adjacency(spec.adjacency, root=spec.root)
         tree.spec = spec
@@ -509,7 +499,7 @@ def _subtree(tree, order):
         labels = list(map(tree.labels.__getitem__, order.tolist()))
     mult = None if tree.mult is None else tree.mult[order]
     return Tree(parent, tail=tree.tail[order], labels=labels, orig_ids=order,
-                mult=mult)
+                mult=mult, continuation=tree.continuation)
 
 
 def tent(tree, alpha):
@@ -644,6 +634,16 @@ class BoundaryMeasure:
             (self.tree.n_children == 0) & (self.M > tol)).tolist())
 
 
+def co_potential(tree, measure):
+    """The co-potential array of a BoundaryMeasure, or of an array of
+    per-edge masses, checked to hold one value per edge of tree."""
+    M = measure.M if isinstance(measure, BoundaryMeasure) else measure
+    M = np.asarray(M, dtype=float)
+    if M.shape != (tree.n_edges,):
+        raise ValueError("measure length does not match the tree")
+    return M
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -659,6 +659,8 @@ def spec_to_json(spec):
 
 
 def spec_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError(f"a tree spec is a JSON object, not {obj!r}")
     v = obj.get("variant")
     if v == "homogeneous":
         return Homogeneous(int(obj["n"]))
@@ -710,11 +712,6 @@ def tree_from_json(obj, depth=None, layout="auto"):
     adjacency = {rec["id"]: rec.get("children", []) for rec in obj["edges"]}
     tails = [rec["id"] for rec in obj["edges"] if rec.get("tail")]
     return Tree.from_adjacency(adjacency, root=obj.get("root"), tails=tails)
-
-
-def load_tree(path, depth=None):
-    with open(path) as fh:
-        return tree_from_json(json.load(fh), depth=depth)
 
 
 def edge_function_from_mapping(tree, mapping):

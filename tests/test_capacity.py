@@ -23,6 +23,7 @@ from treecap import (
     signed_power,
     spanned_subtree,
     symmetric_capacity,
+    tent,
     total_resistance,
 )
 from helpers import random_p, random_tree
@@ -397,3 +398,53 @@ def test_capacity_rejects_bad_exponent():
         capacity_recursive(t, 1.0)
     with pytest.raises(ValueError):
         symmetric_capacity([2], 0.5)
+
+
+def test_compact_result_is_an_equilibrium_result_on_the_quotient():
+    import dataclasses
+
+    assert (dataclasses.fields(LevelEquilibriumResult)
+            == dataclasses.fields(EquilibriumResult))
+    tc = build_tree(Homogeneous(2), depth=30)
+    r = capacity_recursive(tc, 2.5)
+    assert isinstance(r, EquilibriumResult) and r.tree is tc.quotient
+    assert r.c_levels is r.c_of_alpha and r.m_levels is r.measure.M
+    assert r.measure.tree is tc.quotient and r.upper_run is not None
+    assert r.c_levels_upper is r.upper_run[0]
+    assert r.m_levels_upper is r.upper_run[1].M
+    finite = build_tree(SphericallySymmetric([2, 3]), layout="compact")
+    rf = capacity_recursive(finite, 2)
+    assert rf.upper_run is None and rf.c_levels_upper is rf.c_of_alpha
+    rr = total_resistance(tc)
+    assert rr.tree is tc.quotient and rr.per_level
+    assert not total_resistance(build_tree(Homogeneous(2), depth=3)).per_level
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (Homogeneous(2), 10), (Homogeneous(3), 5), (Subdyadic([2, 0, 1]), 7),
+    (SphericallySymmetric([2, 3, 1, 2, 2]), 3)])
+def test_tents_of_both_layouts_give_equal_brackets(spec, depth):
+    te = build_tree(spec, depth=depth, layout="explicit")
+    tc = build_tree(spec, depth=depth, layout="compact")
+    for k in range(depth + 1):
+        alpha = te.level_slice(k)[0]
+        for p in (1.05, 2.0, 2.7, 30.0):
+            re = capacity_recursive(tent(te, alpha), p).capacity
+            rc = capacity_recursive(tent(tc, alpha), p).capacity
+            assert (re.lower, re.upper) == (rc.lower, rc.upper), (k, p)
+        assert tent(te, alpha).continuation == te.continuation
+
+
+@pytest.mark.parametrize("policy", [
+    lambda tails: {tails[0]: 1.5},
+    lambda tails: {tails[0]: (0.9, 0.1)},
+    lambda tails: {999: 0.5},
+    lambda tails: {0: 0.5},  # an inner edge, not a tail
+    lambda tails: {tails[0]: math.nan}], ids=[
+        "above-one", "reversed-pair", "unknown-id", "not-a-tail", "nan"])
+def test_dict_tail_policies_are_validated(policy):
+    t = build_tree(Homogeneous(2), depth=3, layout="explicit")
+    with pytest.raises(ValueError, match="tail"):
+        capacity_recursive(t, 2, tail_policy=policy(t.tail_ids()))
+    with pytest.raises(ValueError, match="tail"):
+        total_resistance(t, tail_policy=policy(t.tail_ids()))

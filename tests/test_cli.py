@@ -263,3 +263,77 @@ def test_all_exports_no_modules():
     assert treecap.__all__
     for name in treecap.__all__:
         assert not isinstance(getattr(treecap, name), types.ModuleType), name
+
+
+def test_set_reads_leaf_labels(capsys, tmp_path):
+    from treecap import Tree
+
+    adj = Tree.from_adjacency({10: [3, 7], 3: [], 7: [1, 2], 1: [], 2: []})
+    tfile = tmp_path / "int.json"
+    tfile.write_text(json.dumps(tree_to_json(adj)))
+    for labels, cap in (("3", 0.5), ("1,2", 0.4), ("2, 1, 2", 0.4)):
+        ids = sorted({adj.id_of_label(int(s)) for s in labels.split(",")})
+        code, out, _ = run(capsys, ["capacity", "--tree", str(tfile),
+                                    "--set", labels])
+        payload = json.loads(out)
+        assert code == 0 and sorted(set(payload["set"])) == ids
+        assert payload["capacity"]["lower"] == pytest.approx(cap, rel=1e-15)
+        code, out, _ = run(capsys, ["oracle", "--tree", str(tfile),
+                                    "--set", labels])
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(cap, rel=1e-9)
+
+
+DEEP = {"spec": {"variant": "homogeneous", "n": 2}, "depth": 30}
+SHALLOW = {"spec": {"variant": "homogeneous", "n": 2}, "depth": 4}
+FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
+
+
+@pytest.mark.parametrize("files, argv, says", [
+    ({"t": "{not json"}, ["capacity", "--tree", "t"], "treecap:"),
+    ({"t": [1, 2]}, ["capacity", "--tree", "t"], "not an object"),
+    ({"t": {"spec": 5}}, ["capacity", "--tree", "t"], "tree spec"),
+    ({"t": {"edges": 5}}, ["capacity", "--tree", "t"], "treecap:"),
+    ({"t": FINITE, "m": [0.5]},
+     ["verify", "--tree", "t", "--measure", "m"], "not an object"),
+    ({"t": FINITE, "m": {"leaf_masses": [1]}},
+     ["verify", "--tree", "t", "--measure", "m"], "leaf_masses"),
+    ({"t": FINITE, "m": {"M": [1.0]}},
+     ["verify", "--tree", "t", "--measure", "m"], "does not match"),
+    ({}, ["construct-set", "--target", "nan"], "--target must be finite"),
+    ({}, ["symmetric", "--degrees", "2", "--tail", "2", "--p", "1e308"],
+     "p = 1e+308"),
+    ({"t": SHALLOW}, ["capacity", "--tree", "t", "--p", "1e16"],
+     "p = 1e+16"),
+    ({"t": FINITE}, ["capacity", "--tree", "t", "--p", "nan"], "--p"),
+    ({"t": FINITE}, ["capacity", "--tree", "t", "--p", "inf"], "--p"),
+    ({"t": FINITE, "m": {"M": [1.0, 0.5, 0.5]}},
+     ["verify", "--tree", "t", "--measure", "m", "--tol", "nan"], "--tol"),
+    ({"t": SHALLOW}, ["capacity", "--tree", "t", "--tail-policy", "nan"],
+     "--tail-policy"),
+    ({"t": SHALLOW}, ["capacity", "--tree", "t", "--tail-policy", "1.5"],
+     "tail value"),
+    ({"t": FINITE}, ["capacity", "--tree", "t", "--set", "9"],
+     "out of range"),
+    ({"t": FINITE}, ["capacity", "--tree", "t", "--set", ","], "empty"),
+    ({"t": FINITE}, ["oracle", "--tree", "t", "--set", "0"],
+     "not a true leaf"),
+    ({"t": DEEP}, ["oracle", "--tree", "t"], "explicitly stored"),
+    ({"t": DEEP}, ["oracle", "--tree", "t", "--set", "5"],
+     "explicitly stored"),
+], ids=["malformed-json", "tree-list", "spec-number", "edges-number",
+        "measure-list", "leaf-masses-list", "M-too-short", "target-nan",
+        "symmetric-huge-p", "capacity-huge-p", "p-nan", "p-inf", "tol-nan",
+        "tail-policy-nan", "tail-policy-above-one", "set-out-of-range",
+        "set-empty", "oracle-inner-edge", "oracle-compact",
+        "oracle-compact-set"])
+def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
+                                                argv, says):
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("treecap:") and says in err
+    assert "Traceback" not in err

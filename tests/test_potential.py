@@ -108,3 +108,23 @@ def test_broken_additivity_flags_parent_vertex():
     rep = is_p_harmonic(tree, g, p, tol=1e-9)
     assert not rep.ok
     assert tree.parent_of(beta) in rep.violations
+
+
+def test_measure_or_array_is_one_shape_checked_co_potential():
+    from treecap import build_tiling, capacity_recursive, verify_equilibrium
+    from treecap.trees import co_potential
+
+    t = build_tree(SphericallySymmetric([2, 3]))
+    mu = capacity_recursive(t, 2).measure
+    assert co_potential(t, mu) is mu.M
+    assert np.array_equal(co_potential(t, mu.M.tolist()), mu.M)
+    assert energy(t, mu, 2) == energy(t, mu.M, 2)
+    short = mu.M[:-1]
+    other = BoundaryMeasure(build_tree(SphericallySymmetric([2])),
+                            [1.0, 0.5, 0.5])
+    for bad in (short, other):
+        for call in (lambda M: energy(t, M, 2),
+                     lambda M: verify_equilibrium(t, M, 2),
+                     lambda M: build_tiling(t, M)):
+            with pytest.raises(ValueError, match="does not match the tree"):
+                call(bad)
