@@ -246,8 +246,11 @@ def _tent_capacities(tree, pe, boundary_values):
     """Bottom-up half of the sweep: c at every edge, with
     boundary_values feeding the leaves and tails."""
     inner = tree.n_children > 0
-    c, _ = tree.sweep_up(lambda a, b, S: np.where(
-        inner[a:b], _phi(S, pe), boundary_values[a:b]))
+    # at large p the power in _phi overflows to inf, where S / inf = 0
+    # is right
+    with np.errstate(over="ignore"):
+        c, _ = tree.sweep_up(lambda a, b, S: np.where(
+            inner[a:b], _phi(S, pe), boundary_values[a:b]))
     return c
 
 

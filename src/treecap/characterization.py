@@ -130,13 +130,13 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     V = potential_all(tree, signed_power(M, pe))
     worst = int(np.argmax(V.end_values))
     max_value = float(V.end_values[worst])
-    equality = [int(i) for i in np.nonzero(np.abs(V.end_values - 1.0) <= tol)[0]]
+    equality = np.flatnonzero(np.abs(V.end_values - 1.0) <= tol)
     interior_strict = bool(np.all(tree.n_children[equality] == 0))
     return PotentialBoundReport(
         ok=max_value <= 1.0 + tol,
         max_value=max_value,
         worst_edge=worst,
-        equality_edges=equality,
+        equality_edges=equality.tolist(),
         interior_strict=interior_strict,
     )
 

@@ -22,10 +22,15 @@ import sys
 from pathlib import Path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"JSON constant {name} is not a finite number")
+
+
 def _read_json(path):
-    """The JSON object in a file, or on stdin for -."""
+    """The JSON object in a file, or on stdin for -; NaN and Infinity
+    are refused."""
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    obj = json.loads(text)
+    obj = json.loads(text, parse_constant=_refuse_constant)
     if not isinstance(obj, dict):
         raise ValueError(f"{path} holds {type(obj).__name__} JSON, not an "
                          "object")
@@ -60,17 +65,26 @@ def _parse_set(text, tree):
 
 
 def _load_measure(tree, obj):
-    from .trees import BoundaryMeasure, edge_function_from_mapping
+    """The measure in "M" or "leaf_masses"; masses that overflow to
+    inf, or sum to it, are refused."""
+    import numpy as np
+
+    from .trees import BoundaryMeasure
 
     if "M" in obj:
-        return BoundaryMeasure(tree, obj["M"], validate=False)
-    if "leaf_masses" in obj:
+        mu = BoundaryMeasure(tree, obj["M"], validate=False)
+    elif "leaf_masses" in obj:
         if not isinstance(obj["leaf_masses"], dict):
             raise ValueError('"leaf_masses" must map leaf labels to masses')
         masses = {tree.id_of_label(k): float(v)
                   for k, v in obj["leaf_masses"].items()}
-        return BoundaryMeasure.from_leaf_masses(tree, masses)
-    raise ValueError('measure JSON needs an "M" array or "leaf_masses" map')
+        mu = BoundaryMeasure.from_leaf_masses(tree, masses)
+    else:
+        raise ValueError(
+            'measure JSON needs an "M" array or "leaf_masses" map')
+    if not np.isfinite(mu.M).all():
+        raise ValueError("measure masses must be finite")
+    return mu
 
 
 def _tail_policy(text):
@@ -336,7 +350,7 @@ def main(argv=None):
         code, payload = _COMMANDS[args.cmd](args)
     except BrokenPipeError:
         return 1
-    except (ValueError, KeyError, TypeError, OSError,
+    except (ValueError, KeyError, TypeError, OverflowError, OSError,
             json.JSONDecodeError) as exc:
         print(f"treecap: {exc}", file=sys.stderr)
         return 2

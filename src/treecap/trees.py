@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -305,47 +305,56 @@ class Tree:
 
     @classmethod
     def from_adjacency(cls, adjacency, root=None, tails=()):
-        """BFS over an adjacency mapping {edge: [children]}."""
+        """Breadth-first ids for an adjacency mapping {edge: [children]}.
+
+        Once every edge is known to have at most one parent and the root
+        none, the breadth-first walk from the root meets each edge at
+        most once; the edges it misses lie on a cycle or in a piece not
+        connected to the root.
+        """
         adjacency = dict(adjacency)
-        mentioned = set(adjacency)
-        as_child = set()
-        for kids in adjacency.values():
-            if len(set(kids)) != len(kids):
-                raise TreeStructureError("duplicate child in adjacency")
-            for c in kids:
-                if c in as_child:
-                    raise TreeStructureError(f"edge {c!r} has two parents")
-                as_child.add(c)
-                mentioned.add(c)
-        roots = [e for e in mentioned if e not in as_child]
-        if root is not None:
-            if root in as_child:
-                raise TreeStructureError(f"declared root {root!r} has a parent")
-            roots = [root]
-        if len(roots) != 1:
-            raise TreeStructureError(
-                f"need exactly one root edge, found {sorted(map(repr, roots))}")
-        order = [roots[0]]
-        parent = [-1]
-        index = {roots[0]: 0}
-        head = 0
-        while head < len(order):
-            e = order[head]
-            for c in adjacency.get(e, ()):
-                if c in index:
-                    raise TreeStructureError("cycle in adjacency")
-                index[c] = len(order)
-                parent.append(head)
-                order.append(c)
-            head += 1
-        if len(order) != len(mentioned):
+        children = list(chain.from_iterable(adjacency.values()))
+        as_child = set(children)
+        if len(as_child) != len(children):
+            _raise_first_repeated_child(adjacency.values())
+        roots = set(adjacency).difference(as_child)
+        if root is None:
+            if len(roots) != 1:
+                raise TreeStructureError(
+                    "need exactly one root edge, found "
+                    f"{sorted(map(repr, roots))}")
+            (root,) = roots
+        elif root in as_child:
+            raise TreeStructureError(f"declared root {root!r} has a parent")
+        order = [root]
+        for e in order:
+            order.extend(adjacency.get(e, ()))
+        n = len(order)
+        if n != len(as_child) + len(roots):  # edges mentioned
             raise TreeStructureError("adjacency is not connected to the root")
-        tail = np.zeros(len(order), dtype=bool)
-        for lab in tails:
-            if lab not in index:
-                raise TreeStructureError(f"tail {lab!r} is not an edge")
-            tail[index[lab]] = True
+        kids = map(adjacency.get, order, repeat(()))
+        n_children = np.fromiter(map(len, kids), dtype=np.int64, count=n)
+        parent = np.concatenate(([-1], np.repeat(np.arange(n), n_children)))
+        tail = np.zeros(n, dtype=bool)
+        if tails:
+            index = dict(zip(order, range(n)))
+            for lab in tails:
+                if lab not in index:
+                    raise TreeStructureError(f"tail {lab!r} is not an edge")
+                tail[index[lab]] = True
         return cls(parent, tail=tail, labels=order)
+
+
+def _raise_first_repeated_child(child_lists):
+    """Raise for the first child listed twice, in listing order."""
+    seen = set()
+    for kids in child_lists:
+        if len(set(kids)) != len(kids):
+            raise TreeStructureError("duplicate child in adjacency")
+        for c in kids:
+            if c in seen:
+                raise TreeStructureError(f"edge {c!r} has two parents")
+            seen.add(c)
 
 
 class SymmetricTree:
@@ -690,14 +699,15 @@ def tree_to_json(tree):
                          "degrees": list(tree.degrees)}}
     if tree.mult is not None:
         raise ValueError("a weighted quotient would lose its multiplicities")
-    edges = []
-    for i in range(tree.n_edges):
-        rec = {"id": tree.label_of(i),
-               "children": [tree.label_of(c) for c in tree.children_of(i)]}
-        if tree.is_tail(i):
-            rec["tail"] = True
-        edges.append(rec)
-    return {"root": tree.label_of(0), "edges": edges}
+    labels = (list(range(tree.n_edges)) if tree.labels is None
+              else list(tree.labels))
+    first = tree.first_child.tolist()
+    stop = (tree.first_child + tree.n_children).tolist()
+    edges = [{"id": lab, "children": labels[a:b]}
+             for lab, a, b in zip(labels, first, stop)]
+    for i in tree.tail_ids():
+        edges[i]["tail"] = True
+    return {"root": labels[0], "edges": edges}
 
 
 def tree_from_json(obj, depth=None, layout="auto"):
@@ -723,9 +733,11 @@ def edge_function_from_mapping(tree, mapping):
 
 
 def edge_function_to_mapping(tree, f, keep_zero=False):
-    out = {}
-    for i in range(tree.n_edges):
-        v = float(f[i])
-        if v != 0.0 or keep_zero:
-            out[str(tree.label_of(i))] = v
-    return out
+    """Array to {str(edge label): value}, in id order; zeros are
+    dropped unless keep_zero."""
+    f = np.asarray(f, dtype=float)
+    ids = np.arange(tree.n_edges) if keep_zero else np.flatnonzero(f)
+    labels = ids.tolist()
+    if tree.labels is not None:
+        labels = map(tree.labels.__getitem__, labels)
+    return dict(zip(map(str, labels), f[ids].tolist()))

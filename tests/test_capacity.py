@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -448,3 +449,11 @@ def test_dict_tail_policies_are_validated(policy):
         capacity_recursive(t, 2, tail_policy=policy(t.tail_ids()))
     with pytest.raises(ValueError, match="tail"):
         total_resistance(t, tail_policy=policy(t.tail_ids()))
+
+
+def test_large_p_overflow_raises_no_warning():
+    t = build_tree(Homogeneous(2), depth=4, layout="explicit")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = capacity_recursive(t, 1e15)
+    assert res.capacity.lower == 0.0 and res.capacity.upper == 1e-13

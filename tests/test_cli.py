@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,12 +324,21 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
     ({"t": DEEP}, ["oracle", "--tree", "t"], "explicitly stored"),
     ({"t": DEEP}, ["oracle", "--tree", "t", "--set", "5"],
      "explicitly stored"),
+    ({"t": FINITE, "m": '{"leaf_masses": {"1": NaN, "2": 0.3}}'},
+     ["verify", "--tree", "t", "--measure", "m"], "NaN"),
+    ({"t": FINITE, "m": '{"M": [1e400, 0.5, 0.5]}'},
+     ["verify", "--tree", "t", "--measure", "m"], "finite"),
+    ({"t": FINITE, "m": '{"M": [NaN, 0.5, 0.5]}'},
+     ["tile", "--tree", "t", "--measure", "m"], "NaN"),
+    ({"t": '{"spec": {"variant": "symmetric", "degrees": [1e400]}}'},
+     ["capacity", "--tree", "t"], "infinity"),
 ], ids=["malformed-json", "tree-list", "spec-number", "edges-number",
         "measure-list", "leaf-masses-list", "M-too-short", "target-nan",
         "symmetric-huge-p", "capacity-huge-p", "p-nan", "p-inf", "tol-nan",
         "tail-policy-nan", "tail-policy-above-one", "set-out-of-range",
         "set-empty", "oracle-inner-edge", "oracle-compact",
-        "oracle-compact-set"])
+        "oracle-compact-set", "leaf-mass-nan", "M-overflows",
+        "tile-M-nan", "degree-overflows"])
 def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
                                                 argv, says):
     for name, content in files.items():
@@ -337,3 +349,18 @@ def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
     assert code == 2 and out == ""
     assert err.startswith("treecap:") and says in err
     assert "Traceback" not in err
+
+
+def test_large_p_prints_no_overflow_warning(tmp_path):
+    # the warning goes to the real stderr, which only a child process shows
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps(SHALLOW))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "treecap.cli", "capacity", "--tree",
+         str(tfile), "--p", "1e15"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["capacity"] == {"lower": 0.0,
+                                                   "upper": 1e-13}

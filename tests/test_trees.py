@@ -1,7 +1,9 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecap import (
     BoundaryMeasure,
@@ -301,3 +303,165 @@ def test_string_keys_find_integer_labels():
     # an exact label wins over another label's string form
     t = Tree.from_adjacency({1: ["1"], "1": []})
     assert (t.id_of_label(1), t.id_of_label("1")) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the adjacency builder and JSON output against their per-edge loops
+
+
+def reference_from_adjacency(adjacency, root=None, tails=()):
+    """The per-child BFS that Tree.from_adjacency replaced, kept as the
+    reference: returns (parent, labels, tail) as lists."""
+    adjacency = dict(adjacency)
+    mentioned = set(adjacency)
+    as_child = set()
+    for kids in adjacency.values():
+        if len(set(kids)) != len(kids):
+            raise TreeStructureError("duplicate child in adjacency")
+        for c in kids:
+            if c in as_child:
+                raise TreeStructureError(f"edge {c!r} has two parents")
+            as_child.add(c)
+            mentioned.add(c)
+    roots = [e for e in mentioned if e not in as_child]
+    if root is not None:
+        if root in as_child:
+            raise TreeStructureError(f"declared root {root!r} has a parent")
+        roots = [root]
+    if len(roots) != 1:
+        raise TreeStructureError(
+            f"need exactly one root edge, found {sorted(map(repr, roots))}")
+    order = [roots[0]]
+    parent = [-1]
+    index = {roots[0]: 0}
+    head = 0
+    while head < len(order):
+        e = order[head]
+        for c in adjacency.get(e, ()):
+            if c in index:
+                raise TreeStructureError("cycle in adjacency")
+            index[c] = len(order)
+            parent.append(head)
+            order.append(c)
+        head += 1
+    if len(order) != len(mentioned):
+        raise TreeStructureError("adjacency is not connected to the root")
+    tail = [False] * len(order)
+    for lab in tails:
+        if lab not in index:
+            raise TreeStructureError(f"tail {lab!r} is not an edge")
+        tail[index[lab]] = True
+    return parent, order, tail
+
+
+def reference_tree_to_json(tree):
+    edges = []
+    for i in range(tree.n_edges):
+        rec = {"id": tree.label_of(i),
+               "children": [tree.label_of(c) for c in tree.children_of(i)]}
+        if tree.is_tail(i):
+            rec["tail"] = True
+        edges.append(rec)
+    return {"root": tree.label_of(0), "edges": edges}
+
+
+def reference_edge_function_to_mapping(tree, f, keep_zero=False):
+    out = {}
+    for i in range(tree.n_edges):
+        v = float(f[i])
+        if v != 0.0 or keep_zero:
+            out[str(tree.label_of(i))] = v
+    return out
+
+
+def assert_same_as_reference(tree, adjacency, root=None, tails=()):
+    parent, labels, tail = reference_from_adjacency(adjacency, root, tails)
+    assert tree.parent.tolist() == parent
+    assert tree.labels == labels
+    assert list(map(type, tree.labels)) == list(map(type, labels))
+    assert tree.tail.tolist() == tail
+
+
+LABEL_POOLS = {
+    "int": list(range(-60, 60)),
+    "str": [f"e{i}" for i in range(120)],
+    # 1 and "1" are different edges
+    "mixed": list(range(60)) + [str(i) for i in range(60)],
+}
+
+
+@st.composite
+def adjacency_cases(draw):
+    """(adjacency, root, tails) of a random tree: labels of one kind,
+    keys in random order, some leaves left out as keys, the root
+    declared or not, and some leaves flagged as tails."""
+    n = draw(st.integers(1, 40))
+    pool = LABEL_POOLS[draw(st.sampled_from(sorted(LABEL_POOLS)))]
+    labels = draw(st.permutations(pool))[:n]
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        kids[draw(st.integers(0, i - 1))].append(labels[i])
+    keys = [i for i in range(n)  # drop some leaves below the root
+            if i == 0 or kids[i] or not draw(st.booleans())]
+    keys = draw(st.permutations(keys))
+    adjacency = {labels[i]: kids[i] for i in keys}
+    root = labels[0] if draw(st.booleans()) else None
+    leaves = [labels[i] for i in range(n) if not kids[i]]
+    tails = [lab for lab in leaves if draw(st.booleans())]
+    return adjacency, root, tails
+
+
+@settings(max_examples=150, deadline=None)
+@given(adjacency_cases(), st.booleans())
+def test_from_adjacency_matches_the_reference_bfs(case, keep_zero):
+    adjacency, root, tails = case
+    t = Tree.from_adjacency(adjacency, root=root, tails=tails)
+    assert_same_as_reference(t, adjacency, root, tails)
+    assert tree_to_json(t) == reference_tree_to_json(t)
+    f = np.arange(t.n_edges) % 3 / 2.0
+    assert (edge_function_to_mapping(t, f, keep_zero)
+            == reference_edge_function_to_mapping(t, f, keep_zero))
+    assert list(edge_function_to_mapping(t, f, keep_zero)) == list(
+        reference_edge_function_to_mapping(t, f, keep_zero))
+
+
+@pytest.mark.parametrize("adjacency, root, tails", [
+    ({"r": ["a", "b"], "a": ["c"], "b": ["c"], "c": []}, None, ()),
+    ({"r": ["a", "a"], "a": []}, None, ()),
+    # the first offender in listing order decides the message
+    ({"r": ["a"], "x": ["b", "a", "b"]}, None, ()),
+    ({"r": ["a"], "x": ["a", "b", "b"]}, None, ()),
+    ({"r": ["a"], "a": ["r"]}, None, ()),
+    ({"r": ["a"], "a": [], "x": ["y"], "y": ["x"]}, None, ()),
+    ({"r": ["a"], "a": ["r"], "b": []}, None, ()),
+    ({}, None, ()),
+    ({"r": ["a"], "s": ["b"], 1: [], "1": []}, None, ()),
+    ({"r": ["a"], "a": []}, "a", ()),
+    ({"r": ["a"], "a": ["r"]}, "r", ()),
+    ({"r": ["a"], "a": [], "x": ["y"], "y": []}, "r", ()),
+    ({"r": ["a"], "a": []}, None, ["z"]),
+    ({1: [2], 2: []}, None, ["2"]),
+], ids=["two-parents", "duplicate-child", "two-parents-first",
+        "duplicate-first", "cycle", "cycle-beside-the-root", "no-root",
+        "empty", "several-roots", "declared-root-with-parent",
+        "declared-root-on-a-cycle", "disconnected", "unknown-tail",
+        "tail-by-string-of-int"])
+def test_from_adjacency_errors_match_the_reference(adjacency, root, tails):
+    with pytest.raises(TreeStructureError) as ref:
+        reference_from_adjacency(adjacency, root, tails)
+    with pytest.raises(TreeStructureError) as new:
+        Tree.from_adjacency(adjacency, root=root, tails=tails)
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_builds_1e5_edges_quickly(shape):
+    n = 100_000
+    adjacency = ({i: [i + 1] for i in range(n - 1)} if shape == "path"
+                 else {"r": list(range(n - 1))})
+    start = time.perf_counter()
+    t = Tree.from_adjacency(adjacency)
+    elapsed = time.perf_counter() - start
+    assert t.n_edges == n and t.depth == (n - 1 if shape == "path" else 1)
+    assert_same_as_reference(t, adjacency)
+    assert elapsed < 10.0
