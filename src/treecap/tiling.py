@@ -38,23 +38,60 @@ class TilingSquare:
                 "side": self.side}
 
 
-@dataclass
 class Tiling:
-    tree: object
-    width: float
-    height: float
-    squares: list
+    """A tiling of the width x height rectangle as four columns indexed
+    by square: the int array edge, and the float arrays x, y (the top
+    left corner) and side.  Ids that numpy cannot hold as ints (floats,
+    strings, ints beyond int64) stay as given in an object array, which
+    validate_tiling reports as naming no edge of the tree.
+
+    Tiling(tree, width, height, squares) takes the columns from a list
+    of TilingSquare; `squares` is that list, or for a tiling built from
+    columns, the same squares built on first use.
+    """
+
+    def __init__(self, tree, width, height, squares):
+        self.tree, self.width, self.height = tree, width, height
+        self.edge = _edge_column([s.edge for s in squares])
+        self.x = _floats([s.x for s in squares])
+        self.y = _floats([s.y for s in squares])
+        self.side = _floats([s.side for s in squares])
+        self._squares = squares
+
+    @classmethod
+    def _of_columns(cls, tree, width, height, edge, x, y, side):
+        til = cls.__new__(cls)
+        til.tree, til.width, til.height = tree, width, height
+        til.edge, til.x, til.y, til.side = edge, x, y, side
+        til._squares = None
+        return til
+
+    @property
+    def squares(self):
+        if self._squares is None:
+            self._squares = list(map(TilingSquare, self.edge.tolist(),
+                                     self.x.tolist(), self.y.tolist(),
+                                     self.side.tolist()))
+        return self._squares
 
     def area_defect(self):
-        return abs(sum(s.side ** 2 for s in self.squares)
+        # square by square: numpy's square rounds differently from ** and
+        # would move the last bits of the report
+        return abs(sum(v ** 2 for v in self.side.tolist())
                    - self.width * self.height)
 
+    def _in_drawing_order(self):
+        """The four columns sorted by (y, x), stably."""
+        order = np.lexsort((self.x, self.y))
+        return [v[order] for v in (self.edge, self.x, self.y, self.side)]
+
     def to_json(self):
+        edge, x, y, side = (v.tolist() for v in self._in_drawing_order())
         return {
             "width": self.width,
             "height": self.height,
-            "squares": [s.to_json() for s in
-                        sorted(self.squares, key=lambda s: (s.y, s.x))],
+            "squares": [{"edge": e, "x": xi, "y": yi, "side": si}
+                        for e, xi, yi, si in zip(edge, x, y, side)],
         }
 
 
@@ -88,11 +125,8 @@ def build_tiling(tree, measure, tol=1e-9):
     x = tree.push_down(offset, np.add)
 
     ids = np.flatnonzero(M)
-    squares = [TilingSquare(edge=i, x=xi, y=yi, side=side)
-               for i, xi, yi, side in zip(ids.tolist(), x[ids].tolist(),
-                                          y[ids].tolist(), M[ids].tolist())]
-    return Tiling(tree=tree, width=float(M[tree.root]), height=1.0,
-                  squares=squares)
+    return Tiling._of_columns(tree, float(M[tree.root]), 1.0,
+                              ids, x[ids], y[ids], M[ids])
 
 
 @dataclass
@@ -134,6 +168,16 @@ def _floats(values):
                          for v in values], dtype=float)
 
 
+def _edge_column(ids):
+    """Edge ids as an int array, or as given in an object array when
+    numpy cannot hold them all as ints."""
+    e = np.array(ids)
+    if e.dtype.kind != "i":
+        e = np.empty(len(ids), dtype=object)
+        e[:] = ids
+    return e
+
+
 def _worst(*defects):
     """Largest entry of the defect arrays, at least 0.0; NaN counts as
     an infinite defect, so it cannot slip past a comparison with tol."""
@@ -167,13 +211,9 @@ def validate_tiling(tiling, tol=1e-9):
     The sweep stops after that square: max_overlap and the overlap
     messages cover its overlaps with earlier squares only."""
     w, h = _floats([tiling.width, tiling.height]).tolist()
-    squares = tiling.squares
+    edge, x, y, side = tiling.edge, tiling.x, tiling.y, tiling.side
     msgs = []
 
-    edge = [s.edge for s in squares]
-    x = _floats([s.x for s in squares])
-    y = _floats([s.y for s in squares])
-    side = _floats([s.side for s in squares])
     finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(side)
     with np.errstate(invalid="ignore", over="ignore"):
         right, bottom = x + side, y + side
@@ -192,8 +232,8 @@ def validate_tiling(tiling, tol=1e-9):
     # every square names a distinct edge of the tree
     tree = tiling.tree
     n_edges = tree.n_edges
-    e = np.asarray(edge)
-    if e.dtype.kind != "i":  # no squares, or ids numpy cannot hold as ints
+    e = edge
+    if e.dtype.kind != "i":  # ids numpy cannot hold as ints
         e = np.array([v if isinstance(v, (int, np.integer))
                       and 0 <= v < n_edges else -1 for v in edge],
                      dtype=np.int64)
@@ -218,8 +258,6 @@ def validate_tiling(tiling, tol=1e-9):
         msgs.append(f"squares {edge[a]} and {edge[b]} overlap "
                     f"by {amount:.3e}")
 
-    # square by square: numpy's square rounds differently from ** and
-    # would move the last bits of the report
     try:
         area_defect = tiling.area_defect()
     except OverflowError:  # ** raises where a product would give inf
@@ -252,7 +290,7 @@ def validate_tiling(tiling, tol=1e-9):
                         max_overlap=float(max_overlap),
                         area_defect=float(area_defect),
                         adjacency_defect=float(adjacency),
-                        n_squares=len(squares), messages=msgs)
+                        n_squares=len(edge), messages=msgs)
 
 
 def _first_overlaps(x, y, right, bottom, sized, tol):
@@ -308,23 +346,35 @@ def measure_from_tiling(tree, tiling, tol=1e-9):
     if not geo.ok:
         raise ValueError("tiling fails validation: " + "; ".join(geo.messages))
     M = np.zeros(tree.n_edges)
-    M[[s.edge for s in tiling.squares]] = [s.side for s in tiling.squares]
+    # an object column may hold ids that validation read as ints
+    M[tiling.edge.astype(np.intp)] = tiling.side
     mu = BoundaryMeasure(tree, M, validate=True, tol=tol)
     rep = verify_equilibrium(tree, mu, 2, tol=tol)
     return mu, rep
 
 
 def tiling_from_json(tree, obj):
-    squares = [TilingSquare(edge=int(s["edge"]), x=float(s["x"]),
-                            y=float(s["y"]), side=float(s["side"]))
-               for s in obj["squares"]]
-    return Tiling(tree=tree, width=float(obj["width"]),
-                  height=float(obj["height"]), squares=squares)
+    rows = [(int(s["edge"]), float(s["x"]), float(s["y"]), float(s["side"]))
+            for s in obj["squares"]]
+    edge, x, y, side = zip(*rows) if rows else ((),) * 4
+    return Tiling._of_columns(tree, float(obj["width"]), float(obj["height"]),
+                              _edge_column(edge), np.array(x, dtype=float),
+                              np.array(y, dtype=float),
+                              np.array(side, dtype=float))
+
+
+def _xml_text(label):
+    """label as XML character data.  The replacements are those of
+    xml.sax.saxutils.escape, whose import pulls in urllib and costs a
+    cold CLI run about 30 ms."""
+    return (str(label).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;"))
 
 
 def emit_svg(tiling, labels=False):
     """Deterministic SVG rendering at SVG_SCALE pixels per unit; squares
-    are drawn sorted by (y, x), so identical tilings serialize alike."""
+    are drawn sorted by (y, x), so identical tilings serialize alike.
+    Labels are XML-escaped."""
     w = tiling.width * SVG_SCALE
     h = tiling.height * SVG_SCALE
     out = io.StringIO()
@@ -333,15 +383,20 @@ def emit_svg(tiling, labels=False):
               f'viewBox="0 0 {w:.6g} {h:.6g}">\n')
     out.write(f'<rect x="0" y="0" width="{w:.6g}" height="{h:.6g}" '
               'fill="none" stroke="black"/>\n')
-    for s in sorted(tiling.squares, key=lambda s: (s.y, s.x)):
-        out.write(f'<rect x="{s.x * SVG_SCALE:.8g}" y="{s.y * SVG_SCALE:.8g}" '
-                  f'width="{s.side * SVG_SCALE:.8g}" '
-                  f'height="{s.side * SVG_SCALE:.8g}" '
-                  'fill="none" stroke="black" stroke-width="0.5"/>\n')
-        if labels:
-            out.write(f'<text x="{(s.x + s.side / 2) * SVG_SCALE:.8g}" '
-                      f'y="{(s.y + s.side / 2) * SVG_SCALE:.8g}" '
-                      'font-size="8" text-anchor="middle">'
-                      f'{tiling.tree.label_of(s.edge)}</text>\n')
+    edge, x, y, side = tiling._in_drawing_order()
+    sides = map("{:.8g}".format, (side * SVG_SCALE).tolist())
+    drawn = [f'<rect x="{a:.8g}" y="{b:.8g}" width="{s}" height="{s}" '
+             'fill="none" stroke="black" stroke-width="0.5"/>\n'
+             for a, b, s in zip((x * SVG_SCALE).tolist(),
+                                (y * SVG_SCALE).tolist(), sides)]
+    if labels:
+        names = (_xml_text(tiling.tree.label_of(e)) for e in edge.tolist())
+        texts = [f'<text x="{a:.8g}" y="{b:.8g}" '
+                 f'font-size="8" text-anchor="middle">{t}</text>\n'
+                 for a, b, t in zip(((x + side / 2) * SVG_SCALE).tolist(),
+                                    ((y + side / 2) * SVG_SCALE).tolist(),
+                                    names)]
+        drawn = map(str.__add__, drawn, texts)
+    out.writelines(drawn)
     out.write('</svg>\n')
     return out.getvalue()

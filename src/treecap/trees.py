@@ -43,6 +43,7 @@ runs the sweeps on its quotient, a path with one node per level.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Mapping, Sequence, Union
@@ -167,10 +168,12 @@ class Tree:
         self.first_child = 1 + np.cumsum(self.n_children) - self.n_children
         if children is not None and not self._lists_children(children):
             raise TreeStructureError("children lists disagree with parent")
-        # first_child of a level's first edge is where the next level starts
+        # first_child of a level's first edge is where the next level
+        # starts; a memoryview reads Python ints without a copy of the array
+        first = memoryview(self.first_child)
         starts = [0]
         while starts[-1] < n:
-            starts.append(int(self.first_child[starts[-1]]))
+            starts.append(first[starts[-1]])
         self._starts = starts
         self.level = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
         self.tail = (np.zeros(n, dtype=bool) if tail is None
@@ -310,7 +313,8 @@ class Tree:
         Once every edge is known to have at most one parent and the root
         none, the breadth-first walk from the root meets each edge at
         most once; the edges it misses lie on a cycle or in a piece not
-        connected to the root.
+        connected to the root.  A declared root must be a key with no
+        parent.
         """
         adjacency = dict(adjacency)
         children = list(chain.from_iterable(adjacency.values()))
@@ -326,6 +330,9 @@ class Tree:
             (root,) = roots
         elif root in as_child:
             raise TreeStructureError(f"declared root {root!r} has a parent")
+        elif root not in adjacency:
+            raise TreeStructureError(
+                f"declared root {root!r} is not an edge of the adjacency")
         order = [root]
         for e in order:
             order.extend(adjacency.get(e, ()))
@@ -720,6 +727,10 @@ def tree_from_json(obj, depth=None, layout="auto"):
             "a truncation depth applies to tree specs, not to an explicit "
             "adjacency")
     adjacency = {rec["id"]: rec.get("children", []) for rec in obj["edges"]}
+    if len(adjacency) != len(obj["edges"]):
+        counts = Counter(rec["id"] for rec in obj["edges"])
+        twice = next(e for e, k in counts.items() if k > 1)
+        raise TreeStructureError(f"edge {twice!r} has more than one record")
     tails = [rec["id"] for rec in obj["edges"] if rec.get("tail")]
     return Tree.from_adjacency(adjacency, root=obj.get("root"), tails=tails)
 

@@ -332,13 +332,17 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
      ["tile", "--tree", "t", "--measure", "m"], "NaN"),
     ({"t": '{"spec": {"variant": "symmetric", "degrees": [1e400]}}'},
      ["capacity", "--tree", "t"], "infinity"),
+    ({"t": {"edges": [{"id": "r", "children": ["a"]},
+                      {"id": "a", "children": ["b"]},
+                      {"id": "a", "children": []}]}},
+     ["capacity", "--tree", "t"], "'a' has more than one record"),
 ], ids=["malformed-json", "tree-list", "spec-number", "edges-number",
         "measure-list", "leaf-masses-list", "M-too-short", "target-nan",
         "symmetric-huge-p", "capacity-huge-p", "p-nan", "p-inf", "tol-nan",
         "tail-policy-nan", "tail-policy-above-one", "set-out-of-range",
         "set-empty", "oracle-inner-edge", "oracle-compact",
         "oracle-compact-set", "leaf-mass-nan", "M-overflows",
-        "tile-M-nan", "degree-overflows"])
+        "tile-M-nan", "degree-overflows", "tree-repeated-id"])
 def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
                                                 argv, says):
     for name, content in files.items():

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -11,6 +12,7 @@ from treecap import (
     Tiling,
     TilingReport,
     TilingSquare,
+    Tree,
     build_tiling,
     build_tree,
     capacity_of_set,
@@ -299,3 +301,137 @@ def test_validates_32k_squares_quickly():
     assert rep.ok and rep.n_squares == 32767 and not rep.messages
     assert rep.max_overlap == 0.0 and rep.area_defect <= 1e-9
     assert elapsed < 20.0
+
+
+# ---------------------------------------------------------------------------
+# the columnar tiling against the per-square code it replaced
+
+
+def reference_squares(tree, M):
+    """build_tiling's squares as the per-square code listed them."""
+    from treecap import potential_all
+    y = potential_all(tree, M).begin_values(tree)
+    before = np.concatenate(([0.0], np.cumsum(M)[:-1]))
+    offset = np.zeros(tree.n_edges)
+    offset[1:] = before[1:] - before[tree.first_child[tree.parent[1:]]]
+    x = tree.push_down(offset, np.add)
+    ids = np.flatnonzero(M)
+    return [TilingSquare(edge=i, x=xi, y=yi, side=side)
+            for i, xi, yi, side in zip(ids.tolist(), x[ids].tolist(),
+                                       y[ids].tolist(), M[ids].tolist())]
+
+
+def reference_to_json(tiling):
+    return {"width": tiling.width, "height": tiling.height,
+            "squares": [s.to_json() for s in
+                        sorted(tiling.squares, key=lambda s: (s.y, s.x))]}
+
+
+def reference_tiling_from_json(tree, obj):
+    squares = [TilingSquare(edge=int(s["edge"]), x=float(s["x"]),
+                            y=float(s["y"]), side=float(s["side"]))
+               for s in obj["squares"]]
+    return Tiling(tree=tree, width=float(obj["width"]),
+                  height=float(obj["height"]), squares=squares)
+
+
+def reference_measure(tree, tiling):
+    M = np.zeros(tree.n_edges)
+    M[[s.edge for s in tiling.squares]] = [s.side for s in tiling.squares]
+    return M
+
+
+def reference_emit_svg(tiling, labels=False):
+    from treecap.tiling import SVG_SCALE
+    w = tiling.width * SVG_SCALE
+    h = tiling.height * SVG_SCALE
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" '
+           f'width="{w:.6g}" height="{h:.6g}" '
+           f'viewBox="0 0 {w:.6g} {h:.6g}">\n',
+           f'<rect x="0" y="0" width="{w:.6g}" height="{h:.6g}" '
+           'fill="none" stroke="black"/>\n']
+    for s in sorted(tiling.squares, key=lambda s: (s.y, s.x)):
+        out.append(f'<rect x="{s.x * SVG_SCALE:.8g}" '
+                   f'y="{s.y * SVG_SCALE:.8g}" '
+                   f'width="{s.side * SVG_SCALE:.8g}" '
+                   f'height="{s.side * SVG_SCALE:.8g}" '
+                   'fill="none" stroke="black" stroke-width="0.5"/>\n')
+        if labels:
+            out.append(f'<text x="{(s.x + s.side / 2) * SVG_SCALE:.8g}" '
+                       f'y="{(s.y + s.side / 2) * SVG_SCALE:.8g}" '
+                       'font-size="8" text-anchor="middle">'
+                       f'{tiling.tree.label_of(s.edge)}</text>\n')
+    out.append('</svg>\n')
+    return "".join(out)
+
+
+def labelled(tree):
+    """tree with string labels e0, e1, ... that need no escaping."""
+    return Tree.from_adjacency(
+        {f"e{i}": [f"e{c}" for c in tree.children_of(i)]
+         for i in range(tree.n_edges)})
+
+
+def equivalence_trees():
+    from helpers import random_tree
+    rng = np.random.default_rng(8)
+    for k in range(24):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 400)),
+                           leaf_chance=0.1 + 0.4 * rng.random())
+        yield labelled(tree) if k % 3 == 0 else tree
+    yield build_tree(SphericallySymmetric([3, 1, 2, 2]))
+
+
+def test_columns_serialize_as_the_per_square_code_did():
+    for tree in equivalence_trees():
+        measures = [capacity_recursive(tree, 2).measure]
+        leaves = tree.true_leaves()
+        if len(leaves) > 1:  # some squares of zero mass
+            measures.append(capacity_of_set(tree, leaves[::2], 2).measure)
+        for mu in measures:
+            til = build_tiling(tree, mu)
+            assert til.squares == reference_squares(tree, mu.M)
+            hand = Tiling(tree=tree, width=til.width, height=til.height,
+                          squares=list(til.squares))
+            obj = json.loads(json.dumps(til.to_json()))
+            back = tiling_from_json(tree, obj)
+            ref_back = reference_tiling_from_json(tree, obj)
+            assert back.squares == ref_back.squares
+            # the area sum runs in square order, which JSON changes
+            for a, b in ((til, hand), (back, ref_back)):
+                assert json.dumps(validate_tiling(a).to_json()) == \
+                    json.dumps(validate_tiling(b).to_json())
+            for t in (til, hand, back):
+                assert json.dumps(t.to_json()) == json.dumps(
+                    reference_to_json(t))
+                for labels in (False, True):
+                    assert emit_svg(t, labels) == reference_emit_svg(
+                        t, labels)
+                got, _ = measure_from_tiling(tree, t)
+                assert got.M.tobytes() == reference_measure(
+                    tree, t).tobytes()
+
+
+def test_svg_labels_are_escaped():
+    import xml.etree.ElementTree as ET
+    tree = Tree.from_adjacency({"r": ["a<b", "c&d"], "a<b": [],
+                                "c&d": ['e"f>']})
+    til = build_tiling(tree, capacity_recursive(tree, 2).measure)
+    root = ET.fromstring(emit_svg(til, labels=True))
+    texts = [el.text for el in root if el.tag.endswith("text")]
+    assert sorted(texts) == sorted(["r", "a<b", "c&d", 'e"f>'])
+
+
+def test_builds_validates_and_draws_2_17_squares_quickly():
+    t = build_tree(SphericallySymmetric([2] * 16))
+    mu = capacity_recursive(t, 2).measure
+    start = time.perf_counter()
+    til = build_tiling(t, mu)
+    rep = validate_tiling(til)
+    back = tiling_from_json(t, til.to_json())
+    svg = emit_svg(back, labels=True)
+    elapsed = time.perf_counter() - start
+    assert rep.ok and rep.n_squares == 2 ** 17 - 1
+    assert len(back.edge) == 2 ** 17 - 1
+    assert svg.count("<rect") == 2 ** 17
+    assert elapsed < 30.0

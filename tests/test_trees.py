@@ -465,3 +465,45 @@ def test_builds_1e5_edges_quickly(shape):
     assert t.n_edges == n and t.depth == (n - 1 if shape == "path" else 1)
     assert_same_as_reference(t, adjacency)
     assert elapsed < 10.0
+
+
+def test_declared_root_must_be_an_edge_of_the_adjacency():
+    # the count of edges reached matched the count mentioned, so the
+    # one key was dropped for the declared root
+    for adjacency in ({"a": []}, {}):
+        with pytest.raises(TreeStructureError,
+                           match="declared root 'z' is not an edge"):
+            Tree.from_adjacency(adjacency, root="z")
+
+
+def test_tree_file_listing_an_id_twice_is_refused():
+    obj = {"edges": [{"id": "r", "children": ["a"]},
+                     {"id": "a", "children": ["b"]},
+                     {"id": "a", "children": []}]}
+    with pytest.raises(TreeStructureError,
+                       match="edge 'a' has more than one record"):
+        tree_from_json(obj)
+
+
+def reference_starts(tree):
+    starts = [0]
+    while starts[-1] < tree.n_edges:
+        starts.append(int(tree.first_child[starts[-1]]))
+    return starts
+
+
+def test_level_starts_of_a_1e5_path_quickly():
+    n = 100_000
+    start = time.perf_counter()
+    t = Tree(np.arange(-1, n - 1))
+    elapsed = time.perf_counter() - start
+    assert t._starts == reference_starts(t) == list(range(n + 1))
+    assert np.array_equal(t.level, np.arange(n))
+    assert elapsed < 5.0
+    from helpers import random_tree
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        t = random_tree(rng, max_edges=int(rng.integers(1, 300)))
+        assert t._starts == reference_starts(t)
+        assert np.array_equal(
+            t.level, np.repeat(np.arange(t.depth + 1), np.diff(t._starts)))
