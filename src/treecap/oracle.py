@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import as_exponent
-from .trees import leaf_indicator, predecessor_path
+from .trees import leaf_indicator
 
 MAX_ITER = 50_000  # subgradient iterations
+SLSQP_MAX_ITER = 500  # SLSQP iterations
 ETA0 = 0.1  # subgradient step scale: step t is ETA0 / sqrt(t)
 
 
@@ -47,16 +48,23 @@ class OracleResult:
 
 
 def _constraint_matrix(tree, boundary_set):
-    """Leaf ids of the set, their predecessor paths, and the dense
-    leaves x edges matrix of the paths."""
+    """Leaf ids of the set, their predecessor paths (root first), and
+    the dense leaves x edges matrix of the paths.  A is filled one level
+    per step, every chosen leaf moving up to its parent at once."""
     E = np.flatnonzero(leaf_indicator(tree, boundary_set))
     n = tree.n_edges
     if E.size * n > 50_000_000:
         raise ValueError("problem too large for the dense oracle")
-    paths = [predecessor_path(tree, z) for z in E.tolist()]
-    A = np.zeros((len(paths), n))
-    for r, pth in enumerate(paths):
-        A[r, pth] = 1.0
+    A = np.zeros((E.size, n))
+    rows, at = np.arange(E.size), E
+    while at.size:
+        A[rows, at] = 1.0
+        at = tree.parent[at]
+        rows, at = rows[at >= 0], at[at >= 0]
+    # BFS ids put every ancestor before its descendants, so each row's
+    # nonzero columns in id order run from the root down
+    r, cols = np.nonzero(A)
+    paths = np.split(cols, np.cumsum(np.bincount(r, minlength=E.size))[:-1])
     return E, paths, A
 
 
@@ -120,27 +128,44 @@ def _solve_kkt_p2(A):
 
 
 def _solve_slsqp(A, paths, p, tol):
+    """SLSQP on one value per class of edges with identical columns of
+    A, every path constraint an equality.
+
+    The objective is strictly convex for p > 1, so the optimum is unique;
+    swapping two edges with identical columns leaves the problem as it
+    is, so the optimum is constant on each class, and an edge on no
+    chosen path carries 0.  Every chosen leaf has positive equilibrium
+    mass, so every path constraint is active at the optimum.  Class k of
+    L_k edges then contributes L_k g_k^p, and the constraints read
+    B g = 1 with B = cols^T L."""
     from scipy.optimize import minimize
 
     n = A.shape[1]
-    f0 = _feasible_correction(_warm_start(n, paths), A, paths)
+    used = np.flatnonzero(A.any(0))
+    cols, first, cls, L = np.unique(A[:, used].T, axis=0, return_index=True,
+                                    return_inverse=True, return_counts=True)
+    B = cols.T * L
+    # the warm start is already constant on every class
+    g0 = _feasible_correction(_warm_start(n, paths), A, paths)[used[first]]
 
-    def fun(x):
-        return float(np.sum(np.abs(x) ** p))
+    def fun(g):
+        return float(L @ np.abs(g) ** p)
 
-    def jac(x):
-        return p * np.sign(x) * np.abs(x) ** (p - 1.0)
+    def jac(g):
+        return p * L * np.sign(g) * np.abs(g) ** (p - 1.0)
 
     res = minimize(
-        fun, f0, jac=jac,
-        bounds=[(0.0, None)] * n,
-        constraints=[{"type": "ineq",
-                      "fun": lambda x: A @ x - 1.0,
-                      "jac": lambda x: A}],
+        fun, g0, jac=jac,
+        bounds=[(0.0, None)] * L.size,
+        constraints=[{"type": "eq",
+                      "fun": lambda g: B @ g - 1.0,
+                      "jac": lambda g: B}],
         method="SLSQP",
-        options={"maxiter": 500, "ftol": min(tol, 1e-10)},
+        options={"maxiter": SLSQP_MAX_ITER, "ftol": min(tol, 1e-12)},
     )
-    return res.x, int(res.nit), bool(res.success)
+    f = np.zeros(n)
+    f[used] = res.x[cls]
+    return f, int(res.nit), bool(res.success)
 
 
 def _solve_subgradient(A, paths, p, tol, leaf_rows):
@@ -188,13 +213,13 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     if method == "auto" and pe.p == 2.0:
         f = _solve_kkt_p2(A)
         it, ok = 0, True
-        used = "kkt"
+        used, limit = "kkt", None
     elif method == "auto":
         f, it, ok = _solve_slsqp(A, paths, pe.p, tol)
-        used = "slsqp"
+        used, limit = "slsqp", SLSQP_MAX_ITER
     elif method == "subgradient":
         f, it, ok = _solve_subgradient(A, paths, pe.p, tol, leaf_rows)
-        used = "subgradient"
+        used, limit = "subgradient", MAX_ITER
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -204,7 +229,7 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     gap_ok = value - lower <= max(tol, 1e-6) * max(lower, 1e-12)
     if not ok and not gap_ok:
         raise OracleConvergenceError(
-            f"no convergence within {MAX_ITER} iterations "
+            f"{used}: no convergence within {limit} iterations "
             f"(best {value}, certified lower bound {lower})",
             best=value, lower_bound=lower)
     return OracleResult(value=value, lower_bound=lower, f=f,

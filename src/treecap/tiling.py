@@ -76,8 +76,13 @@ class Tiling:
 
     def area_defect(self):
         # square by square: numpy's square rounds differently from ** and
-        # would move the last bits of the report
-        return abs(sum(v ** 2 for v in self.side.tolist())
+        # would move the last bits of the report.  The sum runs in edge-id
+        # order, so the report does not depend on square order; ids that
+        # are not ints fail validation anyway and keep their stored order.
+        side = self.side
+        if self.edge.dtype.kind == "i":
+            side = side[np.argsort(self.edge, kind="stable")]
+        return abs(sum(v ** 2 for v in side.tolist())
                    - self.width * self.height)
 
     def _in_drawing_order(self):

@@ -1,14 +1,24 @@
+import json
+import time
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import treecap.oracle
 from treecap import (
+    OracleConvergenceError,
     SphericallySymmetric,
     build_tree,
     capacity_of_set,
     capacity_recursive,
     oracle_capacity,
     predecessor_path,
+    tree_to_json,
 )
+from treecap.cli import main
+from treecap.oracle import (_constraint_matrix, _feasible_correction,
+                            _warm_start)
 from helpers import random_p, random_tree
 
 
@@ -89,3 +99,138 @@ def test_input_validation():
         oracle_capacity(t, t.true_leaves(), 2, method="nope")
     rec = capacity_recursive(t, 2)
     assert rec.capacity.midpoint == pytest.approx(2 / 3)
+
+
+def reference_path_matrix(tree, subset):
+    """Predecessor paths of the chosen leaves, one at a time, and the
+    leaves x edges matrix with a row of ones along each."""
+    paths = [predecessor_path(tree, z) for z in sorted(set(subset))]
+    A = np.zeros((len(paths), tree.n_edges))
+    for r, pth in enumerate(paths):
+        A[r, pth] = 1.0
+    return paths, A
+
+
+def reference_slsqp(tree, subset, p):
+    """The full formulation: one SLSQP variable per edge and one
+    inequality per chosen leaf, made admissible afterwards."""
+    paths, A = reference_path_matrix(tree, subset)
+    n = tree.n_edges
+    f0 = _feasible_correction(_warm_start(n, paths), A, paths)
+    res = minimize(
+        lambda x: float(np.sum(np.abs(x) ** p)), f0,
+        jac=lambda x: p * np.sign(x) * np.abs(x) ** (p - 1.0),
+        bounds=[(0.0, None)] * n,
+        constraints=[{"type": "ineq", "fun": lambda x: A @ x - 1.0,
+                      "jac": lambda x: A}],
+        method="SLSQP", options={"maxiter": 500, "ftol": 1e-10})
+    f = _feasible_correction(res.x, A, paths)
+    return float(np.sum(f ** p))
+
+
+def test_constraint_matrix_matches_predecessor_paths():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 300)))
+        leaves = tree.true_leaves()
+        picked = [z for z in leaves if rng.random() < 0.5] or leaves[-1:]
+        E, paths, A = _constraint_matrix(tree, picked)
+        ref_paths, ref = reference_path_matrix(tree, picked)
+        assert E.tolist() == sorted(picked)
+        assert [pth.tolist() for pth in paths] == ref_paths
+        assert A.tobytes() == ref.tobytes()
+
+
+def check_merged_solve(tree, picked, p, ref=True):
+    res = oracle_capacity(tree, picked, p)
+    assert res.method == "slsqp"
+    rec = capacity_of_set(tree, picked, p).capacity.midpoint
+    assert res.value == pytest.approx(rec, rel=1e-6)
+    if ref:
+        assert res.value == pytest.approx(reference_slsqp(tree, picked, p),
+                                          rel=1e-6)
+    _, A = reference_path_matrix(tree, picked)
+    # admissible
+    assert np.all(res.f >= 0)
+    assert np.all(A @ res.f >= 1.0 - 1e-9)
+    assert res.value == float(np.sum(res.f ** p))
+    # constant on every class of equal columns, 0 off the chosen paths
+    on = A.any(0)
+    assert np.all(res.f[~on] == 0.0)
+    _, cls = np.unique(A[:, on].T, axis=0, return_inverse=True)
+    g = res.f[on]
+    for k in range(cls.max() + 1):
+        assert np.ptp(g[cls == k]) == 0.0
+    return res
+
+
+def test_merged_slsqp_matches_full_formulation():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        tree = random_tree(rng, max_edges=int(rng.integers(20, 151)))
+        leaves = tree.true_leaves()
+        share = rng.random()
+        picked = [z for z in leaves if rng.random() < share] or leaves[:1]
+        check_merged_solve(tree, picked, random_p(rng, 1.2, 4.0))
+
+
+def test_merged_slsqp_edge_cases():
+    rng = np.random.default_rng(33)
+    tree = random_tree(rng, max_edges=80)
+    z = tree.true_leaves()[-1]
+    for p in (1.3, 2.5):
+        res = check_merged_solve(tree, [z], p)
+        k = len(predecessor_path(tree, z))
+        assert res.value == pytest.approx(k ** (1 - p), rel=1e-9)
+    path = build_tree(SphericallySymmetric([1] * 9))  # one class of 10
+    res = check_merged_solve(path, path.true_leaves(), 1.7)
+    assert np.all(res.f == res.f[0])
+    star = build_tree(SphericallySymmetric([7]))
+    for p in (1.25, 3.5):
+        check_merged_solve(star, star.true_leaves(), p)
+        check_merged_solve(star, star.true_leaves()[:3], p)
+
+
+def test_no_instance_of_100_to_150_edges_is_off_the_recursion():
+    # the full formulation, as in reference_slsqp, came out up to 7e-6
+    # off the recursion on three of these 40 instances (p near 1.2, 3.9)
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 40:
+        tree = random_tree(rng, max_edges=150)
+        leaves = tree.true_leaves()
+        p = float(rng.uniform(1.2, 4.0))
+        share = rng.uniform(0.1, 1)
+        picked = [z for z in leaves if rng.random() < share] or leaves[:1]
+        if tree.n_edges < 100:
+            continue
+        res = oracle_capacity(tree, picked, p)
+        rec = capacity_of_set(tree, picked, p).capacity.midpoint
+        assert res.value == pytest.approx(rec, rel=1e-6)
+        checked += 1
+
+
+def test_500_edge_solve_at_p3():
+    rng = np.random.default_rng(34)
+    tree = random_tree(rng, max_edges=500)
+    while tree.n_edges < 500:
+        tree = random_tree(rng, max_edges=500)
+    leaves = tree.true_leaves()
+    start = time.perf_counter()
+    check_merged_solve(tree, leaves, 3.0, ref=False)
+    assert time.perf_counter() - start < 30.0
+
+
+def test_convergence_message_names_the_method_and_its_limit(
+        monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(treecap.oracle, "SLSQP_MAX_ITER", 1)
+    tree = random_tree(np.random.default_rng(35), max_edges=120)
+    with pytest.raises(OracleConvergenceError) as exc:
+        oracle_capacity(tree, tree.true_leaves(), 1.3)
+    msg = str(exc.value)
+    assert msg.startswith("slsqp: no convergence within 1 iterations")
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree_to_json(tree)))
+    code = main(["oracle", "--tree", str(path), "--p", "1.3"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == msg

@@ -397,7 +397,6 @@ def test_columns_serialize_as_the_per_square_code_did():
             back = tiling_from_json(tree, obj)
             ref_back = reference_tiling_from_json(tree, obj)
             assert back.squares == ref_back.squares
-            # the area sum runs in square order, which JSON changes
             for a, b in ((til, hand), (back, ref_back)):
                 assert json.dumps(validate_tiling(a).to_json()) == \
                     json.dumps(validate_tiling(b).to_json())
@@ -435,3 +434,16 @@ def test_builds_validates_and_draws_2_17_squares_quickly():
     assert len(back.edge) == 2 ** 17 - 1
     assert svg.count("<rect") == 2 ** 17
     assert elapsed < 30.0
+
+
+def test_area_defect_does_not_depend_on_square_order():
+    for tree in equivalence_trees():
+        til = build_tiling(tree, capacity_recursive(tree, 2).measure)
+        back = tiling_from_json(tree, json.loads(json.dumps(til.to_json())))
+        assert back.area_defect() == til.area_defect()
+        assert json.dumps(validate_tiling(back).to_json()) == \
+            json.dumps(validate_tiling(til).to_json())
+        # a built tiling is in id order already: its report is the sum
+        # in stored order, as before
+        assert til.area_defect() == abs(
+            sum(v ** 2 for v in til.side.tolist()) - til.width * til.height)
