@@ -189,8 +189,6 @@ def _build_parser():
                         help="capacity by direct convex minimization")
     common(sp, tol=1e-6)
     sp.add_argument("--set", default=None)
-    sp.add_argument("--method", choices=("auto", "subgradient"),
-                    default="auto")
     return ap
 
 
@@ -308,8 +306,7 @@ def _cmd_oracle(args):
     ids = (_parse_set(args.set, tree) if args.set is not None
            else tree.true_leaves())
     try:
-        res = oracle_capacity(tree, ids, args.p, tol=args.tol,
-                              method=args.method)
+        res = oracle_capacity(tree, ids, args.p, tol=args.tol)
     except OracleConvergenceError as exc:
         return 1, {"converged": False, "value": exc.best,
                    "lower_bound": exc.lower_bound, "error": str(exc)}
@@ -347,14 +344,19 @@ def main(argv=None):
             os.environ.setdefault(var, str(threads))
     try:
         _check_finite(args)
+        if getattr(args, "tol", 0.0) < 0.0:
+            raise ValueError(f"--tol must be >= 0, got {args.tol}")
         code, payload = _COMMANDS[args.cmd](args)
+        _dump(payload, args.format)
     except BrokenPipeError:
+        # the reader left; send what is still buffered to /dev/null so
+        # the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, KeyError, TypeError, OverflowError, OSError,
             json.JSONDecodeError) as exc:
         print(f"treecap: {exc}", file=sys.stderr)
         return 2
-    _dump(payload, args.format)
     return code
 
 

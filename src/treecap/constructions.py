@@ -83,8 +83,10 @@ def subdyadic_tree_of_capacity(target, p, digit_count=30):
     """Infinite tree of unary runs and binary branchings whose boundary
     capacity comes out at target, which must lie strictly between 0 and
     the capacity of the fully binary tree.  A Fraction target with
-    p = 2 is expanded exactly.
+    p = 2 is expanded exactly.  digit_count must be at least 1.
     """
+    if digit_count < 1:
+        raise ValueError(f"digit_count must be at least 1, got {digit_count}")
     pe = as_exponent(p)
     t = float(target)
     cap2 = homogeneous_capacity(2, pe)

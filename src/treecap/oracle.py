@@ -21,9 +21,7 @@ import numpy as np
 from .potential import as_exponent
 from .trees import leaf_indicator
 
-MAX_ITER = 50_000  # subgradient iterations
 SLSQP_MAX_ITER = 500  # SLSQP iterations
-ETA0 = 0.1  # subgradient step scale: step t is ETA0 / sqrt(t)
 
 
 class OracleConvergenceError(RuntimeError):
@@ -105,26 +103,17 @@ def _dual_bound(f, A, leaf_rows, p):
 
 
 def _solve_kkt_p2(A):
-    """p = 2: the optimum solves the linear system G lam = 1 on the
-    active leaf constraints, with f = A^T lam.  All constraints are
-    active for leaf sets (each equilibrium mass is positive), but drop
-    any constraint whose multiplier goes negative, for safety."""
-    active = list(range(A.shape[0]))
-    for _ in range(A.shape[0] + 1):
-        Aa = A[active]
-        G = Aa @ Aa.T
-        try:
-            lam = np.linalg.solve(G, np.ones(len(active)))
-        except np.linalg.LinAlgError:
-            lam, *_ = np.linalg.lstsq(G, np.ones(len(active)), rcond=None)
-        if np.all(lam >= -1e-12):
-            f = Aa.T @ np.maximum(lam, 0.0)
-            return f
-        worst = int(np.argmin(lam))
-        del active[worst]
-        if not active:
-            break
-    raise OracleConvergenceError("active-set elimination emptied the system")
+    """p = 2: the optimum is f = A^T lam with G lam = 1, G = A A^T.
+    Every chosen leaf has positive equilibrium mass, so every path
+    constraint is active and lam > 0; G is nonsingular because each row
+    of A holds its own leaf edge."""
+    ones = np.ones(A.shape[0])
+    G = A @ A.T
+    try:
+        lam = np.linalg.solve(G, ones)
+    except np.linalg.LinAlgError:
+        lam, *_ = np.linalg.lstsq(G, ones, rcond=None)
+    return A.T @ np.maximum(lam, 0.0)
 
 
 def _solve_slsqp(A, paths, p, tol):
@@ -168,60 +157,29 @@ def _solve_slsqp(A, paths, p, tol):
     return f, int(res.nit), bool(res.success)
 
 
-def _solve_subgradient(A, paths, p, tol, leaf_rows):
-    """Projected subgradient with step ETA0/sqrt(t) and per-leaf path
-    correction; stops when the best value stalls or the certified gap
-    closes."""
-    n = A.shape[1]
-    f = _feasible_correction(_warm_start(n, paths), A, paths)
-    best = float(np.sum(f ** p))
-    best_f = f.copy()
-    lower = _dual_bound(f, A, leaf_rows, p)
-    stall = 0
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        grad = p * f ** (p - 1.0)
-        f = _feasible_correction(f - (ETA0 / np.sqrt(it)) * grad, A, paths)
-        val = float(np.sum(f ** p))
-        if val < best - tol * max(best, 1e-12):
-            stall = 0
-        else:
-            stall += 1
-        if val < best:
-            best, best_f = val, f.copy()
-        if it % 20 == 0:
-            lower = max(lower, _dual_bound(best_f, A, leaf_rows, p))
-            if best - lower <= tol * max(lower, 1e-12):
-                return best_f, it, True
-        if stall >= 200:
-            return best_f, it, True
-    return best_f, it, False
-
-
 def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
-    """Capacity of a set of true leaves by direct convex minimization.
+    """Capacity of a set of true leaves by direct convex minimization:
+    one KKT linear solve at p = 2 (method "kkt"), SLSQP on merged path
+    classes otherwise ("slsqp").  value is the objective of an
+    admissible f, so a true upper bound; lower_bound is the dual
+    certificate from the candidate measure.  tol must be >= 0.
 
-    method: "auto" solves the p = 2 case exactly through its KKT
-    system and other exponents with a constrained quasi-Newton solve;
-    "subgradient" forces the first-order scheme.  The returned value is
-    the objective of an admissible f (so a true upper bound) and
-    lower_bound is the dual certificate from the candidate measure.
+    method "subgradient", kept for older callers, runs the same solve
+    and is echoed back as the result's method.  Any value other than it
+    and "auto" raises ValueError before the constraint matrix is built.
     """
+    if method not in ("auto", "subgradient"):
+        raise ValueError(f"unknown method {method!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     pe = as_exponent(p)
     leaf_rows, paths, A = _constraint_matrix(tree, boundary_set)
 
-    if method == "auto" and pe.p == 2.0:
-        f = _solve_kkt_p2(A)
-        it, ok = 0, True
-        used, limit = "kkt", None
-    elif method == "auto":
-        f, it, ok = _solve_slsqp(A, paths, pe.p, tol)
-        used, limit = "slsqp", SLSQP_MAX_ITER
-    elif method == "subgradient":
-        f, it, ok = _solve_subgradient(A, paths, pe.p, tol, leaf_rows)
-        used, limit = "subgradient", MAX_ITER
+    if pe.p == 2.0:
+        f, it, ok, used = _solve_kkt_p2(A), 0, True, "kkt"
     else:
-        raise ValueError(f"unknown method {method!r}")
+        f, it, ok = _solve_slsqp(A, paths, pe.p, tol)
+        used = "slsqp"
 
     f = _feasible_correction(f, A, paths)
     value = float(np.sum(f ** pe.p))
@@ -229,8 +187,9 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     gap_ok = value - lower <= max(tol, 1e-6) * max(lower, 1e-12)
     if not ok and not gap_ok:
         raise OracleConvergenceError(
-            f"{used}: no convergence within {limit} iterations "
+            f"slsqp: no convergence within {SLSQP_MAX_ITER} iterations "
             f"(best {value}, certified lower bound {lower})",
             best=value, lower_bound=lower)
     return OracleResult(value=value, lower_bound=lower, f=f,
-                        iterations=it, converged=ok or gap_ok, method=used)
+                        iterations=it, converged=ok or gap_ok,
+                        method=used if method == "auto" else method)

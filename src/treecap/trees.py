@@ -46,6 +46,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
+from numbers import Real
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -674,16 +675,27 @@ def spec_to_json(spec):
     raise TypeError(f"cannot serialize {spec!r}")
 
 
+def _spec_int(field, x):
+    """A JSON integer, or a float with an integral value; bools, strings
+    and fractional values are refused, and int() refuses infinity."""
+    if isinstance(x, Real) and not isinstance(x, bool):
+        n = int(x)
+        if n == x:
+            return n
+    raise ValueError(f"tree spec {field!r} holds {x!r}, not an integer")
+
+
 def spec_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError(f"a tree spec is a JSON object, not {obj!r}")
     v = obj.get("variant")
     if v == "homogeneous":
-        return Homogeneous(int(obj["n"]))
+        return Homogeneous(_spec_int("n", obj["n"]))
     if v == "symmetric":
-        return SphericallySymmetric([int(d) for d in obj["degrees"]])
+        return SphericallySymmetric([_spec_int("degrees", d)
+                                     for d in obj["degrees"]])
     if v == "subdyadic":
-        return Subdyadic([int(r) for r in obj["runs"]])
+        return Subdyadic([_spec_int("runs", r) for r in obj["runs"]])
     raise ValueError(f"unknown spec variant {v!r}")
 
 

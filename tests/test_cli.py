@@ -336,13 +336,32 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
                       {"id": "a", "children": ["b"]},
                       {"id": "a", "children": []}]}},
      ["capacity", "--tree", "t"], "'a' has more than one record"),
+    ({"t": FINITE}, ["oracle", "--tree", "t", "--p", "3", "--tol", "-1"],
+     "--tol"),
+    ({"t": FINITE, "m": {"M": [1.0, 0.5, 0.5]}},
+     ["verify", "--tree", "t", "--measure", "m", "--tol", "-1"], "--tol"),
+    ({}, ["construct-set", "--target", "0.3", "--tol", "-1"], "--tol"),
+    ({"t": {"spec": {"variant": "homogeneous", "n": 2.7}}},
+     ["capacity", "--tree", "t"], "'n' holds 2.7"),
+    ({"t": {"spec": {"variant": "symmetric", "degrees": [2, 1.9]}}},
+     ["capacity", "--tree", "t"], "'degrees' holds 1.9"),
+    ({"t": {"spec": {"variant": "subdyadic", "runs": [True, 0]}}},
+     ["capacity", "--tree", "t"], "'runs' holds True"),
+    ({}, ["construct-tree", "--target", "0.3", "--digits", "0"],
+     "digit_count"),
+    ({}, ["construct-tree", "--target", "0.3", "--digits", "-1"],
+     "digit_count"),
 ], ids=["malformed-json", "tree-list", "spec-number", "edges-number",
         "measure-list", "leaf-masses-list", "M-too-short", "target-nan",
         "symmetric-huge-p", "capacity-huge-p", "p-nan", "p-inf", "tol-nan",
         "tail-policy-nan", "tail-policy-above-one", "set-out-of-range",
         "set-empty", "oracle-inner-edge", "oracle-compact",
         "oracle-compact-set", "leaf-mass-nan", "M-overflows",
-        "tile-M-nan", "degree-overflows", "tree-repeated-id"])
+        "tile-M-nan", "degree-overflows", "tree-repeated-id",
+        "oracle-tol-negative", "verify-tol-negative",
+        "construct-set-tol-negative", "spec-n-fractional",
+        "spec-degree-fractional", "spec-run-bool", "digits-zero",
+        "digits-negative"])
 def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
                                                 argv, says):
     for name, content in files.items():
@@ -368,3 +387,22 @@ def test_large_p_prints_no_overflow_warning(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["capacity"] == {"lower": 0.0,
                                                    "upper": 1e-13}
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the reader takes one line and leaves while the output is still
+    # being written; only a child process has a real pipe to break
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps(
+        {"spec": {"variant": "symmetric", "degrees": [2] * 12}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treecap.cli", "equilibrium", "--tree",
+         str(tfile), "--include-zero"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -121,3 +121,10 @@ def test_compact_set_refuses_depth_beyond_the_explicit_budget():
     # 2^21 - 1 edges: refused by the size check, before any arena exists
     with pytest.raises(TreeTooLargeError, match="explicit budget"):
         compact_set_of_capacity(2, 2, 0.3, depth=20)
+
+
+def test_subdyadic_tree_needs_a_digit():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="digit_count"):
+            subdyadic_tree_of_capacity(0.3, 2, digit_count=count)
+    assert len(subdyadic_tree_of_capacity(0.3, 2, digit_count=1).digits) == 1

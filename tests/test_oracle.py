@@ -17,8 +17,8 @@ from treecap import (
     tree_to_json,
 )
 from treecap.cli import main
-from treecap.oracle import (_constraint_matrix, _feasible_correction,
-                            _warm_start)
+from treecap.oracle import (_constraint_matrix, _dual_bound,
+                            _feasible_correction, _warm_start)
 from helpers import random_p, random_tree
 
 
@@ -234,3 +234,72 @@ def test_convergence_message_names_the_method_and_its_limit(
     code = main(["oracle", "--tree", str(path), "--p", "1.3"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"] == msg
+
+
+def reference_kkt_p2(A):
+    """The active-set KKT solve: drop the constraint with the most
+    negative multiplier until every multiplier is nonnegative."""
+    active = list(range(A.shape[0]))
+    for _ in range(A.shape[0] + 1):
+        Aa = A[active]
+        G = Aa @ Aa.T
+        try:
+            lam = np.linalg.solve(G, np.ones(len(active)))
+        except np.linalg.LinAlgError:
+            lam, *_ = np.linalg.lstsq(G, np.ones(len(active)), rcond=None)
+        if np.all(lam >= -1e-12):
+            return Aa.T @ np.maximum(lam, 0.0)
+        del active[int(np.argmin(lam))]
+    raise AssertionError("active-set elimination emptied the system")
+
+
+def test_single_kkt_solve_matches_the_active_set_loop_bit_for_bit():
+    rng = np.random.default_rng(36)
+    checked = 0
+    while checked < 100:
+        tree = random_tree(rng, max_edges=int(rng.integers(20, 401)))
+        if tree.n_edges < 20:
+            continue
+        leaves = tree.true_leaves()
+        share = rng.random()
+        picked = [z for z in leaves if rng.random() < share] or leaves[:1]
+        res = oracle_capacity(tree, picked, 2)
+        leaf_rows, paths, A = _constraint_matrix(tree, picked)
+        f = _feasible_correction(reference_kkt_p2(A), A, paths)
+        assert res.method == "kkt"
+        assert res.f.tobytes() == f.tobytes()
+        assert res.value == float(np.sum(f ** 2.0))
+        assert res.lower_bound == _dual_bound(f, A, leaf_rows, 2.0)
+        checked += 1
+
+
+def test_subgradient_method_runs_the_same_solve():
+    rng = np.random.default_rng(37)
+    tree = random_tree(rng, max_edges=90)
+    leaves = tree.true_leaves()
+    picked = leaves[::2] or leaves
+    for p, label in ((2, "kkt"), (3, "slsqp")):
+        auto = oracle_capacity(tree, picked, p)
+        sub = oracle_capacity(tree, picked, p, method="subgradient")
+        assert (auto.method, sub.method) == (label, "subgradient")
+        assert sub.value == auto.value
+        assert sub.lower_bound == auto.lower_bound
+        assert sub.f.tobytes() == auto.f.tobytes()
+        assert sub.iterations == auto.iterations
+
+
+def test_unknown_method_is_refused_before_the_dense_matrix():
+    t = build_tree(SphericallySymmetric([2] * 13))  # 8,192 x 16,383 > 5e7
+    with pytest.raises(ValueError, match="too large"):
+        oracle_capacity(t, t.true_leaves(), 2)
+    with pytest.raises(ValueError, match="'nope'"):
+        oracle_capacity(t, t.true_leaves(), 2, method="nope")
+
+
+def test_negative_or_nan_tol_is_refused():
+    t = build_tree(SphericallySymmetric([2, 2]))
+    for tol in (-1.0, -1e-300, float("nan")):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match="tol"):
+                oracle_capacity(t, t.true_leaves(), p, tol=tol)
+    assert oracle_capacity(t, t.true_leaves(), 3, tol=0.0).converged
