@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import as_exponent, energy_all, potential_all, signed_power
+from .potential import (as_exponent, energy_all, potential_all,
+                        require_tolerance, signed_power)
 from .trees import co_potential, is_forward_additive, require_explicit
 
 
@@ -57,6 +58,7 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     equilibrium is exactly the set the measure equilibrates.
     """
     require_explicit(tree, "verification")
+    require_tolerance(tol)
     pe = as_exponent(p)
     M = co_potential(tree, measure)
     total = float(M[tree.root])
@@ -125,6 +127,7 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     the end of a non-leaf edge means the measure pushes the potential
     to 1 strictly inside the tree, reported via interior_strict."""
     require_explicit(tree, "verification")
+    require_tolerance(tol)
     pe = as_exponent(p)
     M = co_potential(tree, measure)
     V = potential_all(tree, signed_power(M, pe))
@@ -170,6 +173,7 @@ def capacity_equation_check(tree, c, p, tol=1e-9):
     seeded values with no materialized children, so they are skipped.
     """
     require_explicit(tree, "verification")
+    require_tolerance(tol)
     pe = as_exponent(p)
     if hasattr(c, "c_of_alpha"):
         c = c.c_of_alpha

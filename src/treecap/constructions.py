@@ -21,7 +21,7 @@ import numpy as np
 
 from .capacity import (CapacityInterval, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
-from .potential import as_exponent
+from .potential import as_exponent, require_tolerance
 from .trees import SphericallySymmetric, Subdyadic, build_tree, predecessor_path
 
 
@@ -159,6 +159,7 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
     capacity of the full boundary).
     """
     pe = as_exponent(p)
+    require_tolerance(tol)
     if n < 2:
         raise ValueError("branching order must be >= 2")
     if depth < 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import as_exponent
+from .potential import as_exponent, require_tolerance
 from .trees import leaf_indicator
 
 SLSQP_MAX_ITER = 500  # SLSQP iterations
@@ -170,8 +170,7 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     """
     if method not in ("auto", "subgradient"):
         raise ValueError(f"unknown method {method!r}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    require_tolerance(tol)
     pe = as_exponent(p)
     leaf_rows, paths, A = _constraint_matrix(tree, boundary_set)
 

@@ -37,6 +37,12 @@ def as_exponent(p):
     return p if isinstance(p, PExponent) else PExponent(float(p))
 
 
+def require_tolerance(tol):
+    """Raise ValueError unless tol >= 0; NaN fails the test as well."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
 def signed_power(f, p):
     """The signed power f_p(a) = sgn(f(a)) |f(a)|^(p'-1).
 

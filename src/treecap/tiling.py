@@ -16,11 +16,12 @@ import io
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .characterization import verify_equilibrium
-from .potential import potential_all
+from .potential import potential_all, require_tolerance
 from .trees import BoundaryMeasure, co_potential
 
 SVG_SCALE = 512.0  # pixels per unit length in emit_svg
@@ -76,13 +77,14 @@ class Tiling:
 
     def area_defect(self):
         # square by square: numpy's square rounds differently from ** and
-        # would move the last bits of the report.  The sum runs in edge-id
+        # would move the last bits of the report; map runs the same **
+        # without a generator frame per square.  The sum runs in edge-id
         # order, so the report does not depend on square order; ids that
         # are not ints fail validation anyway and keep their stored order.
         side = self.side
         if self.edge.dtype.kind == "i":
             side = side[np.argsort(self.edge, kind="stable")]
-        return abs(sum(v ** 2 for v in side.tolist())
+        return abs(sum(map(pow, side.tolist(), repeat(2)))
                    - self.width * self.height)
 
     def _in_drawing_order(self):
@@ -107,7 +109,7 @@ def build_tiling(tree, measure, tol=1e-9):
 
     The measure must pass verify_equilibrium at tol; squares of mass
     zero are dropped, which cannot orphan anything since a child mass
-    never exceeds its parent's.
+    never exceeds its parent's.  tol must be >= 0.
     """
     rep = verify_equilibrium(tree, measure, 2, tol=tol)
     if not rep.is_equilibrium:
@@ -199,22 +201,56 @@ def validate_tiling(tiling, tol=1e-9):
     its parent square within the parent's horizontal extent.  Every
     coordinate must be finite, every side positive, and every square
     must name its own edge of the tree.  The tree supplies each edge's
-    parent and nothing else; overlap is judged from raw geometry alone.
-    ok holds exactly when no check left a message.
+    parent and level and nothing else; overlap is judged from raw
+    geometry alone.  ok holds exactly when no check left a message.
+    tol must be >= 0.
 
-    Two squares overlap when their x-intersection and y-intersection
-    both exceed tol.  A square whose own width or height is within tol
-    overlaps nothing.  The others are swept in order of their top edge,
-    in O(n log n): the active squares are kept in a list ordered by
-    (x, index), and a square leaves it once its bottom is within tol of
-    the sweep line.  Invariant: until the first overlap, the active
-    squares pairwise intersect by more than tol in y, so their
-    x-intersections are at most tol, and their right edges increase
-    along the list.  A new square can then overlap only its
-    x-predecessor and the successors that start before its right edge,
-    so the first overlapping square is always found and ok is exact.
-    The sweep stops after that square: max_overlap and the overlap
-    messages cover its overlaps with earlier squares only."""
+    Two squares overlap when their x-intersection and y-intersection,
+    min(right) - max(x) and min(bottom) - max(y) in floats, both exceed
+    tol.  A square whose own width or height is within tol overlaps
+    nothing.
+
+    Nested certificate.  A tiling built from a measure nests: children
+    sit side by side under their parent.  Whole-array tests can prove
+    that such a tiling has no overlap.  Let d be the largest level among
+    the squares and delta = tol / (2 (d + 1)), or 0 where that quotient
+    is below the normal float range.  The certificate holds when every
+    square is finite, has a positive side and names its own edge, every
+    non-root square's parent edge has a square, and these float
+    differences are all at most delta:
+      x[p] - x[c], right[c] - right[p] and bottom[p] - y[c] for each
+      square c with parent square p;
+      right[s] - x[t] for siblings s, t consecutive in order of x.
+    A computed difference at most delta means the exact one is at most
+    delta' = delta / (1 - u), u = 2^-53; a subnormal difference is exact.
+    Rounding is monotone and sides are positive, so right >= x and
+    bottom >= y.  Take two squares a and b.
+      - a an ancestor of b: the path between them has k <= d steps, all
+        squares, and y[b] >= bottom[a] - k delta' along it.  So they
+        meet in y by at most d delta'.
+      - otherwise: let s and t be the children of their lowest common
+        ancestor on the paths to a and b, with s first in x order.  Then
+        right[s] - x[t] <= right[s] - x[next sibling of s] <= delta'.
+        a lies within (d - 1) delta' of s in x, b within that of t.  So
+        they meet in x by at most (2d - 1) delta'.
+    With the rounding of delta and of the intersection itself, either
+    bound stays below tol (2d - 1) / (2d + 2) (1 + 4u), under tol for
+    every d below 10^15.  So no pair overlaps, and the sweep below would
+    find nothing.  The certificate is one sort of the squares by (parent,
+    x) and a few differences.
+
+    Sweep fallback.  When the certificate fails, the sized squares are
+    swept in order of their top edge, in O(n log n): the active squares
+    are kept in a list ordered by (x, index), and a square leaves it
+    once its bottom is within tol of the sweep line.  Invariant: until
+    the first overlap, the active squares pairwise intersect by more
+    than tol in y, so their x-intersections are at most tol, and their
+    right edges increase along the list.  A new square can then overlap
+    only its x-predecessor and the successors that start before its
+    right edge, so the first overlapping square is always found and ok
+    is exact.  The sweep stops after that square: max_overlap and the
+    overlap messages cover its overlaps with earlier squares only."""
+    require_tolerance(tol)
     w, h = _floats([tiling.width, tiling.height]).tolist()
     edge, x, y, side = tiling.edge, tiling.x, tiling.y, tiling.side
     msgs = []
@@ -222,7 +258,6 @@ def validate_tiling(tiling, tol=1e-9):
     finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(side)
     with np.errstate(invalid="ignore", over="ignore"):
         right, bottom = x + side, y + side
-        sized = finite & (right - x > tol) & (bottom - y > tol)
     nonfinite = np.flatnonzero(~finite)
     if nonfinite.size:
         msgs.append("squares with non-finite geometry: "
@@ -252,13 +287,25 @@ def validate_tiling(tiling, tol=1e-9):
         msgs.append("edges with more than one square: "
                     + _first_ids(repeated.tolist()))
 
+    # each held square's parent square: -1 at the root and for orphans
+    slot = np.full(n_edges, -1)
+    slot[e[held]] = held
+    par = tree.parent[e[held]]
+    is_root = par < 0
+    par_slot = np.where(is_root, -1, slot[par])
+    orphans = held[~is_root & (par_slot < 0)]
+
     with np.errstate(invalid="ignore", over="ignore"):
         containment = _worst(-x, -y, right - w, bottom - h)
     if containment > tol:
         msgs.append(f"a square leaves the rectangle by {containment:.3e}")
 
+    nested = (known.all() and not (
+        nonfinite.size or nonpositive.size or repeated.size or orphans.size)
+        and _nests(x, y, right, bottom, par_slot, tree.level[e], tol))
     max_overlap = 0.0
-    for a, b, amount in _first_overlaps(x, y, right, bottom, sized, tol):
+    for a, b, amount in ([] if nested else
+                         _first_overlaps(x, y, right, bottom, finite, tol)):
         max_overlap = max(max_overlap, amount)
         msgs.append(f"squares {edge[a]} and {edge[b]} overlap "
                     f"by {amount:.3e}")
@@ -273,12 +320,6 @@ def validate_tiling(tiling, tol=1e-9):
         msgs.append(f"area defect {area_defect:.3e}")
 
     # each square hangs off the bottom of its parent's square
-    slot = np.full(n_edges, -1)
-    slot[e[held]] = held
-    par = tree.parent[e[held]]
-    is_root = par < 0
-    par_slot = np.where(is_root, -1, slot[par])
-    orphans = held[~is_root & (par_slot < 0)]
     if orphans.size:
         msgs.append("squares with no parent square: "
                     + _first_ids(edge[i] for i in orphans))
@@ -298,10 +339,35 @@ def validate_tiling(tiling, tol=1e-9):
                         n_squares=len(edge), messages=msgs)
 
 
-def _first_overlaps(x, y, right, bottom, sized, tol):
+def _nests(x, y, right, bottom, par_slot, level, tol):
+    """The nested certificate of validate_tiling, for squares that are
+    finite with positive sides and name distinct edges at the given
+    levels; par_slot[i] is the index of square i's parent square, -1 at
+    the root and nowhere else.  True proves that no two squares
+    overlap; False proves nothing."""
+    delta = tol / (2.0 * (int(level.max(initial=0)) + 1))
+    if delta < sys.float_info.min:  # a subnormal may round up by far more
+        delta = 0.0
+    c = np.flatnonzero(par_slot >= 0)
+    pc = par_slot[c]
+    order = np.lexsort((x, par_slot))
+    s, t = order[:-1], order[1:]
+    siblings = par_slot[s] == par_slot[t]
+    s, t = s[siblings], t[siblings]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool((x[pc] - x[c] <= delta).all()
+                    and (right[c] - right[pc] <= delta).all()
+                    and (bottom[pc] - y[c] <= delta).all()
+                    and (right[s] - x[t] <= delta).all())
+
+
+def _first_overlaps(x, y, right, bottom, finite, tol):
     """The sweep of validate_tiling: (a, b, overlap) for each earlier
     square a that the first overlapping square b overlaps, in sweep
-    order; nothing when no two of the `sized` squares overlap."""
+    order; nothing when no two squares overlap.  Only the `finite`
+    squares wider and taller than tol take part."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        sized = finite & (right - x > tol) & (bottom - y > tol)
     cand = np.flatnonzero(sized)
     by_y = cand[np.argsort(y[cand], kind="stable")].tolist()
     by_x = cand[np.lexsort((cand, x[cand]))]
@@ -346,7 +412,7 @@ def measure_from_tiling(tree, tiling, tol=1e-9):
 
     Checks the parent adjacency combinatorics first, then rebuilds the
     co-potential from the square sides and verifies the equilibrium
-    identity.  Returns (measure, report)."""
+    identity.  Returns (measure, report); tol must be >= 0."""
     geo = validate_tiling(tiling, tol=tol)
     if not geo.ok:
         raise ValueError("tiling fails validation: " + "; ".join(geo.messages))

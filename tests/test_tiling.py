@@ -1,9 +1,11 @@
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecap import (
     BoundaryMeasure,
@@ -447,3 +449,171 @@ def test_area_defect_does_not_depend_on_square_order():
         # in stored order, as before
         assert til.area_defect() == abs(
             sum(v ** 2 for v in til.side.tolist()) - til.width * til.height)
+
+
+# ---------------------------------------------------------------------------
+# the nested certificate in front of the overlap sweep
+
+
+def test_built_tilings_take_the_nested_path(monkeypatch):
+    import treecap.tiling as tiling_mod
+    trees = list(equivalence_trees()) + [
+        build_tree(SphericallySymmetric([2] * 8))]
+    tilings = []
+    for tree in trees:
+        til = build_tiling(tree, capacity_recursive(tree, 2).measure)
+        back = tiling_from_json(tree, json.loads(json.dumps(til.to_json())))
+        tilings += [til, back]
+    # the reports of the overlap sweep alone, as before the certificate
+    with monkeypatch.context() as m:
+        m.setattr(tiling_mod, "_nests", lambda *args: False)
+        want = [json.dumps(validate_tiling(til).to_json()) for til in tilings]
+
+    def no_sweep(*args):
+        raise AssertionError("the overlap sweep ran on a nested tiling")
+
+    monkeypatch.setattr(tiling_mod, "_first_overlaps", no_sweep)
+    for til, rep in zip(tilings, want):
+        got = validate_tiling(til)
+        assert got.ok and json.dumps(got.to_json()) == rep
+
+
+def edges_below(tree, a):
+    """a and every edge under it."""
+    out, todo = [], [a]
+    while todo:
+        e = todo.pop()
+        out.append(e)
+        todo.extend(tree.children_of(e))
+    return out
+
+
+@st.composite
+def nudged_tilings(draw):
+    """A built tiling of a random tree of up to 300 edges, with one fan,
+    then a few nudges by multiples of tol / (d + 1), of tol, or of
+    a square's side, each shifting or resizing one square or shifting a
+    subtree.  The fan takes two adjacent sibling squares and pushes the
+    squares below them toward each other, each by a multiple of
+    tol / (d + 1) or of tol times its depth below the siblings: the
+    local errors the certificate allows then add up along both paths."""
+    from helpers import random_tree
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tree = random_tree(rng, max_edges=draw(st.integers(2, 300)),
+                       leaf_chance=draw(st.sampled_from([0.1, 0.3, 0.5])))
+    til = build_tiling(tree, capacity_recursive(tree, 2).measure)
+    tol = 1e-9
+    d = int(tree.level[til.edge].max())
+    cols = {"x": til.x.copy(), "y": til.y.copy(), "side": til.side.copy()}
+    slot = {e: i for i, e in enumerate(til.edge.tolist())}
+    kids = {e: [c for c in tree.children_of(e) if c in slot] for e in slot}
+    # the shallowest forks have the longest paths below them
+    forks = [e for e in slot if len(kids[e]) > 1][:3]
+    if forks:
+        w = draw(st.sampled_from(forks))
+        k = draw(st.integers(0, len(kids[w]) - 2))
+        push = draw(st.sampled_from([0.0, tol / (d + 1), tol])) * draw(
+            st.sampled_from([0.25, 0.5, 0.9, 1.0]))
+        for sign, kid in ((1.0, kids[w][k]), (-1.0, kids[w][k + 1])):
+            for e in edges_below(tree, kid):
+                depth = int(tree.level[e]) - int(tree.level[kid])
+                if e in slot:
+                    cols["x"][slot[e]] += sign * push * depth
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["square", "subtree"]))
+        i = draw(st.integers(0, len(til.edge) - 1))
+        unit = draw(st.sampled_from([tol / (d + 1), tol, cols["side"][i]]))
+        amount = unit * draw(st.sampled_from(
+            [-2.0, -1.0, -0.9, -0.5, -0.25, 0.25, 0.5, 0.9, 1.0, 2.0]))
+        if kind == "subtree":
+            field = draw(st.sampled_from(["x", "y"]))
+            moved = [slot[e] for e in edges_below(tree, int(til.edge[i]))
+                     if e in slot]
+        else:
+            field, moved = draw(st.sampled_from(sorted(cols))), [i]
+        cols[field][moved] += amount
+    squares = [TilingSquare(e, x, y, s) for e, x, y, s in zip(
+        til.edge.tolist(), cols["x"].tolist(), cols["y"].tolist(),
+        cols["side"].tolist())]
+    return Tiling(tree, til.width, til.height, squares), tol
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=nudged_tilings())
+def test_nested_certificate_never_passes_an_overlap(case):
+    import treecap.tiling as tiling_mod
+    til, tol = case
+    sweep = mock.Mock(wraps=tiling_mod._first_overlaps)
+    with mock.patch.object(tiling_mod, "_first_overlaps", sweep):
+        rep = validate_tiling(til, tol=tol)
+    ref = reference_validate(til, tol=tol)
+    if not sweep.called:  # the certificate held
+        assert ref.max_overlap == 0.0
+        assert rep.max_overlap == 0.0
+    assert rep.ok == ref.ok
+    assert (rep.max_overlap > 0) == (ref.max_overlap > 0)
+
+
+def test_nested_certificate_margin_on_two_long_paths(monkeypatch):
+    # root with two paths of 10 edges; fanning the paths toward each
+    # other by `push` per level moves the deepest squares 9 * push each
+    import treecap.tiling as tiling_mod
+    tree = Tree([-1, 0, 0] + list(range(1, 19)))
+    til = build_tiling(tree, capacity_recursive(tree, 2).measure)
+    tol, d = 1e-9, 10
+    depth = (tree.level - 1).clip(0)
+    toward = np.where(tree.level == 0, 0.0,
+                      np.where(np.arange(tree.n_edges) % 2 == 1, 1.0, -1.0))
+    sweep = mock.Mock(wraps=tiling_mod._first_overlaps)
+    monkeypatch.setattr(tiling_mod, "_first_overlaps", sweep)
+
+    def fanned(push):
+        x = til.x + push * toward[til.edge] * depth[til.edge]
+        return Tiling(tree, til.width, til.height, list(map(
+            TilingSquare, til.edge.tolist(), x.tolist(), til.y.tolist(),
+            til.side.tolist())))
+
+    # within delta per level: certified, and 2 * 9 * push stays below tol
+    inside = fanned(0.99 * tol / (2 * (d + 1)))
+    assert validate_tiling(inside, tol=tol).ok and not sweep.called
+    assert reference_validate(inside, tol=tol).ok
+    # twice that is within tol per level, but the paths overlap by 1.6 tol
+    outside = fanned(0.99 * tol / (d + 1))
+    rep = validate_tiling(outside, tol=tol)
+    assert sweep.called and not rep.ok and rep.max_overlap > tol
+    assert reference_validate(outside, tol=tol).max_overlap > tol
+
+
+def test_validates_2_19_squares_within_a_second():
+    # the overlap sweep alone took about 3 s here
+    t = build_tree(SphericallySymmetric([2] * 18))
+    til = build_tiling(t, capacity_recursive(t, 2).measure)
+    start = time.perf_counter()
+    rep = validate_tiling(til)
+    elapsed = time.perf_counter() - start
+    assert rep.ok and rep.n_squares == 524_287 and not rep.messages
+    assert elapsed < 1.0
+
+
+def test_nan_and_negative_tol_are_refused():
+    from treecap import (capacity_equation_check, check_potential_bound,
+                         compact_set_of_capacity, verify_equilibrium)
+    t, r, til = fixture_tiling()
+    overlapping = Tiling(tree=t, width=1.0, height=1.0, squares=[
+        TilingSquare(edge=e, x=0.0, y=0.0, side=2.0) for e in range(3)])
+    calls = [
+        lambda tol: validate_tiling(overlapping, tol=tol),
+        lambda tol: validate_tiling(til, tol=tol),
+        lambda tol: build_tiling(t, r.measure, tol=tol),
+        lambda tol: measure_from_tiling(t, til, tol=tol),
+        lambda tol: verify_equilibrium(t, r.measure, 2, tol=tol),
+        lambda tol: check_potential_bound(t, r.measure, 2, tol=tol),
+        lambda tol: capacity_equation_check(t, r, 2, tol=tol),
+        lambda tol: compact_set_of_capacity(2, 2, 0.3, tol=tol, depth=6),
+    ]
+    for call in calls:
+        for tol in (float("nan"), -1.0, -1e-300):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                call(tol)
+    assert not validate_tiling(overlapping, tol=0.0).ok
+    assert validate_tiling(til, tol=0.0).n_squares == 3
