@@ -8,7 +8,11 @@ the recursion twice with lower and upper tail values brackets the true
 capacity of a truncated tree.  The equilibrium co-potential is then
 recovered top-down through
 
-    M(a) = c(a) * prod over ancestors g of (1 - c(g)^(p'-1))^(p-1).
+    M(a) = c(a) * prod over ancestors g of (1 - c(g)^(p'-1))^(p-1),
+
+and since (p-1)(p'-1) = 1 each factor is exactly 1 / (1 + S^(p'-1))^(p-1),
+the denominator of the step at g, so it is taken from there with no
+subtraction.
 
 A compact spherically symmetric tree runs the same sweeps on its
 weighted quotient, one node per level, so both layouts share one
@@ -58,12 +62,6 @@ class CapacityInterval:
 
     def to_json(self):
         return {"lower": self.lower, "upper": self.upper}
-
-
-def _phi(S, p):
-    pe = as_exponent(p)
-    S = np.asarray(S, dtype=float)
-    return S / (1.0 + S ** (pe.conjugate - 1.0)) ** (pe.p - 1.0)
 
 
 def homogeneous_capacity(n, p):
@@ -243,25 +241,29 @@ class LevelEquilibriumResult(EquilibriumResult):
 
 
 def _tent_capacities(tree, pe, boundary_values):
-    """Bottom-up half of the sweep: c at every edge, with
-    boundary_values feeding the leaves and tails."""
+    """Bottom-up half of the sweep: (c, D) at every edge, with
+    boundary_values feeding the leaves and tails as c, and D the
+    denominator of the one-step map c = S / D, which is 1 where S = 0."""
     inner = tree.n_children > 0
-    # at large p the power in _phi overflows to inf, where S / inf = 0
-    # is right
+    D = np.empty(tree.n_edges)
+
+    def step(a, b, S):
+        D[a:b] = (1.0 + S ** (pe.conjugate - 1.0)) ** (pe.p - 1.0)
+        return np.where(inner[a:b], S / D[a:b], boundary_values[a:b])
+
+    # at large p the power overflows to D = inf, where S / inf = 0 is
+    # right
     with np.errstate(over="ignore"):
-        c, _ = tree.sweep_up(lambda a, b, S: np.where(
-            inner[a:b], _phi(S, pe), boundary_values[a:b]))
-    return c
+        c, _ = tree.sweep_up(step)
+    return c, D
 
 
 def _run_explicit(tree, pe, boundary_values):
     """One bottom-up/top-down sweep; returns (c, M)."""
-    c = _tent_capacities(tree, pe, boundary_values)
-    factor = (1.0 - np.clip(c, 0.0, 1.0) ** (pe.conjugate - 1.0))
-    factor = np.clip(factor, 0.0, None) ** (pe.p - 1.0)
-    # M(a) = c(a) * product of the factors of the strict ancestors of a
+    c, D = _tent_capacities(tree, pe, boundary_values)
+    # M(a) = c(a) * product of 1 / D over the strict ancestors of a
     of_parent = np.ones(tree.n_edges)
-    of_parent[1:] = factor[tree.parent[1:]]
+    of_parent[1:] = 1.0 / D[tree.parent[1:]]
     return c, c * tree.push_down(of_parent, np.multiply)
 
 

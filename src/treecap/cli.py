@@ -7,9 +7,14 @@ answers false or a solver cannot certify its result, 2 on bad
 arguments or malformed input.
 
 Numerical work stays in the library modules; this file only parses
-arguments, loads JSON, and shapes results.  Library imports happen
-inside main() so that --threads / TREECAP_THREADS can pin the BLAS
-thread pools before numpy starts.
+arguments, loads JSON, and shapes results.
+
+--threads N / TREECAP_THREADS sets the BLAS/OpenMP thread variables
+that are still unset.  Both `treecap` and `python -m treecap.cli` import
+the package, and numpy with it, before main() runs, so numpy's BLAS pool
+keeps the size it started with; the cap reaches only libraries loaded
+later, such as the OpenBLAS that a SciPy wheel bundles, which `oracle`
+loads at p != 2.
 """
 
 from __future__ import annotations
@@ -99,8 +104,9 @@ def _build_parser():
         description="p-capacities, equilibrium measures and square "
                     "tilings on boundaries of rooted trees")
     ap.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS/OpenMP thread pools "
-                         "(default: TREECAP_THREADS or library default)")
+                    help="cap the BLAS/OpenMP thread pools of libraries "
+                         "loaded after start-up, not numpy's (default: "
+                         "TREECAP_THREADS or library default)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(sp, tree=True, p=True, tol=None):

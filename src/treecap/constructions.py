@@ -177,7 +177,8 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
         # as if their branches were pruned
         member = np.zeros(tree.n_edges)
         member[leaves[:m]] = 1.0
-        return float(_tent_capacities(tree, pe, member)[0])
+        c, _ = _tent_capacities(tree, pe, member)
+        return float(c[0])
 
     full = cap(total)
     if target > full + tol:

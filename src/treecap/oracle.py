@@ -81,9 +81,11 @@ def _feasible_correction(f, A, paths):
 
 
 def _warm_start(n, paths):
+    """Each edge's largest 1 / length over the chosen paths through it."""
+    lengths = np.array([len(pth) for pth in paths])
     f = np.zeros(n)
-    for pth in paths:
-        np.maximum.at(f, pth, 1.0 / len(pth))
+    np.maximum.at(f, np.concatenate(paths),
+                  np.repeat(1.0 / lengths, lengths))
     return f
 
 
@@ -117,8 +119,8 @@ def _solve_kkt_p2(A):
 
 
 def _solve_slsqp(A, paths, p, tol):
-    """SLSQP on one value per class of edges with identical columns of
-    A, every path constraint an equality.
+    """SLSQP on the inner classes of edges with identical columns of A;
+    each chosen leaf's own class is solved out of its path equation.
 
     The objective is strictly convex for p > 1, so the optimum is unique;
     swapping two edges with identical columns leaves the problem as it
@@ -126,41 +128,65 @@ def _solve_slsqp(A, paths, p, tol):
     chosen path carries 0.  Every chosen leaf has positive equilibrium
     mass, so every path constraint is active at the optimum.  Class k of
     L_k edges then contributes L_k g_k^p, and the constraints read
-    B g = 1 with B = cols^T L."""
-    from scipy.optimize import minimize
+    B g = 1 with B = cols^T L.
 
+    Leaf i's edge lies on path i alone, so exactly one class, of L_i
+    edges, has the column e_i; every other class is inner (on two paths
+    or more), with values h.  Row i of B g = 1 fixes the own class at
+    g_i = (1 - (B_in h)_i) / L_i >= 0.  Substituted, the problem reads:
+    minimize sum L_in h^p + sum L_i g_i^p over h >= 0 with B_in h <= 1,
+    the same problem with the same optimum, and with its gradient
+    p (L_in h^(p-1) - B_in^T g^(p-1)).  With one chosen leaf there is
+    no inner class and g = 1 / L is the answer."""
     n = A.shape[1]
     used = np.flatnonzero(A.any(0))
     cols, first, cls, L = np.unique(A[:, used].T, axis=0, return_index=True,
                                     return_inverse=True, return_counts=True)
-    B = cols.T * L
-    # the warm start is already constant on every class
-    g0 = _feasible_correction(_warm_start(n, paths), A, paths)[used[first]]
+    inner = cols.sum(1) > 1
+    own = np.flatnonzero(~inner)[np.argsort(cols[~inner].argmax(1))]
+    B_in = cols[inner].T * L[inner]
+    L_in, L_own = L[inner], L[own]
+    g = np.zeros(L.size)
 
-    def fun(g):
-        return float(L @ np.abs(g) ** p)
+    def own_values(h):
+        return (1.0 - B_in @ h) / L_own
 
-    def jac(g):
-        return p * L * np.sign(g) * np.abs(g) ** (p - 1.0)
+    it, ok = 0, True
+    if inner.any():
+        from scipy.optimize import minimize
 
-    res = minimize(
-        fun, g0, jac=jac,
-        bounds=[(0.0, None)] * L.size,
-        constraints=[{"type": "eq",
-                      "fun": lambda g: B @ g - 1.0,
-                      "jac": lambda g: B}],
-        method="SLSQP",
-        options={"maxiter": SLSQP_MAX_ITER, "ftol": min(tol, 1e-12)},
-    )
+        def fun(h):
+            return float(L_in @ np.abs(h) ** p
+                         + L_own @ np.abs(own_values(h)) ** p)
+
+        def jac(h):
+            r = own_values(h)
+            return p * (L_in * np.sign(h) * np.abs(h) ** (p - 1.0)
+                        - B_in.T @ (np.sign(r) * np.abs(r) ** (p - 1.0)))
+
+        # the warm start is already constant on every class
+        g0 = _feasible_correction(_warm_start(n, paths), A, paths)
+        res = minimize(
+            fun, g0[used[first[inner]]], jac=jac,
+            bounds=[(0.0, None)] * L_in.size,
+            constraints=[{"type": "ineq",
+                          "fun": lambda h: 1.0 - B_in @ h,
+                          "jac": lambda h: -B_in}],
+            method="SLSQP",
+            options={"maxiter": SLSQP_MAX_ITER, "ftol": min(tol, 1e-12)},
+        )
+        g[inner] = res.x
+        it, ok = int(res.nit), bool(res.success)
+    g[own] = own_values(g[inner])
     f = np.zeros(n)
-    f[used] = res.x[cls]
-    return f, int(res.nit), bool(res.success)
+    f[used] = g[cls]
+    return f, it, ok
 
 
 def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     """Capacity of a set of true leaves by direct convex minimization:
-    one KKT linear solve at p = 2 (method "kkt"), SLSQP on merged path
-    classes otherwise ("slsqp").  value is the objective of an
+    one KKT linear solve at p = 2 (method "kkt"), SLSQP on the inner
+    path classes otherwise ("slsqp").  value is the objective of an
     admissible f, so a true upper bound; lower_bound is the dual
     certificate from the candidate measure.  tol must be >= 0.
 

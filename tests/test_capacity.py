@@ -26,6 +26,7 @@ from treecap import (
     symmetric_capacity,
     tent,
     total_resistance,
+    verify_equilibrium,
 )
 from helpers import random_p, random_tree
 
@@ -457,3 +458,16 @@ def test_large_p_overflow_raises_no_warning():
         warnings.simplefilter("error")
         res = capacity_recursive(t, 1e15)
     assert res.capacity.lower == 0.0 and res.capacity.upper == 1e-13
+
+
+@pytest.mark.parametrize("p", [1.01, 1.05])
+def test_leaf_masses_near_p_1_are_exact(p):
+    # by symmetry every leaf carries c / 2^10; c is within 5e-8 of 1
+    # here, where a factor formed as 1 - c^(p'-1) loses every digit
+    t = build_tree(SphericallySymmetric([2] * 10))
+    res = capacity_recursive(t, p)
+    c = res.capacity.midpoint
+    M = res.measure.M[t.true_leaf_mask()]
+    assert M.size == 2 ** 10
+    assert np.max(np.abs(M - c / 2 ** 10)) <= 1e-15 * c / 2 ** 10
+    assert verify_equilibrium(t, res.measure, p).is_equilibrium

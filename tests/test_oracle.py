@@ -9,6 +9,7 @@ import treecap.oracle
 from treecap import (
     OracleConvergenceError,
     SphericallySymmetric,
+    Tree,
     build_tree,
     capacity_of_set,
     capacity_recursive,
@@ -303,3 +304,74 @@ def test_negative_or_nan_tol_is_refused():
             with pytest.raises(ValueError, match="tol"):
                 oracle_capacity(t, t.true_leaves(), p, tol=tol)
     assert oracle_capacity(t, t.true_leaves(), 3, tol=0.0).converged
+
+
+def reference_warm_start(n, paths):
+    f = np.zeros(n)
+    for pth in paths:
+        np.maximum.at(f, pth, 1.0 / len(pth))
+    return f
+
+
+def test_warm_start_matches_the_per_path_loop():
+    rng = np.random.default_rng(38)
+    for _ in range(30):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 300)))
+        leaves = tree.true_leaves()
+        picked = [z for z in leaves if rng.random() < 0.5] or leaves[-1:]
+        _, paths, _ = _constraint_matrix(tree, picked)
+        assert _warm_start(tree.n_edges, paths).tobytes() == \
+            reference_warm_start(tree.n_edges, paths).tobytes()
+
+
+def test_single_chosen_leaf_is_solved_in_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SLSQP called without an inner class")
+
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    tree = random_tree(np.random.default_rng(39), max_edges=80)
+    for z in tree.true_leaves()[::3]:
+        k = len(predecessor_path(tree, z))
+        for p in (1.2, 3.0):
+            res = oracle_capacity(tree, [z], p)
+            assert (res.method, res.iterations, res.converged) == \
+                ("slsqp", 0, True)
+            assert res.value == pytest.approx(k ** (1 - p), rel=1e-12)
+
+
+def test_near_degenerate_instance_lands_on_the_recursion():
+    # drawn by the referee-small benchmark workload (seed 912, cycle 6):
+    # capacity 0.9986, so almost every class value is near 0, where
+    # SLSQP on all classes with equality constraints stopped early,
+    # 1.2e-5 off the recursion
+    parent = [
+        -1, 0, 0, 0, 1, 2, 2, 2, 3, 3, 3, 5, 5, 5, 8, 8, 8, 9, 11, 12, 13,
+        14, 14, 15, 15, 15, 16, 16, 16, 17, 18, 19, 19, 20, 21, 22, 23, 23,
+        23, 24, 24, 25, 25, 26, 26, 26, 27, 27, 28, 28, 29, 31, 35, 35, 36,
+        36, 37, 39, 39, 40, 40, 41, 42, 42, 42, 45, 47, 47, 47, 48, 48, 48,
+        49, 52, 53, 53, 54, 54, 55, 57, 57, 57, 58, 58, 58, 59, 59, 59, 60,
+        60, 63, 63, 65, 65, 65, 68, 68, 68, 69, 69, 69, 71, 71, 72, 72, 72,
+        74, 76, 77, 77, 77, 79, 80, 80, 81, 81, 83, 83, 84, 85, 85, 85, 86,
+        87, 88, 88, 88, 89, 89, 89, 90, 92, 92, 92, 93, 93, 93, 94, 95, 95,
+        95, 96, 96, 96, 97, 97, 98, 98, 98, 99]
+    picked = [4, 6, 7, 10, 30, 32, 33, 34, 38, 43, 44, 46, 50, 51, 56, 61,
+              62, 64, 66, 67, 70, 73, 75, 78, 82, 91] + list(range(100, 150))
+    tree = Tree(parent)
+    p = 1.2097388077898819
+    res = check_merged_solve(tree, picked, p, ref=False)
+    assert res.converged
+
+
+@pytest.mark.parametrize("kind, p", [("binary", 1.2), ("random", 1.2),
+                                     ("random", 3.0)])
+def test_all_leaf_solves_land_on_the_recursion(kind, p):
+    # at 511 edges and p = 1.2, SLSQP over the inner classes with bounds
+    # alone, or with ftol 1e-14, runs out of iterations and raises
+    if kind == "binary":
+        tree = build_tree(SphericallySymmetric([2] * 8))  # 511 edges
+    else:
+        rng = np.random.default_rng(34)  # the tree of the p = 3 timing
+        tree = random_tree(rng, max_edges=500)
+        while tree.n_edges < 500:
+            tree = random_tree(rng, max_edges=500)
+    check_merged_solve(tree, tree.true_leaves(), p, ref=False)
