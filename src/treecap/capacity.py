@@ -240,19 +240,28 @@ class LevelEquilibriumResult(EquilibriumResult):
 # the recursion
 
 
+def _one_step(S, pe):
+    """The one-step map at the child sum S: (c, D) with c = S / D and
+    D = (1 + S^(p'-1))^(p-1), which is 1 where S = 0.  At large p the
+    power overflows to D = inf, where c = S / inf = 0 is right.  So S is
+    an array or a numpy scalar, never a Python float, whose ** raises
+    OverflowError there; callers silence numpy's overflow warning."""
+    D = (1.0 + S ** (pe.conjugate - 1.0)) ** (pe.p - 1.0)
+    return S / D, D
+
+
 def _tent_capacities(tree, pe, boundary_values):
     """Bottom-up half of the sweep: (c, D) at every edge, with
     boundary_values feeding the leaves and tails as c, and D the
-    denominator of the one-step map c = S / D, which is 1 where S = 0."""
-    inner = tree.n_children > 0
+    denominator of the one-step map c = S / D."""
+    leaf = tree.n_children == 0
     D = np.empty(tree.n_edges)
 
     def step(a, b, S):
-        D[a:b] = (1.0 + S ** (pe.conjugate - 1.0)) ** (pe.p - 1.0)
-        return np.where(inner[a:b], S / D[a:b], boundary_values[a:b])
+        c, D[a:b] = _one_step(S, pe)
+        np.copyto(c, boundary_values[a:b], where=leaf[a:b])
+        return c
 
-    # at large p the power overflows to D = inf, where S / inf = 0 is
-    # right
     with np.errstate(over="ignore"):
         c, _ = tree.sweep_up(step)
     return c, D

@@ -69,20 +69,34 @@ def _parse_set(text, tree):
             for part in text.split(",") if part.strip()]
 
 
+def _require_numbers(values, field):
+    """Refuse values unless each is a JSON number; one pass over the
+    types, since bools, strings and nulls would otherwise be read as
+    numbers or fail deep inside numpy."""
+    bad = set(map(type, values)) - {int, float}
+    if bad:
+        v = next(v for v in values if type(v) in bad)
+        raise ValueError(f'"{field}" holds {v!r}, not a number')
+
+
 def _load_measure(tree, obj):
-    """The measure in "M" or "leaf_masses"; masses that overflow to
-    inf, or sum to it, are refused."""
+    """The measure in "M" or "leaf_masses"; masses that are not JSON
+    numbers, overflow to inf or sum to it are refused."""
     import numpy as np
 
     from .trees import BoundaryMeasure
 
     if "M" in obj:
+        if not isinstance(obj["M"], list):
+            raise ValueError('"M" must be an array of masses, one per edge')
+        _require_numbers(obj["M"], "M")
         mu = BoundaryMeasure(tree, obj["M"], validate=False)
     elif "leaf_masses" in obj:
-        if not isinstance(obj["leaf_masses"], dict):
+        masses = obj["leaf_masses"]
+        if not isinstance(masses, dict):
             raise ValueError('"leaf_masses" must map leaf labels to masses')
-        masses = {tree.id_of_label(k): float(v)
-                  for k, v in obj["leaf_masses"].items()}
+        _require_numbers(masses.values(), "leaf_masses")
+        masses = {tree.id_of_label(k): v for k, v in masses.items()}
         mu = BoundaryMeasure.from_leaf_masses(tree, masses)
     else:
         raise ValueError(

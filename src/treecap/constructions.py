@@ -2,7 +2,12 @@
 
 Two inverse problems.  compact_set_of_capacity carves a subset of the
 boundary of a fixed complete n-ary tree whose capacity hits a target,
-by bisecting on how many leaves (in lexicographic order) to keep.
+by bisecting on how many leaves (in lexicographic order) to keep.  A
+prefix of m leaves is full below every edge except those on the root
+path to leaf m, so its capacity needs the capacities F[h] of full
+subtrees, one sweep over the tree's quotient, and then one step of
+the recursion per level along that path, reading m's base-n digits:
+O(depth) per probe instead of a sweep over the whole arena.
 subdyadic_tree_of_capacity instead builds the tree itself: writing
 lam = c^(1-p') and B = 2^(1-p'), the trees with unary runs between
 binary branchings realize exactly the values lam = sum (m_j + 1) B^j
@@ -16,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
-from .capacity import (CapacityInterval, _tent_capacities,
+from .capacity import (CapacityInterval, _one_step, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
 from .potential import as_exponent, require_tolerance
 from .trees import SphericallySymmetric, Subdyadic, build_tree, predecessor_path
@@ -154,31 +160,50 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
 
     Capacity is monotone in the number of leading leaves kept, so an
     integer bisection on that count converges; ties break toward the
-    smaller set.  Raises if the leaf granularity at this depth cannot
+    smaller set.  Each probe walks the one root path that holds the
+    boundary of the prefix, O(depth) scalar steps, so the bisection
+    costs O(depth^2) on top of building the arena that the result names
+    its leaves in.  Raises if the leaf granularity at this depth cannot
     get within tol (target too close to jumps near 0, or above the
     capacity of the full boundary).
     """
     pe = as_exponent(p)
     require_tolerance(tol)
+    for name, v in (("n", n), ("depth", depth)):
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    n, depth = int(n), int(depth)
     if n < 2:
         raise ValueError("branching order must be >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not math.isfinite(target):
+        raise ValueError(f"capacity targets are finite, got {target}")
     if target < 0:
         raise ValueError("capacity targets are nonnegative")
-    # the leaf bisection needs the leaves one by one: an explicit arena,
-    # refused by its size before anything is allocated
-    tree = build_tree(SphericallySymmetric([n] * depth), layout="explicit")
-    leaves = np.flatnonzero(tree.true_leaf_mask())
-    total = len(leaves)
+    # the result names its leaves in an explicit arena, refused by its
+    # size before anything is allocated
+    spec = SphericallySymmetric([n] * depth)
+    tree = build_tree(spec, layout="explicit")
+    total = n ** depth
+
+    # F[h]: capacity of a full subtree with h levels below its top edge;
+    # node k of the quotient tops one with h = depth - k
+    quotient = build_tree(spec, layout="compact").quotient
+    F = _tent_capacities(quotient, pe, np.ones(depth + 1))[0][::-1]
 
     def cap(m):
-        # absent leaves carry 0, which the recursion propagates exactly
-        # as if their branches were pruned
-        member = np.zeros(tree.n_edges)
-        member[leaves[:m]] = 1.0
-        c, _ = _tent_capacities(tree, pe, member)
-        return float(c[0])
+        # the first m leaves: at each level up the path of leaf m, the
+        # edge keeps digit j full children and one partial child P (the
+        # leaf m itself, excluded, at the bottom); absent children add 0
+        if m == total:
+            return float(F[depth])
+        P = 0.0
+        with np.errstate(over="ignore"):
+            for h in range(depth):
+                m, j = divmod(m, n)
+                P, _ = _one_step(j * F[h] + P, pe)
+        return float(P)
 
     full = cap(total)
     if target > full + tol:
@@ -193,13 +218,14 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
             b = mid
         else:
             a = mid + 1
-    candidates = [m for m in (a - 1, a) if 0 <= m <= total]
-    best = min(candidates, key=lambda m: (abs(cap(m) - target), m))
-    achieved = cap(best)
+    caps = {m: cap(m) for m in (a - 1, a) if 0 <= m <= total}
+    best = min(caps, key=lambda m: (abs(caps[m] - target), m))
+    achieved = caps[best]
     if abs(achieved - target) > tol:
         raise ValueError(
             f"leaf granularity too coarse: best subset has capacity "
             f"{achieved}, off target by {abs(achieved - target):.3e}")
-    return CompactSetResult(tree=tree, leaves=leaves[:best].tolist(),
+    first = tree.n_edges - total
+    return CompactSetResult(tree=tree, leaves=list(range(first, first + best)),
                             capacity=achieved, target=float(target),
                             n_leaves_total=total)

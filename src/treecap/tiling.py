@@ -25,6 +25,7 @@ from .potential import potential_all, require_tolerance
 from .trees import BoundaryMeasure, co_potential
 
 SVG_SCALE = 512.0  # pixels per unit length in emit_svg
+_BOOLS = {bool, np.bool_}
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class Tiling:
     """A tiling of the width x height rectangle as four columns indexed
     by square: the int array edge, and the float arrays x, y (the top
     left corner) and side.  Ids that numpy cannot hold as ints (floats,
-    strings, ints beyond int64) stay as given in an object array, which
-    validate_tiling reports as naming no edge of the tree.
+    strings, ints beyond int64) and bools stay as given in an object
+    array, which validate_tiling reports as naming no edge of the tree.
 
     Tiling(tree, width, height, squares) takes the columns from a list
     of TilingSquare; `squares` is that list, or for a tiling built from
@@ -177,9 +178,10 @@ def _floats(values):
 
 def _edge_column(ids):
     """Edge ids as an int array, or as given in an object array when
-    numpy cannot hold them all as ints."""
+    numpy cannot hold them all as ints or some are bools, which numpy
+    would read as 0 and 1."""
     e = np.array(ids)
-    if e.dtype.kind != "i":
+    if e.dtype.kind != "i" or not _BOOLS.isdisjoint(map(type, ids)):
         e = np.empty(len(ids), dtype=object)
         e[:] = ids
     return e
@@ -275,6 +277,7 @@ def validate_tiling(tiling, tol=1e-9):
     e = edge
     if e.dtype.kind != "i":  # ids numpy cannot hold as ints
         e = np.array([v if isinstance(v, (int, np.integer))
+                      and not isinstance(v, bool)
                       and 0 <= v < n_edges else -1 for v in edge],
                      dtype=np.int64)
     known = (e >= 0) & (e < n_edges)
@@ -425,7 +428,9 @@ def measure_from_tiling(tree, tiling, tol=1e-9):
 
 
 def tiling_from_json(tree, obj):
-    rows = [(int(s["edge"]), float(s["x"]), float(s["y"]), float(s["side"]))
+    """The Tiling of a JSON object as Tiling.to_json writes it; edge ids
+    are kept as given, so one that is not an int names no edge."""
+    rows = [(s["edge"], float(s["x"]), float(s["y"]), float(s["side"]))
             for s in obj["squares"]]
     edge, x, y, side = zip(*rows) if rows else ((),) * 4
     return Tiling._of_columns(tree, float(obj["width"]), float(obj["height"]),

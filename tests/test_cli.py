@@ -406,3 +406,22 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("measure, says", [
+    ({"M": ["0.6666666666666666", 1 / 3, True]}, "'0.6666666666666666'"),
+    ({"M": [2 / 3, 1 / 3, True]}, "True"),
+    ({"M": [2 / 3, None, 1 / 3]}, "None"),
+    ({"M": {"0": 2 / 3}}, '"M" must be an array'),
+    ({"leaf_masses": {"1": True, "2": 1 / 3}}, "True"),
+    ({"leaf_masses": {"1": 1 / 3, "2": "0.5"}}, "'0.5'"),
+], ids=["M-string", "M-bool", "M-null", "M-object", "leaf-mass-bool",
+        "leaf-mass-string"])
+def test_measure_entries_must_be_json_numbers(capsys, tmp_path, tree_file,
+                                              measure, says):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(measure))
+    code, out, err = run(capsys, ["verify", "--tree", tree_file,
+                                  "--measure", str(mfile)])
+    assert code == 2 and out == ""
+    assert err.startswith("treecap:") and says in err

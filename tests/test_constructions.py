@@ -128,3 +128,117 @@ def test_subdyadic_tree_needs_a_digit():
         with pytest.raises(ValueError, match="digit_count"):
             subdyadic_tree_of_capacity(0.3, 2, digit_count=count)
     assert len(subdyadic_tree_of_capacity(0.3, 2, digit_count=1).digits) == 1
+
+
+# ---------------------------------------------------------------------------
+# the path walk against whole-tree sweeps
+
+WALK_PS = (1.2, 1.5, 2.0, 3.0, 8.0)
+
+
+class PrefixSweeps:
+    """Capacities of leading-leaf prefixes of tree, each one
+    capacity_of_set sweep over the whole tree, memoized."""
+
+    def __init__(self, tree, p):
+        self.tree, self.p = tree, p
+        self.leaves = tree.true_leaves()
+        self.total = len(self.leaves)
+        self.memo = {0: 0.0}
+
+    def __call__(self, m):
+        if m not in self.memo:
+            res = capacity_of_set(self.tree, self.leaves[:m], self.p)
+            self.memo[m] = res.capacity.lower
+        return self.memo[m]
+
+    def is_selection(self, m, target):
+        """Whether the bisection over a monotone prefix capacity picks
+        m.  It finds a, the smallest count whose capacity reaches
+        target (the total when none does), and keeps whichever of a - 1
+        and a is closer, the smaller on a tie.  a is m or m + 1."""
+        def is_a(a):
+            return ((a == self.total or self(a) >= target)
+                    and (a == 0 or self(a - 1) < target))
+
+        for a in (m, m + 1):
+            if 0 <= a <= self.total and is_a(a):
+                counts = [k for k in (a - 1, a) if k >= 0]
+                return m == min(counts,
+                                key=lambda k: (abs(self(k) - target), k))
+        return False
+
+
+def walk_cases(n, shallow, deep):
+    """(depth, exponents, target count): every exponent with 30 targets
+    up to depth shallow, then one exponent per depth and 4 targets."""
+    for depth in range(1, deep + 1):
+        if depth <= shallow:
+            yield depth, WALK_PS, 30
+        else:
+            yield depth, (WALK_PS[depth % len(WALK_PS)],), 4
+
+
+@pytest.mark.parametrize("n, shallow, deep", [(2, 10, 16), (3, 6, 10)])
+def test_path_walk_picks_the_sweep_selection(n, shallow, deep):
+    for depth, ps, count in walk_cases(n, shallow, deep):
+        tree = build_tree(SphericallySymmetric([n] * depth),
+                          layout="explicit")
+        for p in ps:
+            sweeps = PrefixSweeps(tree, p)
+            full = sweeps(sweeps.total)
+            for target in np.linspace(0.0, full, count):
+                res = compact_set_of_capacity(n, p, float(target),
+                                              tol=np.inf, depth=depth)
+                m = len(res.leaves)
+                assert sweeps.is_selection(m, target), (n, depth, p, target)
+                assert res.capacity == pytest.approx(sweeps(m), rel=1e-13,
+                                                     abs=0.0)
+                first = tree.n_edges - sweeps.total
+                assert res.leaves == list(range(first, first + m))
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_walk_overflows_like_the_sweep_at_large_p():
+    # (1 + S^(p'-1))^(p-1) overflows for every S > 0 at p = 2000: every
+    # prefix then has capacity 0, and a float ** would raise instead
+    for depth in (1, 4, 9):
+        tree = build_tree(SphericallySymmetric([2] * depth))
+        sweeps = PrefixSweeps(tree, 2000.0)
+        for target in (0.0, 1e-300, 0.2):
+            res = compact_set_of_capacity(2, 2000.0, target, tol=np.inf,
+                                          depth=depth)
+            assert sweeps.is_selection(len(res.leaves), target)
+            assert res.capacity == sweeps(len(res.leaves)) == 0.0
+        with pytest.raises(ValueError, match="exceeds the full boundary"):
+            compact_set_of_capacity(2, 2000.0, 0.2, tol=1e-3, depth=depth)
+
+
+def test_compact_set_sweeps_only_the_quotient(monkeypatch):
+    from treecap.trees import Tree
+    swept = []
+    sweep_up = Tree.sweep_up
+
+    def counted(self, step):
+        swept.append(self.n_edges)
+        return sweep_up(self, step)
+
+    monkeypatch.setattr(Tree, "sweep_up", counted)
+    res = compact_set_of_capacity(2, 2, 0.3, tol=1e-3, depth=16)
+    assert res.error <= 1e-3 and res.tree.n_edges == 2 ** 17 - 1
+    assert swept and max(swept) <= 16 + 1
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"),
+                                    float("-inf")])
+def test_compact_set_refuses_a_target_that_is_not_finite(target):
+    with pytest.raises(ValueError, match="finite"):
+        compact_set_of_capacity(2, 2, target, depth=6)
+
+
+@pytest.mark.parametrize("name, value", [("n", 2.0), ("n", 2.5),
+                                         ("depth", 6.0), ("depth", 2.5)])
+def test_compact_set_refuses_non_integer_sizes(name, value):
+    kwargs = {"n": 2, "depth": 6, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        compact_set_of_capacity(kwargs["n"], 2, 0.3, depth=kwargs["depth"])

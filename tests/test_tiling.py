@@ -617,3 +617,20 @@ def test_nan_and_negative_tol_are_refused():
                 call(tol)
     assert not validate_tiling(overlapping, tol=0.0).ok
     assert validate_tiling(til, tol=0.0).n_squares == 3
+
+
+@pytest.mark.parametrize("edge", [1.7, 1.0, True, "1"])
+def test_json_edge_ids_are_kept_as_given(edge):
+    t, r, til = fixture_tiling()
+    obj = json.loads(json.dumps(til.to_json()))
+    for s in obj["squares"]:
+        if s["edge"] == 1 and type(s["edge"]) is int:
+            s["edge"] = edge
+    back = tiling_from_json(t, obj)
+    assert back.edge.dtype == object
+    assert sorted(map(repr, back.edge.tolist())) == sorted(
+        [repr(edge), "0", "2"])
+    rep = validate_tiling(back)
+    assert not rep.ok
+    assert any(m.startswith("squares naming no edge of the tree: 1 ")
+               for m in rep.messages)
