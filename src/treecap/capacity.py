@@ -32,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .potential import as_exponent, signed_power, potential_all
+from .potential import _report_json, as_exponent, signed_power, potential_all
 from .trees import BoundaryMeasure, SymmetricTree, leaf_indicator, tent
 
 ROUNDING_PAD = 1e-13
@@ -60,8 +60,7 @@ class CapacityInterval:
     def contains(self, v, slack=0.0):
         return self.lower - slack <= v <= self.upper + slack
 
-    def to_json(self):
-        return {"lower": self.lower, "upper": self.upper}
+    to_json = _report_json
 
 
 def homogeneous_capacity(n, p):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import (as_exponent, energy_all, potential_all,
-                        require_tolerance, signed_power)
+from .potential import (_report_json, as_exponent, energy_all,
+                        potential_all, require_tolerance, signed_power)
 from .trees import co_potential, is_forward_additive, require_explicit
 
 
@@ -35,17 +35,17 @@ class CharacterizationReport:
     undetermined: list
     total_mass: float
 
-    def to_json(self):
-        return {
-            "is_equilibrium": bool(self.is_equilibrium),
-            "max_residual": float(self.max_residual),
-            "additivity_ok": bool(self.additivity_ok),
-            "additivity_violation": float(self.additivity_violation),
-            "recovered_set": [int(i) for i in self.recovered_set],
-            "irregular_points": [int(i) for i in self.irregular_points],
-            "undetermined": [int(i) for i in self.undetermined],
-            "total_mass": float(self.total_mass),
-        }
+    to_json = _report_json
+
+
+def _measure_potential(tree, measure, p, tol):
+    """(p exponent, co-potential M, potential of M_p) for the checks
+    below, after refusing a compact tree and a negative tol."""
+    require_explicit(tree, "verification")
+    require_tolerance(tol)
+    pe = as_exponent(p)
+    M = co_potential(tree, measure)
+    return pe, M, potential_all(tree, signed_power(M, pe))
 
 
 def verify_equilibrium(tree, measure, p, tol=1e-9):
@@ -57,16 +57,11 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     support leaves where the potential reaches 1, which for a genuine
     equilibrium is exactly the set the measure equilibrates.
     """
-    require_explicit(tree, "verification")
-    require_tolerance(tol)
-    pe = as_exponent(p)
-    M = co_potential(tree, measure)
+    pe, M, V = _measure_potential(tree, measure, p, tol)
     total = float(M[tree.root])
     scale = max(total, 1e-12)
 
     add = is_forward_additive(tree, M, tol=tol * scale)
-
-    V = potential_all(tree, signed_power(M, pe))
     E = energy_all(tree, M, pe)
     residuals = np.abs(M * (1.0 - V.begin_values(tree)) - E)
 
@@ -111,14 +106,7 @@ class PotentialBoundReport:
     equality_edges: list
     interior_strict: bool
 
-    def to_json(self):
-        return {
-            "ok": bool(self.ok),
-            "max_value": float(self.max_value),
-            "worst_edge": int(self.worst_edge),
-            "equality_edges": [int(i) for i in self.equality_edges],
-            "interior_strict": bool(self.interior_strict),
-        }
+    to_json = _report_json
 
 
 def check_potential_bound(tree, measure, p, tol=1e-9):
@@ -126,11 +114,7 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     at or below 1, with equality only at boundary points.  Equality at
     the end of a non-leaf edge means the measure pushes the potential
     to 1 strictly inside the tree, reported via interior_strict."""
-    require_explicit(tree, "verification")
-    require_tolerance(tol)
-    pe = as_exponent(p)
-    M = co_potential(tree, measure)
-    V = potential_all(tree, signed_power(M, pe))
+    _, _, V = _measure_potential(tree, measure, p, tol)
     worst = int(np.argmax(V.end_values))
     max_value = float(V.end_values[worst])
     equality = np.flatnonzero(np.abs(V.end_values - 1.0) <= tol)
@@ -151,12 +135,7 @@ class EquationReport:
     residuals: np.ndarray = field(repr=False)
     skipped_tails: int = 0
 
-    def to_json(self):
-        return {
-            "ok": bool(self.ok),
-            "max_residual": float(self.max_residual),
-            "skipped_tails": int(self.skipped_tails),
-        }
+    to_json = _report_json
 
 
 def capacity_equation_check(tree, c, p, tol=1e-9):

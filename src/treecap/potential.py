@@ -8,11 +8,11 @@ stores one value per edge plus the value at the root vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .trees import co_potential
+from .trees import co_potential, is_forward_additive
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,18 @@ def require_tolerance(tol):
     """Raise ValueError unless tol >= 0; NaN fails the test as well."""
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol}")
+
+
+def _report_json(report):
+    """A report dataclass as a JSON object: the fields its repr shows,
+    in field order, with numpy scalars read as Python values and lists
+    copied.  Report classes take it as their to_json."""
+    def plain(v):
+        if isinstance(v, list):
+            return [plain(x) for x in v]
+        return v.item() if isinstance(v, np.generic) else v
+    return {f.name: plain(getattr(report, f.name))
+            for f in fields(report) if f.repr}
 
 
 def signed_power(f, p):
@@ -141,14 +153,12 @@ def is_p_harmonic(tree, g, p, tol=1e-9):
     pe = as_exponent(p)
     # flux along each edge towards its end vertex; at the end vertex of
     # x the Laplacian is the inflow through x minus the outflow through
-    # its children (tails have no children, so they drop out here)
+    # its children, so it is the additivity residual of the flux (tails
+    # have no children, so they drop out here)
     d = g.begin_values(tree) - np.asarray(g.end_values, dtype=float)
-    flux = np.sign(d) * np.abs(d) ** (pe.p - 1.0)
-    _, outflow = tree.sweep_up(lambda a, b, S: flux[a:b])
-    lap = np.where(tree.n_children > 0, flux - outflow, 0.0)
-    worst_edge = int(np.argmax(np.abs(lap)))
-    worst = float(abs(lap[worst_edge]))
+    add = is_forward_additive(tree, np.sign(d) * np.abs(d) ** (pe.p - 1.0),
+                              tol)
+    lap = add.residuals
     bad = np.flatnonzero(np.abs(lap) > tol)
-    return HarmonicityReport(worst <= tol, worst,
-                             worst_edge if worst > 0.0 else None,
+    return HarmonicityReport(add.ok, add.max_violation, add.worst_edge,
                              dict(zip(bad.tolist(), lap[bad].tolist())))

@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .characterization import verify_equilibrium
-from .potential import potential_all, require_tolerance
+from .potential import _report_json, potential_all, require_tolerance
 from .trees import BoundaryMeasure, co_potential
 
 SVG_SCALE = 512.0  # pixels per unit length in emit_svg
@@ -35,9 +35,7 @@ class TilingSquare:
     y: float
     side: float
 
-    def to_json(self):
-        return {"edge": self.edge, "x": self.x, "y": self.y,
-                "side": self.side}
+    to_json = _report_json
 
 
 class Tiling:
@@ -147,16 +145,7 @@ class TilingReport:
     n_squares: int
     messages: list = field(default_factory=list)
 
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "containment_defect": self.containment_defect,
-            "max_overlap": self.max_overlap,
-            "area_defect": self.area_defect,
-            "adjacency_defect": self.adjacency_defect,
-            "n_squares": self.n_squares,
-            "messages": list(self.messages),
-        }
+    to_json = _report_json
 
 
 def _first_ids(ids, limit=10):
@@ -297,15 +286,19 @@ def validate_tiling(tiling, tol=1e-9):
     is_root = par < 0
     par_slot = np.where(is_root, -1, slot[par])
     orphans = held[~is_root & (par_slot < 0)]
-
+    # how far each square c sticks out of its parent square pc, on the
+    # left, on the right and above
+    c = held[par_slot >= 0]
+    pc = par_slot[par_slot >= 0]
     with np.errstate(invalid="ignore", over="ignore"):
+        sticks_out = (x[pc] - x[c], right[c] - right[pc], bottom[pc] - y[c])
         containment = _worst(-x, -y, right - w, bottom - h)
     if containment > tol:
         msgs.append(f"a square leaves the rectangle by {containment:.3e}")
 
     nested = (known.all() and not (
         nonfinite.size or nonpositive.size or repeated.size or orphans.size)
-        and _nests(x, y, right, bottom, par_slot, tree.level[e], tol))
+        and _nests(x, right, par_slot, tree.level[e], sticks_out, tol))
     max_overlap = 0.0
     for a, b, amount in ([] if nested else
                          _first_overlaps(x, y, right, bottom, finite, tol)):
@@ -326,12 +319,9 @@ def validate_tiling(tiling, tol=1e-9):
     if orphans.size:
         msgs.append("squares with no parent square: "
                     + _first_ids(edge[i] for i in orphans))
-    c = held[par_slot >= 0]
-    pc = par_slot[par_slot >= 0]
-    with np.errstate(invalid="ignore", over="ignore"):
-        adjacency = float("inf") if orphans.size else _worst(
-            np.abs(y[held[is_root]]), np.abs(y[c] - bottom[pc]),
-            x[pc] - x[c], right[c] - right[pc])
+    left_out, right_out, above = sticks_out
+    adjacency = float("inf") if orphans.size else _worst(
+        np.abs(y[held[is_root]]), np.abs(above), left_out, right_out)
     if adjacency > tol:
         msgs.append(f"parent adjacency broken by {adjacency:.3e}")
 
@@ -342,25 +332,22 @@ def validate_tiling(tiling, tol=1e-9):
                         n_squares=len(edge), messages=msgs)
 
 
-def _nests(x, y, right, bottom, par_slot, level, tol):
+def _nests(x, right, par_slot, level, sticks_out, tol):
     """The nested certificate of validate_tiling, for squares that are
     finite with positive sides and name distinct edges at the given
     levels; par_slot[i] is the index of square i's parent square, -1 at
-    the root and nowhere else.  True proves that no two squares
+    the root and nowhere else, and sticks_out holds the three parent
+    differences of validate_tiling.  True proves that no two squares
     overlap; False proves nothing."""
     delta = tol / (2.0 * (int(level.max(initial=0)) + 1))
     if delta < sys.float_info.min:  # a subnormal may round up by far more
         delta = 0.0
-    c = np.flatnonzero(par_slot >= 0)
-    pc = par_slot[c]
     order = np.lexsort((x, par_slot))
     s, t = order[:-1], order[1:]
     siblings = par_slot[s] == par_slot[t]
     s, t = s[siblings], t[siblings]
     with np.errstate(invalid="ignore", over="ignore"):
-        return bool((x[pc] - x[c] <= delta).all()
-                    and (right[c] - right[pc] <= delta).all()
-                    and (bottom[pc] - y[c] <= delta).all()
+        return bool(all((d <= delta).all() for d in sticks_out)
                     and (right[s] - x[t] <= delta).all())
 
 

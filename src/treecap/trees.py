@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from numbers import Real
 from typing import Mapping, Sequence, Union
@@ -589,16 +589,19 @@ class AdditivityReport:
     ok: bool
     max_violation: float
     worst_edge: int | None
+    residuals: np.ndarray = field(default=None, repr=False)
 
 
 def is_forward_additive(tree, f, tol=1e-12):
-    """Check f(alpha) = sum of f over children at every non-leaf edge."""
+    """Check f(alpha) = sum of f over children at every non-leaf edge;
+    residuals holds the signed f - sum there and 0 elsewhere."""
     f = np.asarray(f, dtype=float)
     _, S = tree.sweep_up(lambda a, b, S: f[a:b])
-    r = np.where(tree.n_children > 0, np.abs(f - S), 0.0)
-    i = int(np.argmax(r))
-    worst = float(r[i])
-    return AdditivityReport(worst <= tol, worst, i if worst > 0.0 else None)
+    r = np.where(tree.n_children > 0, f - S, 0.0)
+    i = int(np.argmax(np.abs(r)))
+    worst = float(abs(r[i]))
+    return AdditivityReport(worst <= tol, worst, i if worst > 0.0 else None,
+                            r)
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,49 @@ def test_measure_or_array_is_one_shape_checked_co_potential():
                      lambda M: build_tiling(t, M)):
             with pytest.raises(ValueError, match="does not match the tree"):
                 call(bad)
+
+
+def test_harmonicity_violations_match_p_laplacian_loop():
+    from treecap.potential import VertexFunction
+
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        tree = random_tree(rng, max_edges=60)
+        p = random_p(rng)
+        g = VertexFunction(rng.uniform(-1.0, 1.0, tree.n_edges),
+                           float(rng.uniform(-1.0, 1.0)))
+        rep = is_p_harmonic(tree, g, p, tol=1e-9)
+        want = {x: p_laplacian(tree, g, x, p) for x in range(tree.n_edges)
+                if tree.n_children[x] > 0}
+        assert rep.violations.keys() == {x for x, v in want.items()
+                                         if abs(v) > 1e-9}
+        for x, v in rep.violations.items():
+            assert np.sign(v) == np.sign(want[x])
+            assert v == pytest.approx(want[x], rel=1e-12, abs=1e-15)
+        assert rep.max_abs == pytest.approx(max(map(abs, want.values())),
+                                            rel=1e-12)
+        assert rep.worst_edge is not None
+        assert abs(rep.violations[rep.worst_edge]) == rep.max_abs
+
+
+def test_harmonicity_on_weighted_quotient_matches_its_expansion():
+    from test_sweeps import expand
+    from treecap import Tree
+    from treecap.potential import VertexFunction
+
+    q = Tree([-1, 0, 0, 1, 1, 2, 5], tail=[0, 0, 0, 1, 0, 0, 0],
+             mult=[1, 2, 3, 1, 4, 2, 5])
+    t, node = expand(q)
+    rng = np.random.default_rng(23)
+    for p in (1.5, 2.0, 3.0):
+        gq = VertexFunction(rng.uniform(0.0, 1.0, q.n_edges), 0.0)
+        gt = VertexFunction(gq.end_values[node], 0.0)
+        rq = is_p_harmonic(q, gq, p, tol=1e-9)
+        rt = is_p_harmonic(t, gt, p, tol=1e-9)
+        assert rt.violations.keys() == {
+            i for i in range(t.n_edges) if node[i] in rq.violations}
+        for i, v in rt.violations.items():
+            assert v == pytest.approx(rq.violations[node[i]], rel=1e-12)
+            assert v == pytest.approx(p_laplacian(t, gt, i, p), rel=1e-12)
+        assert rt.max_abs == pytest.approx(rq.max_abs, rel=1e-12)
+        assert node[rt.worst_edge] == rq.worst_edge
