@@ -240,38 +240,41 @@ class LevelEquilibriumResult(EquilibriumResult):
 
 
 def _one_step(S, pe):
-    """The one-step map at the child sum S: (c, D) with c = S / D and
-    D = (1 + S^(p'-1))^(p-1), which is 1 where S = 0.  At large p the
-    power overflows to D = inf, where c = S / inf = 0 is right.  So S is
-    an array or a numpy scalar, never a Python float, whose ** raises
-    OverflowError there; callers silence numpy's overflow warning."""
-    D = (1.0 + S ** (pe.conjugate - 1.0)) ** (pe.p - 1.0)
-    return S / D, D
+    """The one-step map at the child sum S: (c, 1/D) with c = S / D and
+    D = (1 + S^(p'-1))^(p-1), which is 1 where S = 0.  Since
+    (p-1)(p'-1) = 1, D is also S (1 + S^(1-p'))^(p-1); so with
+    t = min(S, 1) / max(S, 1) and w = (1 + t^(p'-1))^(1-p) in
+    [2^(1-p), 1], c = w min(S, 1) and 1/D = w / max(S, 1).  No power
+    is taken of anything above 2, so nothing overflows at any p."""
+    lo, hi = np.minimum(S, 1.0), np.maximum(S, 1.0)
+    w = (1.0 + (lo / hi) ** (pe.conjugate - 1.0)) ** (1.0 - pe.p)
+    return w * lo, w / hi
 
 
 def _tent_capacities(tree, pe, boundary_values):
-    """Bottom-up half of the sweep: (c, D) at every edge, with
+    """Bottom-up half of the sweep: (c, 1/D) at every edge, with
     boundary_values feeding the leaves and tails as c, and D the
     denominator of the one-step map c = S / D."""
     leaf = tree.n_children == 0
-    D = np.empty(tree.n_edges)
+    inv_D = np.ones(tree.n_edges)
 
     def step(a, b, S):
-        c, D[a:b] = _one_step(S, pe)
+        if b == tree.n_edges:  # the deepest level holds leaves only
+            return boundary_values[a:b]
+        c, inv_D[a:b] = _one_step(S, pe)
         np.copyto(c, boundary_values[a:b], where=leaf[a:b])
         return c
 
-    with np.errstate(over="ignore"):
-        c, _ = tree.sweep_up(step)
-    return c, D
+    c, _ = tree.sweep_up(step)
+    return c, inv_D
 
 
 def _run_explicit(tree, pe, boundary_values):
     """One bottom-up/top-down sweep; returns (c, M)."""
-    c, D = _tent_capacities(tree, pe, boundary_values)
+    c, inv_D = _tent_capacities(tree, pe, boundary_values)
     # M(a) = c(a) * product of 1 / D over the strict ancestors of a
     of_parent = np.ones(tree.n_edges)
-    of_parent[1:] = 1.0 / D[tree.parent[1:]]
+    of_parent[1:] = inv_D[tree.parent[1:]]
     return c, c * tree.push_down(of_parent, np.multiply)
 
 

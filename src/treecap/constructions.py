@@ -199,10 +199,9 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
         if m == total:
             return float(F[depth])
         P = 0.0
-        with np.errstate(over="ignore"):
-            for h in range(depth):
-                m, j = divmod(m, n)
-                P, _ = _one_step(j * F[h] + P, pe)
+        for h in range(depth):
+            m, j = divmod(m, n)
+            P, _ = _one_step(j * F[h] + P, pe)
         return float(P)
 
     full = cap(total)

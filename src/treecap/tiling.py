@@ -148,10 +148,18 @@ class TilingReport:
     to_json = _report_json
 
 
+def _id_text(i):
+    """An id as messages print it: an int (not a bool) plainly, anything
+    else by repr, so the string '1' reads apart from the edge 1."""
+    if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
+        return str(i)
+    return repr(i)
+
+
 def _first_ids(ids, limit=10):
     """Count and the first `limit` ids, so a message stays short."""
     ids = list(ids)
-    head = ", ".join(str(i) for i in ids[:limit])
+    head = ", ".join(map(_id_text, ids[:limit]))
     return f"{len(ids)} [{head}{', ...' if len(ids) > limit else ''}]"
 
 
@@ -303,8 +311,8 @@ def validate_tiling(tiling, tol=1e-9):
     for a, b, amount in ([] if nested else
                          _first_overlaps(x, y, right, bottom, finite, tol)):
         max_overlap = max(max_overlap, amount)
-        msgs.append(f"squares {edge[a]} and {edge[b]} overlap "
-                    f"by {amount:.3e}")
+        msgs.append(f"squares {_id_text(edge[a])} and {_id_text(edge[b])} "
+                    f"overlap by {amount:.3e}")
 
     try:
         area_defect = tiling.area_defect()

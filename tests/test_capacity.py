@@ -471,3 +471,52 @@ def test_leaf_masses_near_p_1_are_exact(p):
     assert M.size == 2 ** 10
     assert np.max(np.abs(M - c / 2 ** 10)) <= 1e-15 * c / 2 ** 10
     assert verify_equilibrium(t, res.measure, p).is_equilibrium
+
+
+@pytest.mark.parametrize("p", [1.001, 1.0005])
+def test_recursion_near_p_1_matches_the_series(p):
+    # child sums of 3 reach S^(p'-1) = 3^1000 and beyond, past the float
+    # range; the one-step map must still give the series value
+    for degrees in ([3] * 6, [5, 2, 7], [2] * 12):
+        want = symmetric_capacity(degrees, p)
+        for layout in ("explicit", "compact"):
+            t = build_tree(SphericallySymmetric(degrees), layout=layout)
+            got = capacity_recursive(t, p).capacity
+            assert got.lower == pytest.approx(want.lower, abs=1e-12)
+            assert got.upper == pytest.approx(want.upper, abs=1e-12)
+    res = capacity_recursive(build_tree(SphericallySymmetric([3] * 6)), p)
+    assert res.capacity.lower == 1.0
+    assert verify_equilibrium(res.tree, res.measure, p).is_equilibrium
+
+
+def test_one_step_matches_the_direct_form_where_it_is_finite():
+    from treecap.capacity import _one_step
+    from treecap.potential import as_exponent
+
+    rng = np.random.default_rng(31)
+    S = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 50.0, 200),
+                        10.0 ** rng.uniform(-12, 3, 200)))
+    for p in (1.1, 1.5, 2.0, 3.0, 7.5):
+        pe = as_exponent(p)
+        D = (1.0 + S ** (pe.conjugate - 1.0)) ** (p - 1.0)
+        c, inv_D = _one_step(S, pe)
+        np.testing.assert_allclose(c, S / D, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(inv_D, 1.0 / D, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.001, 1e15])
+def test_extreme_p_raises_no_warning(p):
+    from treecap import compact_set_of_capacity
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for layout in ("explicit", "compact"):
+            capacity_recursive(build_tree(SphericallySymmetric([3] * 6),
+                                          layout=layout), p)
+        capacity_of_set(build_tree(SphericallySymmetric([4] * 4)),
+                        range(90, 200), p)
+        if p < 2:
+            res = compact_set_of_capacity(3, p, 0.999, depth=6)
+            assert abs(res.capacity - 0.999) <= 1e-3
+            assert res.capacity == pytest.approx(capacity_of_set(
+                res.tree, res.leaves, p).capacity.lower, abs=1e-12)

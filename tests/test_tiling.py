@@ -634,3 +634,17 @@ def test_json_edge_ids_are_kept_as_given(edge):
     assert not rep.ok
     assert any(m.startswith("squares naming no edge of the tree: 1 ")
                for m in rep.messages)
+
+
+def test_ids_that_are_not_ints_print_by_repr():
+    t = build_tree(SphericallySymmetric([2]))
+    til = Tiling(t, 1.0, 1.0, [TilingSquare("1", 0.0, 0.0, 1.0),
+                               TilingSquare(7, 0.5, 0.5, 0.5)])
+    rep = validate_tiling(til)
+    assert "squares naming no edge of the tree: 2 ['1', 7]" in rep.messages
+    assert "squares '1' and 7 overlap by 5.000e-01" in rep.messages
+    odd = Tiling(t, 1.0, 1.0, [TilingSquare(e, 0.0, 0.0, 1.0) for e in
+                               (np.int64(3), 2.0, True, None, np.bool_(0))])
+    rep = validate_tiling(odd)
+    assert ("squares naming no edge of the tree: "
+            f"5 [3, 2.0, True, None, {np.bool_(0)!r}]") in rep.messages
