@@ -241,11 +241,10 @@ class LevelEquilibriumResult(EquilibriumResult):
 
 def _one_step(S, pe):
     """The one-step map at the child sum S: (c, 1/D) with c = S / D and
-    D = (1 + S^(p'-1))^(p-1), which is 1 where S = 0.  Since
-    (p-1)(p'-1) = 1, D is also S (1 + S^(1-p'))^(p-1); so with
-    t = min(S, 1) / max(S, 1) and w = (1 + t^(p'-1))^(1-p) in
-    [2^(1-p), 1], c = w min(S, 1) and 1/D = w / max(S, 1).  No power
-    is taken of anything above 2, so nothing overflows at any p."""
+    D = (1 + S^(p'-1))^(p-1) = S (1 + S^(1-p'))^(p-1), as (p-1)(p'-1) = 1.
+    So with t = min(S, 1) / max(S, 1) and w = (1 + t^(p'-1))^(1-p),
+    c = w min(S, 1) and 1/D = w / max(S, 1): no power is taken of
+    anything above 2, so nothing overflows at any p."""
     lo, hi = np.minimum(S, 1.0), np.maximum(S, 1.0)
     w = (1.0 + (lo / hi) ** (pe.conjugate - 1.0)) ** (1.0 - pe.p)
     return w * lo, w / hi

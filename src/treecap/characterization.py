@@ -80,11 +80,16 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
 
     ok = add.ok and max_residual <= tol * scale and not undetermined
     return CharacterizationReport(
-        is_equilibrium=bool(ok), max_residual=max_residual,
-        residuals=residuals, additivity_ok=add.ok,
-        additivity_violation=add.max_violation, recovered_set=recovered,
-        irregular_points=irregular, undetermined=undetermined,
-        total_mass=total)
+        is_equilibrium=bool(ok),
+        max_residual=max_residual,
+        residuals=residuals,
+        additivity_ok=add.ok,
+        additivity_violation=add.max_violation,
+        recovered_set=recovered,
+        irregular_points=irregular,
+        undetermined=undetermined,
+        total_mass=total,
+    )
 
 
 def recover_equilibrium_set(tree, measure, p, tol=1e-9):
@@ -113,10 +118,14 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     worst = int(np.argmax(V.end_values))
     max_value = float(V.end_values[worst])
     equality = np.flatnonzero(np.abs(V.end_values - 1.0) <= tol)
+    interior_strict = bool(np.all(tree.n_children[equality] == 0))
     return PotentialBoundReport(
-        ok=max_value <= 1.0 + tol, max_value=max_value, worst_edge=worst,
+        ok=max_value <= 1.0 + tol,
+        max_value=max_value,
+        worst_edge=worst,
         equality_edges=equality.tolist(),
-        interior_strict=bool(np.all(tree.n_children[equality] == 0)))
+        interior_strict=interior_strict,
+    )
 
 
 @dataclass

@@ -151,10 +151,9 @@ def is_p_harmonic(tree, g, p, tol=1e-9):
     non-leaf, non-tail edge.  Leaf end vertices are boundary points and
     are not constrained."""
     pe = as_exponent(p)
-    # flux along each edge towards its end vertex; at the end vertex of
-    # x the Laplacian is the inflow through x minus the outflow through
-    # its children, so it is the additivity residual of the flux (tails
-    # have no children, so they drop out here)
+    # flux along each edge towards its end vertex: at the end vertex of x
+    # the Laplacian is the inflow through x minus the outflow through its
+    # children, the flux's additivity residual (tails have no children)
     d = g.begin_values(tree) - np.asarray(g.end_values, dtype=float)
     add = is_forward_additive(tree, np.sign(d) * np.abs(d) ** (pe.p - 1.0),
                               tol)

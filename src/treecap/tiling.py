@@ -157,8 +157,7 @@ def _id_text(i):
 
 
 def _first_ids(ids, limit=10):
-    """Count and the first `limit` ids, so a message stays short."""
-    ids = list(ids)
+    """Count and first `limit` ids of a sequence, so messages stay short."""
     head = ", ".join(map(_id_text, ids[:limit]))
     return f"{len(ids)} [{head}{', ...' if len(ids) > limit else ''}]"
 
@@ -254,19 +253,19 @@ def validate_tiling(tiling, tol=1e-9):
     edge, x, y, side = tiling.edge, tiling.x, tiling.y, tiling.side
     msgs = []
 
+    def flag(what, ids):  # name the offending squares or edges, if any
+        if len(ids):
+            msgs.append(f"{what}: {_first_ids(ids)}")
+
     finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(side)
     with np.errstate(invalid="ignore", over="ignore"):
         right, bottom = x + side, y + side
     nonfinite = np.flatnonzero(~finite)
-    if nonfinite.size:
-        msgs.append("squares with non-finite geometry: "
-                    + _first_ids(edge[i] for i in nonfinite))
+    flag("squares with non-finite geometry", edge[nonfinite])
     if not np.isfinite([w, h]).all():
         msgs.append(f"rectangle {w} x {h} is not finite")
     nonpositive = np.flatnonzero(side <= 0)
-    if nonpositive.size:
-        msgs.append("squares with nonpositive side: "
-                    + _first_ids(edge[i] for i in nonpositive))
+    flag("squares with nonpositive side", edge[nonpositive])
 
     # every square names a distinct edge of the tree
     tree = tiling.tree
@@ -278,14 +277,10 @@ def validate_tiling(tiling, tol=1e-9):
                       and 0 <= v < n_edges else -1 for v in edge],
                      dtype=np.int64)
     known = (e >= 0) & (e < n_edges)
-    if not known.all():
-        msgs.append("squares naming no edge of the tree: "
-                    + _first_ids(edge[i] for i in np.flatnonzero(~known)))
+    flag("squares naming no edge of the tree", edge[~known])
     held = np.flatnonzero(known)
     repeated = np.flatnonzero(np.bincount(e[held], minlength=n_edges) > 1)
-    if repeated.size:
-        msgs.append("edges with more than one square: "
-                    + _first_ids(repeated.tolist()))
+    flag("edges with more than one square", repeated)
 
     # each held square's parent square: -1 at the root and for orphans
     slot = np.full(n_edges, -1)
@@ -324,9 +319,7 @@ def validate_tiling(tiling, tol=1e-9):
         msgs.append(f"area defect {area_defect:.3e}")
 
     # each square hangs off the bottom of its parent's square
-    if orphans.size:
-        msgs.append("squares with no parent square: "
-                    + _first_ids(edge[i] for i in orphans))
+    flag("squares with no parent square", edge[orphans])
     left_out, right_out, above = sticks_out
     adjacency = float("inf") if orphans.size else _worst(
         np.abs(y[held[is_root]]), np.abs(above), left_out, right_out)
