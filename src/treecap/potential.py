@@ -49,7 +49,7 @@ def _report_json(report):
     copied.  Report classes take it as their to_json."""
     def plain(v):
         if isinstance(v, list):
-            return [plain(x) for x in v]
+            return [x.item() if isinstance(x, np.generic) else x for x in v]
         return v.item() if isinstance(v, np.generic) else v
     return {f.name: plain(getattr(report, f.name))
             for f in fields(report) if f.repr}
