@@ -133,12 +133,13 @@ def _tail_value(v):
     return lo, hi
 
 
-def _tail_arrays(tree, tail_policy, p):
-    """Lower and upper tail values per edge (read at tails only); under
-    "interval", the certified capacity of the continuation when known."""
-    lo = np.zeros(tree.n_edges)
-    hi = np.ones(tree.n_edges)
+def _tail_bounds(tree, tail_policy, p):
+    """Lower and upper tail values: one pair for every tail, or arrays
+    per edge (read at tails only) for a dict; under "interval", the
+    certified capacity of the continuation when known."""
     if isinstance(tail_policy, dict):
+        lo = np.zeros(tree.n_edges)
+        hi = np.ones(tree.n_edges)
         tails = set(tree.tail_ids())
         for i, v in tail_policy.items():
             if i not in tails:
@@ -146,19 +147,18 @@ def _tail_arrays(tree, tail_policy, p):
             lo[i], hi[i] = _tail_value(v)
         return lo, hi
     if tail_policy == "interval":
-        if tree.continuation is not None:
-            prefix, eventual = tree.continuation
-            iv = symmetric_capacity(list(prefix), p, tail_degree=eventual)
-            lo[:], hi[:] = iv.lower, iv.upper
-    elif tail_policy == "pessimistic":
-        hi[:] = 0.0
-    elif tail_policy == "optimistic":
-        lo[:] = 1.0
-    elif isinstance(tail_policy, (int, float)):
-        lo[:], hi[:] = _tail_value(tail_policy)
-    else:
-        raise ValueError(f"unknown tail policy {tail_policy!r}")
-    return lo, hi
+        if tree.continuation is None:
+            return 0.0, 1.0
+        prefix, eventual = tree.continuation
+        iv = symmetric_capacity(list(prefix), p, tail_degree=eventual)
+        return iv.lower, iv.upper
+    if tail_policy == "pessimistic":
+        return 0.0, 0.0
+    if tail_policy == "optimistic":
+        return 1.0, 1.0
+    if isinstance(tail_policy, (int, float)):
+        return _tail_value(tail_policy)
+    raise ValueError(f"unknown tail policy {tail_policy!r}")
 
 
 def _tail_runs(tree, tail_policy, p, run):
@@ -170,9 +170,9 @@ def _tail_runs(tree, tail_policy, p, run):
         if isinstance(tail_policy, dict):  # its tails have no single ids
             raise ValueError("per-tail values need an explicit tree")
         q = tree.quotient
-    t_lo, t_hi = _tail_arrays(q, tail_policy, p)
+    t_lo, t_hi = _tail_bounds(q, tail_policy, p)
     lower = run(q, t_lo)
-    upper = run(q, t_hi) if np.any(t_lo[q.tail] != t_hi[q.tail]) else lower
+    upper = run(q, t_hi) if np.any((t_lo != t_hi) & q.tail) else lower
     return q, lower, upper
 
 
@@ -185,9 +185,9 @@ class EquilibriumResult:
     """Capacity bracket plus the witnessing equilibrium data.
 
     The edge functions (tent capacities c, co-potential M, equilibrium
-    function M_p) come from the lower tail run; upper_run carries the
-    optimistic counterparts when the bracket has positive width.  On a
-    finite tree the two runs coincide and upper_run is None.
+    function M_p) come from the lower tail run; upper_run is the pair
+    (c, measure) of the upper tail run when the tail values differ.  On
+    a finite tree the two runs coincide and upper_run is None.
     """
 
     tree: object
@@ -288,8 +288,7 @@ def _equilibrium_result(tree, pe, lower, upper, pad=False):
         lo, hi = _pad_interval(lo, hi)
     upper_run = None
     if c_hi is not c:
-        upper_run = (c_hi, BoundaryMeasure(q, M_hi, validate=False),
-                     signed_power(M_hi, pe))
+        upper_run = (c_hi, BoundaryMeasure(q, M_hi, validate=False))
     cls = EquilibriumResult if q is tree else LevelEquilibriumResult
     return cls(tree=q, p=pe.p,
                capacity=CapacityInterval(min(lo, hi), max(lo, hi)),

@@ -214,13 +214,12 @@ def _build_parser():
 
 def _load_tree(args, explicit_for=None):
     """Load --tree; explicit_for names what needs it explicitly stored."""
-    from .trees import require_explicit, tree_from_json
+    from .trees import require_explicit, spec_from_json, tree_from_json
 
     obj = _read_json(args.tree)
     depth = args.depth
-    spec = obj.get("spec")
-    if (depth is None and "depth" not in obj and isinstance(spec, dict)
-            and spec.get("variant") in ("homogeneous", "subdyadic")):
+    if (depth is None and "depth" not in obj and "spec" in obj
+            and spec_from_json(obj["spec"]).levels()[1] is not None):
         depth = 24
     tree = tree_from_json(obj, depth=depth)
     if explicit_for:

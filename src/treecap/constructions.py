@@ -112,11 +112,8 @@ def subdyadic_tree_of_capacity(target, p, digit_count=30):
         reduced = 0 * reduced
     exp = greedy_digits(reduced, base, digit_count)
     spec = Subdyadic(exp.digits)
-    degs = []
-    for r in exp.digits:
-        degs.extend([1] * r)
-        degs.append(2)
-    achieved = symmetric_capacity(degs, pe, tail_degree=2)
+    listed, eventual = spec.levels()
+    achieved = symmetric_capacity(listed, pe, tail_degree=eventual)
     return SubdyadicResult(spec=spec, digits=exp.digits,
                            achieved=achieved, target=t)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .trees import co_potential, is_forward_additive
+from .trees import co_potential, is_forward_additive, require_tolerance
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,6 @@ class PExponent:
 
 def as_exponent(p):
     return p if isinstance(p, PExponent) else PExponent(float(p))
-
-
-def require_tolerance(tol):
-    """Raise ValueError unless tol >= 0; NaN fails the test as well."""
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 def _report_json(report):

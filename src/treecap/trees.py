@@ -80,6 +80,12 @@ class Homogeneous:
 
     n: int
 
+    def levels(self):
+        """(listed degrees, eventual degree): none listed, then n."""
+        if self.n < 2:
+            raise TreeStructureError("homogeneous order must be >= 2")
+        return [], self.n
+
 
 @dataclass(frozen=True)
 class SphericallySymmetric:
@@ -89,6 +95,13 @@ class SphericallySymmetric:
 
     degrees: Sequence[int]
 
+    def levels(self):
+        """(listed degrees, eventual degree): the degrees, then none."""
+        degs = list(self.degrees)
+        if any(d < 1 for d in degs):
+            raise TreeStructureError("forward degrees must be >= 1")
+        return degs, None
+
 
 @dataclass(frozen=True)
 class Subdyadic:
@@ -97,42 +110,41 @@ class Subdyadic:
 
     runs: Sequence[int]
 
+    def levels(self):
+        """(listed degrees, eventual degree): the runs, then 2."""
+        runs = list(self.runs)
+        if any(r < 0 for r in runs):
+            raise TreeStructureError("run lengths must be >= 0")
+        return [d for r in runs for d in [1] * r + [2]], 2
+
 
 TreeSpec = Union[Explicit, Homogeneous, SphericallySymmetric, Subdyadic]
+
+# the level-regular specs: JSON variant name -> (class, its one field)
+_SPECS = {
+    "homogeneous": (Homogeneous, "n"),
+    "symmetric": (SphericallySymmetric, "degrees"),
+    "subdyadic": (Subdyadic, "runs"),
+}
 
 
 def _spec_degree_sequence(spec, depth):
     """Per-level forward degrees for levels 0..depth-1, plus the
-    continuation below the truncation: (prefix_after_depth, eventual).
-
-    eventual is an int if the degree is eventually constant, or None if
-    the tree genuinely ends after the prefix.
-    """
-    if isinstance(spec, Homogeneous):
-        if spec.n < 2:
-            raise TreeStructureError("homogeneous order must be >= 2")
-        return [spec.n] * depth, (), spec.n
-    if isinstance(spec, SphericallySymmetric):
-        degs = list(spec.degrees)
-        if any(d < 1 for d in degs):
-            raise TreeStructureError("forward degrees must be >= 1")
-        if depth > len(degs):
-            raise TreeStructureError(
-                f"depth {depth} exceeds the {len(degs)} listed degrees")
-        return degs[:depth], tuple(degs[depth:]), None
-    if isinstance(spec, Subdyadic):
-        runs = list(spec.runs)
-        if any(r < 0 for r in runs):
-            raise TreeStructureError("run lengths must be >= 0")
-        degs = []
-        for r in runs:
-            degs.extend([1] * r)
-            degs.append(2)
-        prefix = tuple(degs[depth:])
-        if len(degs) < depth:
-            degs.extend([2] * (depth - len(degs)))
-        return degs[:depth], prefix, 2
-    raise TypeError(f"not a tree spec: {spec!r}")
+    continuation below the truncation: (prefix_after_depth, eventual),
+    cut from spec.levels().  depth=None on a spec that ends (eventual
+    None) means the whole tree."""
+    if not isinstance(spec, tuple(cls for cls, _ in _SPECS.values())):
+        raise TypeError(f"not a tree spec: {spec!r}")
+    listed, eventual = spec.levels()
+    if depth is None and eventual is None:
+        return listed, (), None
+    if depth is None or depth < 1:
+        raise TreeStructureError("infinite specs need depth >= 1")
+    if eventual is None and depth > len(listed):
+        raise TreeStructureError(
+            f"depth {depth} exceeds the {len(listed)} listed degrees")
+    degs = listed[:depth] + [eventual] * (depth - len(listed))
+    return degs, tuple(listed[depth:]), eventual
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +450,10 @@ class SymmetricTree:
 def build_tree(spec, depth=None, layout="auto"):
     """Realize a tree specification.
 
-    Infinite specs (Homogeneous, Subdyadic, and SphericallySymmetric
-    with depth < len(degrees)) require a truncation depth and get tail
-    leaves at that level.  SphericallySymmetric without depth builds the
-    finite tree, whose deepest edges are true leaves.
+    A spec that continues below depth gets tail leaves at that level;
+    depth >= 1 is required unless the spec ends (spec.levels() has no
+    eventual degree), and then depth=None builds the finite tree, whose
+    deepest edges are true leaves.
 
     layout: "explicit" forces an arena (raising TreeTooLargeError over
     the budget), "compact" returns a SymmetricTree, "auto" picks
@@ -453,16 +465,9 @@ def build_tree(spec, depth=None, layout="auto"):
         tree.spec = spec
         return tree
 
-    if isinstance(spec, SphericallySymmetric) and depth is None:
-        degs, prefix, eventual = _spec_degree_sequence(spec, len(spec.degrees))
-        truncated = False
-        continuation = None
-    else:
-        if depth is None or depth < 1:
-            raise TreeStructureError("infinite specs need depth >= 1")
-        degs, prefix, eventual = _spec_degree_sequence(spec, depth)
-        truncated = len(prefix) > 0 or eventual is not None
-        continuation = (prefix, eventual) if truncated else None
+    degs, prefix, eventual = _spec_degree_sequence(spec, depth)
+    truncated = len(prefix) > 0 or eventual is not None
+    continuation = (prefix, eventual) if truncated else None
 
     widths = [1]  # edges per level
     n_total = 1
@@ -592,9 +597,16 @@ class AdditivityReport:
     residuals: np.ndarray = field(default=None, repr=False)
 
 
+def require_tolerance(tol):
+    """Raise ValueError unless tol >= 0; NaN fails the test as well."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
 def is_forward_additive(tree, f, tol=1e-12):
     """Check f(alpha) = sum of f over children at every non-leaf edge;
     residuals holds the signed f - sum there and 0 elsewhere."""
+    require_tolerance(tol)
     f = np.asarray(f, dtype=float)
     _, S = tree.sweep_up(lambda a, b, S: f[a:b])
     r = np.where(tree.n_children > 0, f - S, 0.0)
@@ -669,12 +681,11 @@ def co_potential(tree, measure):
 
 
 def spec_to_json(spec):
-    if isinstance(spec, Homogeneous):
-        return {"variant": "homogeneous", "n": spec.n}
-    if isinstance(spec, SphericallySymmetric):
-        return {"variant": "symmetric", "degrees": list(spec.degrees)}
-    if isinstance(spec, Subdyadic):
-        return {"variant": "subdyadic", "runs": list(spec.runs)}
+    for variant, (cls, name) in _SPECS.items():
+        if isinstance(spec, cls):
+            x = getattr(spec, name)
+            return {"variant": variant,
+                    name: x if isinstance(x, Real) else list(x)}
     raise TypeError(f"cannot serialize {spec!r}")
 
 
@@ -692,14 +703,13 @@ def spec_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError(f"a tree spec is a JSON object, not {obj!r}")
     v = obj.get("variant")
-    if v == "homogeneous":
-        return Homogeneous(_spec_int("n", obj["n"]))
-    if v == "symmetric":
-        return SphericallySymmetric([_spec_int("degrees", d)
-                                     for d in obj["degrees"]])
-    if v == "subdyadic":
-        return Subdyadic([_spec_int("runs", r) for r in obj["runs"]])
-    raise ValueError(f"unknown spec variant {v!r}")
+    if not isinstance(v, str) or v not in _SPECS:
+        raise ValueError(f"unknown spec variant {v!r}")
+    cls, name = _SPECS[v]
+    x = obj[name]
+    if cls.__annotations__[name] == "int":  # else a list of ints
+        return cls(_spec_int(name, x))
+    return cls([_spec_int(name, d) for d in x])
 
 
 def tree_to_json(tree):
@@ -717,8 +727,7 @@ def tree_to_json(tree):
         if tree.truncated:
             raise ValueError("a truncated compact tree without its spec "
                              "would lose its continuation")
-        return {"spec": {"variant": "symmetric",
-                         "degrees": list(tree.degrees)}}
+        return {"spec": spec_to_json(SphericallySymmetric(tree.degrees))}
     if tree.mult is not None:
         raise ValueError("a weighted quotient would lose its multiplicities")
     labels = (list(range(tree.n_edges)) if tree.labels is None

@@ -520,3 +520,21 @@ def test_extreme_p_raises_no_warning(p):
             assert abs(res.capacity - 0.999) <= 1e-3
             assert res.capacity == pytest.approx(capacity_of_set(
                 res.tree, res.leaves, p).capacity.lower, abs=1e-12)
+
+
+def test_a_partial_tail_dict_leaves_the_other_tails_at_0_and_1():
+    t = build_tree(Homogeneous(2), depth=4, layout="explicit")
+    tails = t.tail_ids()
+    partial = {tails[0]: 0.3, tails[5]: (0.2, 0.6), tails[9]: (0.5, 0.5)}
+    full = {z: partial.get(z, (0.0, 1.0)) for z in tails}
+    for p in (1.5, 2.0, 3.0):
+        a = capacity_recursive(t, p, tail_policy=partial)
+        b = capacity_recursive(t, p, tail_policy=full)
+        assert a.capacity == b.capacity and a.capacity.width > 0.0
+        assert np.array_equal(a.c_of_alpha, b.c_of_alpha)
+        assert np.array_equal(a.upper_run[0], b.upper_run[0])
+    a = total_resistance(t, tail_policy=partial)
+    b = total_resistance(t, tail_policy=full)
+    assert (a.lower, a.upper) == (b.lower, b.upper) and a.upper > a.lower
+    assert np.array_equal(a.below_lower, b.below_lower)
+    assert np.array_equal(a.below_upper, b.below_upper)

@@ -174,3 +174,16 @@ def test_harmonicity_on_weighted_quotient_matches_its_expansion():
             assert v == pytest.approx(p_laplacian(t, gt, i, p), rel=1e-12)
         assert rt.max_abs == pytest.approx(rq.max_abs, rel=1e-12)
         assert node[rt.worst_edge] == rq.worst_edge
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1])
+def test_additivity_and_harmonicity_refuse_a_bad_tol(tol):
+    from treecap import capacity_recursive, is_forward_additive
+
+    tree = build_tree(SphericallySymmetric([2, 2]))
+    res = capacity_recursive(tree, 2.0)
+    g = potential_all(tree, res.equilibrium_function)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        is_forward_additive(tree, res.measure.M, tol=tol)
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        is_p_harmonic(tree, g, 2.0, tol=tol)

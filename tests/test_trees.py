@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -507,3 +508,97 @@ def test_level_starts_of_a_1e5_path_quickly():
         assert t._starts == reference_starts(t)
         assert np.array_equal(
             t.level, np.repeat(np.arange(t.depth + 1), np.diff(t._starts)))
+
+
+def _reference_sequence(spec, depth):
+    """Level degrees, prefix and eventual degree, one branch per spec
+    kind: the truncation written out per variant."""
+    if isinstance(spec, Homogeneous):
+        if spec.n < 2:
+            raise TreeStructureError("homogeneous order must be >= 2")
+        return [spec.n] * depth, (), spec.n
+    if isinstance(spec, SphericallySymmetric):
+        degs = list(spec.degrees)
+        if any(d < 1 for d in degs):
+            raise TreeStructureError("forward degrees must be >= 1")
+        if depth > len(degs):
+            raise TreeStructureError(
+                f"depth {depth} exceeds the {len(degs)} listed degrees")
+        return degs[:depth], tuple(degs[depth:]), None
+    degs = []
+    for r in spec.runs:
+        degs.extend([1] * r)
+        degs.append(2)
+    prefix = tuple(degs[depth:])
+    degs.extend([2] * (depth - len(degs)))
+    return degs[:depth], prefix, 2
+
+
+def _reference_levels(spec, depth):
+    """(level degrees, continuation) of build_tree(spec, depth)."""
+    if isinstance(spec, SphericallySymmetric) and depth is None:
+        return _reference_sequence(spec, len(spec.degrees))[0], None
+    if depth is None or depth < 1:
+        raise TreeStructureError("infinite specs need depth >= 1")
+    degs, prefix, eventual = _reference_sequence(spec, depth)
+    truncated = len(prefix) > 0 or eventual is not None
+    return degs, (prefix, eventual) if truncated else None
+
+
+@pytest.mark.parametrize("spec, n_listed", [
+    (Homogeneous(2), 0), (Homogeneous(3), 0),
+    (SphericallySymmetric([]), 0), (SphericallySymmetric([2, 1, 3, 1]), 4),
+    (SphericallySymmetric((1, 1, 2)), 3),
+    (Subdyadic([]), 0), (Subdyadic([0, 2, 0]), 5)])
+def test_every_spec_truncates_as_its_variant_did(spec, n_listed):
+    for depth in (None, *range(n_listed + 4)):
+        try:
+            degs, continuation = _reference_levels(spec, depth)
+        except TreeStructureError as exc:
+            for layout in ("explicit", "compact"):
+                with pytest.raises(TreeStructureError) as got:
+                    build_tree(spec, depth=depth, layout=layout)
+                assert str(got.value) == str(exc), depth
+            continue
+        te = build_tree(spec, depth=depth, layout="explicit")
+        tc = build_tree(spec, depth=depth, layout="compact")
+        assert te.level_degrees == degs and tc.degrees == tuple(degs)
+        assert te.continuation == continuation == tc.continuation, depth
+        assert tc.truncated == (continuation is not None)
+        n_tails = math.prod(degs) if continuation is not None else 0
+        assert te.tail_ids() == list(tc.tail_ids())
+        assert len(te.tail_ids()) == n_tails, depth
+        assert te.spec is spec and tc.spec is spec
+
+
+def test_spec_json_covers_every_variant():
+    class Binary(Homogeneous):
+        pass
+
+    cases = [
+        (Homogeneous(4), {"variant": "homogeneous", "n": 4}),
+        (Binary(2), {"variant": "homogeneous", "n": 2}),
+        (SphericallySymmetric((2, 1, 3)),
+         {"variant": "symmetric", "degrees": [2, 1, 3]}),
+        (SphericallySymmetric([]), {"variant": "symmetric", "degrees": []}),
+        (Subdyadic((0, 2)), {"variant": "subdyadic", "runs": [0, 2]}),
+    ]
+    for spec, obj in cases:
+        assert spec_to_json(spec) == obj
+        back = spec_from_json(json.loads(json.dumps(obj)))
+        assert type(back) in (Homogeneous, SphericallySymmetric, Subdyadic)
+        assert spec_to_json(back) == obj
+    with pytest.raises(TypeError, match="cannot serialize 5"):
+        spec_to_json(5)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        spec_to_json(Explicit({0: []}))
+    for bad, message in (
+            ({"variant": "homogeneous", "n": 2.7}, "'n' holds 2.7"),
+            ({"variant": "homogeneous", "n": [3]}, "'n' holds \\[3\\]"),
+            ({"variant": "symmetric", "degrees": [2, "3"]},
+             "'degrees' holds '3'"),
+            ({"variant": "subdyadic", "runs": [True]}, "'runs' holds True"),
+            ({"variant": ["symmetric"]}, "unknown spec variant"),
+            ({"n": 2}, "unknown spec variant None")):
+        with pytest.raises(ValueError, match=message):
+            spec_from_json(bad)
