@@ -14,11 +14,12 @@ and since (p-1)(p'-1) = 1 each factor is exactly 1 / (1 + S^(p'-1))^(p-1),
 the denominator of the step at g, so it is taken from there with no
 subtraction.
 
-A compact spherically symmetric tree runs the same sweeps on its
-weighted quotient, one node per level, so both layouts share one
-recursion.  The capacity of a set E of true leaves is one run on the
-host tree with boundary values 1 on E and 0 on every other leaf and
-tail: an edge off E gets c = M = 0 exactly.  The level counting series
+A tree built from a level-regular spec, compact or explicit, runs the
+same sweeps on its weighted quotient, one node per level, whenever one
+value pair seeds every tail; other trees and per-tail values sweep every
+edge.  The capacity of a set E of true leaves is one run on the host
+tree with boundary values 1 on E and 0 on every other leaf and tail: an
+edge off E gets c = M = 0 exactly.  The level counting series
 c = (sum_k card(k)^(1-p'))^(1-p) stays an independent route, used both
 for symmetric_capacity and for certifying tail seeds; where the degree
 becomes constant its tail is geometric and summed in closed form.
@@ -32,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .potential import _report_json, as_exponent, signed_power, potential_all
+from .potential import _report_json, as_exponent, potential, signed_power
 from .trees import BoundaryMeasure, SymmetricTree, leaf_indicator, tent
 
 ROUNDING_PAD = 1e-13
@@ -161,19 +162,28 @@ def _tail_bounds(tree, tail_policy, p):
     raise ValueError(f"unknown tail policy {tail_policy!r}")
 
 
-def _tail_runs(tree, tail_policy, p, run):
-    """run(q, t) for the lower and the upper tail values t, on q: the
-    tree itself, or the weighted quotient of a compact symmetric tree.
-    Returns (q, lower run, upper run); one run when the values agree."""
-    q = tree
-    if isinstance(tree, SymmetricTree):
-        if isinstance(tail_policy, dict):  # its tails have no single ids
-            raise ValueError("per-tail values need an explicit tree")
-        q = tree.quotient
+def _tail_runs(tree, tail_policy, p, run, lower_extra=lambda *run: ()):
+    """run(q, t), a tuple of arrays on the nodes of q, for the lower and
+    the upper tail values t; the lower run gains lower_extra(*run), its
+    arrays taken elementwise.  q is the tree's weighted quotient when it
+    has one and one value pair seeds every tail, else the tree.  Returns
+    (host, lower run, upper run), one run when the values agree, on
+    host: the quotient of a compact SymmetricTree, or else the tree,
+    with each per-level array spread over its edges."""
+    per_tail = isinstance(tail_policy, dict)
+    if per_tail and isinstance(tree, SymmetricTree):  # no single tail ids
+        raise ValueError("per-tail values need an explicit tree")
+    q = tree if per_tail or tree.quotient is None else tree.quotient
     t_lo, t_hi = _tail_bounds(q, tail_policy, p)
     lower = run(q, t_lo)
+    lower += lower_extra(*lower)
     upper = run(q, t_hi) if np.any((t_lo != t_hi) & q.tail) else lower
-    return q, lower, upper
+    host = q if isinstance(tree, SymmetricTree) else tree
+    if host is not q:
+        same = upper is lower
+        lower = tuple(map(host.from_levels, lower))
+        upper = lower if same else tuple(map(host.from_levels, upper))
+    return host, lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +287,24 @@ def _run_explicit(tree, pe, boundary_values):
     return c, c * tree.push_down(of_parent, np.multiply)
 
 
-def _equilibrium_result(tree, pe, lower, upper, pad=False):
-    """The result of the (c, M) runs lower and upper (the same object
-    when the tails agree) on tree, or on the quotient of a compact
-    SymmetricTree; pad absorbs float rounding into the bracket."""
-    q = tree.quotient if isinstance(tree, SymmetricTree) else tree
-    (c, M), (c_hi, M_hi) = lower, upper
+def _equilibrium_result(tree, host, pe, lower, upper, pad=False):
+    """The result of the (c, M, M_p) run lower and the (c, M) run upper
+    (the same object when the tails agree) on host: tree, or the
+    quotient of a compact SymmetricTree; pad absorbs float rounding
+    into the bracket."""
+    (c, M, M_p), (c_hi, M_hi, *_) = lower, upper
     lo, hi = float(c[0]), float(c_hi[0])
     if pad:
         lo, hi = _pad_interval(lo, hi)
     upper_run = None
     if c_hi is not c:
-        upper_run = (c_hi, BoundaryMeasure(q, M_hi, validate=False))
-    cls = EquilibriumResult if q is tree else LevelEquilibriumResult
-    return cls(tree=q, p=pe.p,
+        upper_run = (c_hi, BoundaryMeasure(host, M_hi, validate=False))
+    cls = EquilibriumResult if host is tree else LevelEquilibriumResult
+    return cls(tree=host, p=pe.p,
                capacity=CapacityInterval(min(lo, hi), max(lo, hi)),
                c_of_alpha=c,
-               measure=BoundaryMeasure(q, M, validate=False),
-               equilibrium_function=signed_power(M, pe),
+               measure=BoundaryMeasure(host, M, validate=False),
+               equilibrium_function=M_p,
                upper_run=upper_run)
 
 
@@ -310,12 +320,13 @@ def capacity_recursive(tree, p, tail_policy="interval"):
     """
     pe = as_exponent(p)
     # true leaves carry 1; inner edges ignore their boundary value
-    q, lower, upper = _tail_runs(
+    host, lower, upper = _tail_runs(
         tree, tail_policy, pe,
-        lambda q, t: _run_explicit(q, pe, np.where(q.tail, t, 1.0)))
+        lambda q, t: _run_explicit(q, pe, np.where(q.tail, t, 1.0)),
+        lambda c, M: (signed_power(M, pe),))
     # certified seeds promise containment; absorb float rounding
-    pad = bool(np.any(q.tail)) and tail_policy == "interval"
-    return _equilibrium_result(tree, pe, lower, upper, pad=pad)
+    pad = bool(np.any(host.tail)) and tail_policy == "interval"
+    return _equilibrium_result(tree, host, pe, lower, upper, pad=pad)
 
 
 def capacity_of_set(tree, boundary_set, p):
@@ -323,8 +334,9 @@ def capacity_of_set(tree, boundary_set, p):
     the host tree: one run whose boundary values are the indicator of
     the set, so every other leaf and every tail carries 0."""
     pe = as_exponent(p)
-    run = _run_explicit(tree, pe, leaf_indicator(tree, boundary_set))
-    return _equilibrium_result(tree, pe, run, run)
+    c, M = _run_explicit(tree, pe, leaf_indicator(tree, boundary_set))
+    run = (c, M, signed_power(M, pe))
+    return _equilibrium_result(tree, tree, pe, run, run)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +362,7 @@ def rescaling_constant(tree, result, alpha, tol=1e-12):
     already reaches 1 at the begin vertex of alpha.
     """
     pe = as_exponent(result.p)
-    pot = potential_all(tree, result.equilibrium_function)
-    v = pot.at_begin(tree, alpha)
+    v = potential(tree, result.equilibrium_function, tree.parent_of(alpha))
     if v >= 1.0 - tol:
         raise ValueError(
             f"potential {v} at the begin vertex of {alpha} leaves no mass "
@@ -399,7 +410,7 @@ class ResistanceResult:
 def _tail_resistance(t):
     """Resistance (1 - t)/t below a tail of capacity t; infinite at 0."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(t > 0.0, (1.0 - t) / t, math.inf)
 
 
@@ -419,8 +430,8 @@ def _resistance_explicit(tree, seeds):
 def total_resistance(tree, tail_policy="interval"):
     """Series-parallel resistance of the tree below its root edge; a
     compact SymmetricTree runs on its quotient and reports on it."""
-    q, R_high, R_low = _tail_runs(
+    host, (R_high,), (R_low,) = _tail_runs(
         tree, tail_policy, 2.0,
-        lambda q, t: _resistance_explicit(q, _tail_resistance(t)))
-    return ResistanceResult(q, float(R_low[0]), float(R_high[0]),
+        lambda q, t: (_resistance_explicit(q, _tail_resistance(t)),))
+    return ResistanceResult(host, float(R_low[0]), float(R_high[0]),
                             R_low, R_high)

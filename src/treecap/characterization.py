@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import (_report_json, as_exponent, energy_all,
-                        potential_all, require_tolerance, signed_power)
+from .potential import (_report_json, as_exponent, potential_all,
+                        require_tolerance, signed_power)
 from .trees import co_potential, is_forward_additive, require_explicit
 
 
@@ -39,13 +39,14 @@ class CharacterizationReport:
 
 
 def _measure_potential(tree, measure, p, tol):
-    """(p exponent, co-potential M, potential of M_p) for the checks
-    below, after refusing a compact tree and a negative tol."""
+    """(co-potential M, M_p, potential of M_p) for the checks below,
+    after refusing a compact tree and a negative tol."""
     require_explicit(tree, "verification")
     require_tolerance(tol)
     pe = as_exponent(p)
     M = co_potential(tree, measure)
-    return pe, M, potential_all(tree, signed_power(M, pe))
+    M_p = signed_power(M, pe)
+    return M, M_p, potential_all(tree, M_p)
 
 
 def verify_equilibrium(tree, measure, p, tol=1e-9):
@@ -57,12 +58,14 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     support leaves where the potential reaches 1, which for a genuine
     equilibrium is exactly the set the measure equilibrates.
     """
-    pe, M, V = _measure_potential(tree, measure, p, tol)
+    M, M_p, V = _measure_potential(tree, measure, p, tol)
     total = float(M[tree.root])
     scale = max(total, 1e-12)
 
     add = is_forward_additive(tree, M, tol=tol * scale)
-    E = energy_all(tree, M, pe)
+    # tent energies of |M|^(p') = M M_p (M_p has M's sign), in M_p's buffer
+    e = np.multiply(M, M_p, out=M_p)
+    E, _ = tree.sweep_up(lambda a, b, S: e[a:b] + S)
     residuals = np.abs(M * (1.0 - V.begin_values(tree)) - E)
 
     # mass sitting on a tail edge makes every tent through it unverifiable

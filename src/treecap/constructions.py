@@ -180,14 +180,12 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
         raise ValueError("capacity targets are nonnegative")
     # the result names its leaves in an explicit arena, refused by its
     # size before anything is allocated
-    spec = SphericallySymmetric([n] * depth)
-    tree = build_tree(spec, layout="explicit")
+    tree = build_tree(SphericallySymmetric([n] * depth), layout="explicit")
     total = n ** depth
 
     # F[h]: capacity of a full subtree with h levels below its top edge;
     # node k of the quotient tops one with h = depth - k
-    quotient = build_tree(spec, layout="compact").quotient
-    F = _tent_capacities(quotient, pe, np.ones(depth + 1))[0][::-1]
+    F = _tent_capacities(tree.quotient, pe, np.ones(depth + 1))[0][::-1]
 
     def cap(m):
         # the first m leaves: at each level up the path of leaf m, the

@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .trees import co_potential, is_forward_additive, require_tolerance
+from .trees import (co_potential, is_forward_additive, predecessor_path,
+                    require_tolerance)
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,14 @@ def potential_all(tree, f):
 
 
 def potential(tree, f, x=None):
-    """If at the end vertex of edge x; x=None addresses the root vertex."""
+    """If at the end vertex of edge x, summed root first as potential_all
+    sums it; x=None addresses the root vertex."""
     if x is None:
         return 0.0
     f = np.asarray(f, dtype=float)
     total = 0.0
-    i = x
-    while i is not None:
+    for i in predecessor_path(tree, x):
         total += float(f[i])
-        i = tree.parent_of(i)
     return total
 
 

@@ -36,8 +36,9 @@ A Tree may carry a multiplicity per edge: mult[i] identical copies of
 the subtree of edge i hang off the end vertex of its parent, and
 sweep_up weights each child's output by it.  Such a tree is a weighted
 quotient, one node per orbit of identical subtrees; every pass built on
-the two primitives then returns the value of each copy.  SymmetricTree
-runs the sweeps on its quotient, a path with one node per level.
+the two primitives then returns the value of each copy.  Every tree
+built from a level-regular spec knows its quotient, a path with one
+node per level.
 """
 
 from __future__ import annotations
@@ -204,6 +205,7 @@ class Tree:
         self.continuation = continuation
         self.orig_ids = orig_ids
         self.spec = None  # generating spec, when built from one
+        self.quotient = None  # its level quotient, when built from a spec
         self._label_index = None
 
     def _lists_children(self, children):
@@ -248,6 +250,10 @@ class Tree:
             a, b = s[k], s[k + 1]
             out[a:b] = op(out[self.parent[a:b]], out[a:b])
         return out
+
+    def from_levels(self, values):
+        """Edge function holding values[k] on every edge of level k."""
+        return np.repeat(values, np.diff(self._starts))
 
     # -- basic queries ------------------------------------------------
 
@@ -383,8 +389,7 @@ class SymmetricTree:
     Edge ids are still the BFS ids of the explicit arena (they may be
     astronomically large), defined arithmetically: level k occupies
     ids [offset(k), offset(k+1)) in child-after-child order.  The sweeps
-    run on quotient: a path Tree with one node per level, node k of
-    multiplicity degrees[k - 1], the last one a tail when truncated.
+    run on its level quotient.
     """
 
     def __init__(self, degrees, truncated, continuation=None):
@@ -400,10 +405,8 @@ class SymmetricTree:
             card *= d
             offs.append(offs[-1] + card)
         self._offsets = offs  # offsets[k] = first id of level k
-        levels = np.arange(self.depth + 1)
-        self.quotient = Tree(levels - 1, mult=(1, *self.degrees),
-                             tail=self.truncated & (levels == self.depth),
-                             continuation=continuation)
+        self.quotient = _level_quotient(self.degrees, self.truncated,
+                                        continuation)
 
     @property
     def depth(self):
@@ -445,6 +448,15 @@ class SymmetricTree:
         """Degree data of any tent rooted at level k, as a SymmetricTree."""
         return SymmetricTree(self.degrees[k:], self.truncated,
                              continuation=self.continuation)
+
+
+def _level_quotient(degrees, truncated, continuation):
+    """The weighted quotient of a level-regular tree: a path, node k of
+    multiplicity degrees[k - 1], the last one a tail when truncated."""
+    levels = np.arange(len(degrees) + 1)
+    return Tree(levels - 1, mult=(1, *degrees),
+                tail=truncated & (levels == len(degrees)),
+                continuation=continuation)
 
 
 def build_tree(spec, depth=None, layout="auto"):
@@ -494,6 +506,7 @@ def build_tree(spec, depth=None, layout="auto"):
     tree = Tree(parent, tail=tail,
                 level_degrees=degs, continuation=continuation)
     tree.spec = spec
+    tree.quotient = _level_quotient(degs, truncated, continuation)
     return tree
 
 

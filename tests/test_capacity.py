@@ -16,10 +16,12 @@ from treecap import (
     SphericallySymmetric,
     Subdyadic,
     Tree,
+    as_exponent,
     build_tree,
     capacity_of_set,
     capacity_recursive,
     homogeneous_capacity,
+    potential_all,
     rescaling_constant,
     signed_power,
     spanned_subtree,
@@ -538,3 +540,114 @@ def test_a_partial_tail_dict_leaves_the_other_tails_at_0_and_1():
     assert (a.lower, a.upper) == (b.lower, b.upper) and a.upper > a.lower
     assert np.array_equal(a.below_lower, b.below_lower)
     assert np.array_equal(a.below_upper, b.below_upper)
+
+
+@st.composite
+def spec_built_trees(draw):
+    """An explicit tree built from a Homogeneous, SphericallySymmetric or
+    Subdyadic spec, with a few thousand edges at most."""
+    kind = draw(st.sampled_from(["homogeneous", "symmetric", "subdyadic"]))
+    if kind == "homogeneous":
+        n = draw(st.integers(2, 6))
+        spec = Homogeneous(n)
+        depth = draw(st.integers(1, int(10 / math.log2(n))))
+    elif kind == "symmetric":
+        degs = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)
+                    .filter(lambda d: math.prod(d) <= 2000))
+        spec = SphericallySymmetric(degs)
+        depth = draw(st.none() | st.integers(1, len(degs)))
+    else:
+        spec = Subdyadic(draw(st.lists(st.integers(0, 3), max_size=4)))
+        depth = draw(st.integers(1, 10))
+    return build_tree(spec, depth=depth, layout="explicit")
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0, 2.7, 8.0, 30.0])
+@settings(max_examples=100, deadline=None, database=None)
+@given(t=spec_built_trees(),
+       policy=st.sampled_from(["interval", "pessimistic", "optimistic"])
+       | st.floats(0.0, 1.0))
+def test_the_quotient_route_matches_the_explicit_sweep(p, t, policy):
+    # the spec-free copy has no quotient, so it sweeps every edge; a sum
+    # of d equal children is d v bit for bit when d <= 4 only
+    swept = Tree(t.parent, tail=t.tail, continuation=t.continuation)
+    exact = max(t.level_degrees, default=1) <= 4
+
+    def agree(a, b):
+        if exact:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
+
+    r = capacity_recursive(t, p, policy)
+    s = capacity_recursive(swept, p, policy)
+    assert r.tree is t and type(r) is EquilibriumResult
+    agree([r.capacity.lower, r.capacity.upper],
+          [s.capacity.lower, s.capacity.upper])
+    agree(r.c_of_alpha, s.c_of_alpha)
+    agree(r.measure.M, s.measure.M)
+    agree(r.equilibrium_function, s.equilibrium_function)
+    assert (r.upper_run is None) == (s.upper_run is None)
+    if r.upper_run is not None:
+        agree(r.upper_run[0], s.upper_run[0])
+        agree(r.upper_run[1].M, s.upper_run[1].M)
+    rr, sr = total_resistance(t, policy), total_resistance(swept, policy)
+    assert rr.tree is t and not rr.per_level
+    agree([rr.lower, rr.upper], [sr.lower, sr.upper])
+    agree(rr.below_lower, sr.below_lower)
+    agree(rr.below_upper, sr.below_upper)
+
+
+def test_spec_built_trees_sweep_their_quotient_unless_given_a_dict():
+    t = build_tree(Homogeneous(3), depth=4, layout="explicit")
+
+    def refuse(step):
+        raise AssertionError("swept the explicit tree")
+
+    t.sweep_up = refuse
+    r = capacity_recursive(t, 2.5)
+    assert type(r) is EquilibriumResult and r.tree is t
+    assert r.c_of_alpha.shape == r.upper_run[1].M.shape == (t.n_edges,)
+    rr = total_resistance(t)
+    assert rr.tree is t and rr.below_upper.shape == (t.n_edges,)
+    tails = t.tail_ids()
+    policy = {z: 0.2 if z == tails[0] else 0.7 for z in tails}
+    with pytest.raises(AssertionError, match="swept"):
+        capacity_recursive(t, 2.0, tail_policy=policy)
+    with pytest.raises(AssertionError, match="swept"):
+        total_resistance(t, tail_policy=policy)
+    del t.sweep_up
+    r = capacity_recursive(t, 2.0, tail_policy=policy)
+    assert r.c_of_alpha[tails[0]] == 0.2
+    assert np.all(r.c_of_alpha[tails[1:]] == 0.7)
+    assert r.capacity.lower < capacity_recursive(t, 2.0, 0.7).capacity.lower
+    rr = total_resistance(t, tail_policy=policy)
+    assert rr.below_lower[tails[0]] == pytest.approx(4.0)
+    assert np.allclose(rr.below_lower[tails[1:]], 0.3 / 0.7)
+
+
+def test_a_subnormal_tail_value_has_infinite_resistance():
+    t = build_tree(Homogeneous(2), depth=3, layout="explicit")
+    rr = total_resistance(t, tail_policy=5e-324)
+    assert rr.lower == rr.upper == math.inf
+
+
+def test_rescaling_constant_matches_the_potential_all_formula():
+    rng = np.random.default_rng(37)
+    trees = [random_tree(rng, max_edges=100) for _ in range(8)]
+    trees += [build_tree(Homogeneous(3), depth=4, layout="explicit"),
+              build_tree(Subdyadic([1, 0, 2]), depth=7),
+              build_tree(SphericallySymmetric([2, 3, 1, 2]))]
+    checked = 0
+    for tree in trees:
+        pe = as_exponent(random_p(rng))
+        r = capacity_recursive(tree, pe.p)
+        V = potential_all(tree, r.equilibrium_function)
+        for alpha in range(tree.n_edges):
+            v = V.at_begin(tree, alpha)
+            if v >= 1.0 - 1e-12:
+                continue
+            k = (1.0 - v) ** (-pe.p / pe.conjugate)
+            assert rescaling_constant(tree, r, alpha).k == k
+            checked += 1
+    assert checked > 500

@@ -10,7 +10,10 @@ from treecap import (
     capacity_of_set,
     capacity_recursive,
     check_potential_bound,
+    energy_all,
+    potential_all,
     recover_equilibrium_set,
+    signed_power,
     verify_equilibrium,
 )
 from helpers import random_leaf_measure, random_p, random_tree
@@ -140,3 +143,20 @@ def test_verify_rejects_wrong_shapes():
     compact = build_tree(Homogeneous(2), depth=30)
     with pytest.raises(TypeError):
         verify_equilibrium(compact, np.ones(3), 2)
+
+
+def test_residuals_match_the_energy_all_formula():
+    rng = np.random.default_rng(41)
+    cases = [(random_tree(rng, max_edges=150), random_p(rng))
+             for _ in range(15)]
+    cases += [(build_tree(Homogeneous(2), depth=8, layout="explicit"), p)
+              for p in (1.05, 2.5, 30.0)]
+    for tree, p in cases:
+        mu = capacity_recursive(tree, p).measure
+        for M in (mu.M, 0.5 * mu.M):
+            rep = verify_equilibrium(tree, M, p)
+            V = potential_all(tree, signed_power(M, p))
+            old = np.abs(M * (1.0 - V.begin_values(tree))
+                         - energy_all(tree, M, p))
+            scale = max(float(M[0]), 1e-12)
+            assert np.max(np.abs(rep.residuals - old)) <= 1e-15 * scale
