@@ -34,7 +34,8 @@ from itertools import accumulate
 import numpy as np
 
 from .potential import _report_json, as_exponent, potential, signed_power
-from .trees import BoundaryMeasure, SymmetricTree, leaf_indicator, tent
+from .trees import (BoundaryMeasure, SymmetricTree, edge_function_to_mapping,
+                    edge_ids, leaf_indicator, require_explicit, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -139,12 +140,9 @@ def _tail_bounds(tree, tail_policy, p):
     per edge (read at tails only) for a dict; under "interval", the
     certified capacity of the continuation when known."""
     if isinstance(tail_policy, dict):
-        lo = np.zeros(tree.n_edges)
-        hi = np.ones(tree.n_edges)
-        tails = set(tree.tail_ids())
-        for i, v in tail_policy.items():
-            if i not in tails:
-                raise ValueError(f"tail policy names {i!r}, not a tail id")
+        lo, hi = np.zeros(tree.n_edges), np.ones(tree.n_edges)
+        ids = edge_ids(tree, tail_policy, tree.tail, "tail id")
+        for i, v in zip(ids.tolist(), tail_policy.values()):
             lo[i], hi[i] = _tail_value(v)
         return lo, hi
     if tail_policy == "interval":
@@ -209,7 +207,6 @@ class EquilibriumResult:
     upper_run: tuple | None = None
 
     def to_json(self, keep_zero=False):
-        from .trees import edge_function_to_mapping
         return {
             "capacity": self.capacity.to_json(),
             "M": edge_function_to_mapping(self.tree, self.measure.M,
@@ -361,6 +358,7 @@ def rescaling_constant(tree, result, alpha, tol=1e-12):
     Degenerate (error) when the potential of the equilibrium function
     already reaches 1 at the begin vertex of alpha.
     """
+    require_explicit(tree, "rescaling")
     pe = as_exponent(result.p)
     v = potential(tree, result.equilibrium_function, tree.parent_of(alpha))
     if v >= 1.0 - tol:

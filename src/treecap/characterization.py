@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import (_report_json, as_exponent, potential_all,
-                        require_tolerance, signed_power)
-from .trees import co_potential, is_forward_additive, require_explicit
+from .potential import _report_json, as_exponent, potential_all, signed_power
+from .trees import (co_potential, is_forward_additive, require_explicit,
+                    require_tolerance)
 
 
 @dataclass

@@ -26,6 +26,17 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from .capacity import (capacity_of_set, capacity_recursive,
+                       symmetric_capacity, total_resistance)
+from .characterization import verify_equilibrium
+from .constructions import compact_set_of_capacity, subdyadic_tree_of_capacity
+from .oracle import OracleConvergenceError, oracle_capacity
+from .tiling import build_tiling, emit_svg, validate_tiling
+from .trees import (BoundaryMeasure, require_explicit, spec_from_json,
+                    tree_from_json)
+
 
 def _refuse_constant(name):
     raise ValueError(f"JSON constant {name} is not a finite number")
@@ -82,10 +93,6 @@ def _require_numbers(values, field):
 def _load_measure(tree, obj):
     """The measure in "M" or "leaf_masses"; masses that are not JSON
     numbers, overflow to inf or sum to it are refused."""
-    import numpy as np
-
-    from .trees import BoundaryMeasure
-
     if "M" in obj:
         if not isinstance(obj["M"], list):
             raise ValueError('"M" must be an array of masses, one per edge')
@@ -214,8 +221,6 @@ def _build_parser():
 
 def _load_tree(args, explicit_for=None):
     """Load --tree; explicit_for names what needs it explicitly stored."""
-    from .trees import require_explicit, spec_from_json, tree_from_json
-
     obj = _read_json(args.tree)
     depth = args.depth
     if (depth is None and "depth" not in obj and "spec" in obj
@@ -228,8 +233,6 @@ def _load_tree(args, explicit_for=None):
 
 
 def _cmd_capacity(args):
-    from .capacity import capacity_of_set, capacity_recursive
-
     tree = _load_tree(args, args.set is not None and "a boundary subset")
     if args.set is not None:
         ids = _parse_set(args.set, tree)
@@ -242,8 +245,6 @@ def _cmd_capacity(args):
 
 
 def _cmd_equilibrium(args):
-    from .capacity import capacity_recursive
-
     tree = _load_tree(args)
     res = capacity_recursive(tree, args.p, tail_policy=args.tail_policy)
     payload = res.to_json(keep_zero=args.include_zero)
@@ -252,8 +253,6 @@ def _cmd_equilibrium(args):
 
 
 def _cmd_verify(args):
-    from .characterization import verify_equilibrium
-
     tree = _load_tree(args)
     mu = _load_measure(tree, _read_json(args.measure))
     rep = verify_equilibrium(tree, mu, args.p, tol=args.tol)
@@ -261,9 +260,6 @@ def _cmd_verify(args):
 
 
 def _cmd_tile(args):
-    from .capacity import capacity_recursive
-    from .tiling import build_tiling, emit_svg, validate_tiling
-
     tree = _load_tree(args, "tiling")
     if args.measure is not None:
         mu = _load_measure(tree, _read_json(args.measure))
@@ -282,8 +278,6 @@ def _cmd_tile(args):
 
 
 def _cmd_symmetric(args):
-    from .capacity import symmetric_capacity
-
     degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
     iv = symmetric_capacity(degrees, args.p, tail_degree=args.tail)
     return 0, {"p": args.p, "degrees": degrees, "tail": args.tail,
@@ -291,8 +285,6 @@ def _cmd_symmetric(args):
 
 
 def _cmd_resistance(args):
-    from .capacity import total_resistance
-
     tree = _load_tree(args)
     res = total_resistance(tree, tail_policy=args.tail_policy)
     return 0, {"resistance": {"lower": res.lower, "upper": res.upper},
@@ -300,8 +292,6 @@ def _cmd_resistance(args):
 
 
 def _cmd_construct_set(args):
-    from .constructions import compact_set_of_capacity
-
     res = compact_set_of_capacity(args.n, args.p, args.target,
                                   tol=args.tol, depth=args.depth)
     payload = res.to_json()
@@ -311,16 +301,12 @@ def _cmd_construct_set(args):
 
 
 def _cmd_construct_tree(args):
-    from .constructions import subdyadic_tree_of_capacity
-
     res = subdyadic_tree_of_capacity(args.target, args.p,
                                      digit_count=args.digits)
     return 0, res.to_json()
 
 
 def _cmd_oracle(args):
-    from .oracle import OracleConvergenceError, oracle_capacity
-
     tree = _load_tree(args, "the oracle")
     ids = (_parse_set(args.set, tree) if args.set is not None
            else tree.true_leaves())

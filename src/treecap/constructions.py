@@ -27,8 +27,9 @@ import numpy as np
 
 from .capacity import (CapacityInterval, _one_step, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
-from .potential import as_exponent, require_tolerance
-from .trees import SphericallySymmetric, Subdyadic, build_tree, predecessor_path
+from .potential import as_exponent
+from .trees import (SphericallySymmetric, Subdyadic, build_tree,
+                    predecessor_path, require_tolerance)
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,7 @@ def lambda_digits(tree, zeta):
     """Sibling indices along the path from the root edge down to zeta;
     the address of a boundary point in its tree."""
     path = predecessor_path(tree, zeta)
-    out = []
-    for prev, cur in zip(path, path[1:]):
-        out.append(list(tree.children_of(prev)).index(cur))
-    return out
+    return [tree.children_of(a).index(b) for a, b in zip(path, path[1:])]
 
 
 @dataclass

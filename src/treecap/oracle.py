@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import as_exponent, require_tolerance
-from .trees import leaf_indicator
+from .potential import as_exponent
+from .trees import leaf_indicator, require_tolerance
 
 SLSQP_MAX_ITER = 500  # SLSQP iterations
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .trees import (co_potential, is_forward_additive, predecessor_path,
-                    require_tolerance)
+from .trees import co_potential, is_forward_additive, predecessor_path
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from itertools import repeat
 import numpy as np
 
 from .characterization import verify_equilibrium
-from .potential import _report_json, potential_all, require_tolerance
-from .trees import BoundaryMeasure, co_potential
+from .potential import _report_json, potential_all
+from .trees import BoundaryMeasure, co_potential, require_tolerance
 
 SVG_SCALE = 512.0  # pixels per unit length in emit_svg
 _BOOLS = {bool, np.bool_}

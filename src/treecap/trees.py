@@ -166,8 +166,7 @@ class Tree:
     """
 
     def __init__(self, parent, children=None, tail=None, labels=None,
-                 level_degrees=None, continuation=None, orig_ids=None,
-                 mult=None):
+                 continuation=None, orig_ids=None, mult=None):
         self.parent = np.asarray(parent, dtype=np.int64)
         n = self.parent.size
         if self.parent.ndim != 1 or n == 0:
@@ -201,7 +200,6 @@ class Tree:
                                  or self.mult.min() < 1):
             raise TreeStructureError("need one multiplicity >= 1 per edge")
         self.labels = labels
-        self.level_degrees = level_degrees
         self.continuation = continuation
         self.orig_ids = orig_ids
         self.spec = None  # generating spec, when built from one
@@ -269,11 +267,18 @@ class Tree:
     def depth(self):
         return len(self._starts) - 2
 
+    @property
+    def level_degrees(self):
+        """Forward degree per level, from the level quotient, if any."""
+        q = self.quotient
+        return None if q is None else q.mult[1:].tolist()
+
     def children_of(self, i):
         first = int(self.first_child[i])
         return list(range(first, first + int(self.n_children[i])))
 
     def parent_of(self, i):
+        require_edge(self, i)
         p = int(self.parent[i])
         return None if p < 0 else p
 
@@ -310,8 +315,7 @@ class Tree:
         str() it is, since JSON object keys are always strings."""
         if self.labels is None:
             i = int(label)
-            if not 0 <= i < self.n_edges:
-                raise KeyError(f"edge id {i} out of range")
+            require_edge(self, i)
             return i
         if self._label_index is None:
             ids = range(self.n_edges)
@@ -417,8 +421,7 @@ class SymmetricTree:
         return self._offsets[-1]
 
     def level_of(self, i):
-        if not 0 <= i < self.n_edges:
-            raise KeyError(f"edge id {i} out of range")
+        require_edge(self, i)
         return bisect_right(self._offsets, i) - 1
 
     def parent_of(self, i):
@@ -503,8 +506,7 @@ def build_tree(spec, depth=None, layout="auto"):
         ([-1], np.repeat(np.arange(n_children.size), n_children)))
     tail = np.zeros(len(parent), dtype=bool)
     tail[len(parent) - widths[-1]:] = truncated
-    tree = Tree(parent, tail=tail,
-                level_degrees=degs, continuation=continuation)
+    tree = Tree(parent, tail=tail, continuation=continuation)
     tree.spec = spec
     tree.quotient = _level_quotient(degs, truncated, continuation)
     return tree
@@ -544,6 +546,7 @@ def tent(tree, alpha):
     """
     if isinstance(tree, SymmetricTree):
         return tree.tent_profile(tree.level_of(alpha))
+    require_edge(tree, alpha)
     # the descendants of alpha on each level form one contiguous id range
     ranges = []
     lo, hi = int(alpha), int(alpha) + 1
@@ -552,6 +555,26 @@ def tent(tree, alpha):
         lo, hi = (int(tree.first_child[lo]),
                   int(tree.first_child[hi - 1] + tree.n_children[hi - 1]))
     return _subtree(tree, np.concatenate(ranges))
+
+
+def require_edge(tree, i):
+    """Raise KeyError unless i is an edge id of tree."""
+    if not 0 <= i < tree.n_edges:
+        raise KeyError(f"edge id {i} out of range")
+
+
+def edge_ids(tree, ids, allowed, what):
+    """ids as an int64 array, each an edge where the bool array allowed
+    holds.  They are read as floats, so 3.0 is edge 3 but 3.9 is refused
+    where an int64 read would truncate it to 3."""
+    x = np.fromiter(ids, dtype=float)
+    ok = (x >= 0) & (x < tree.n_edges) & (x == np.floor(x))
+    ok[ok] = allowed[x[ok].astype(np.int64)]
+    if not ok.all():
+        v = x[~ok][0]
+        raise ValueError(f"edge {int(v) if v.is_integer() else v} is not "
+                         f"a {what}")
+    return x.astype(np.int64)
 
 
 def require_explicit(tree, what):
@@ -566,13 +589,9 @@ def leaf_indicator(tree, boundary_set):
     """Indicator of a set of true leaves, as an edge function: 1.0 on
     the set (duplicate ids count once), 0.0 on every other edge."""
     require_explicit(tree, "a boundary subset")
-    E = np.unique(np.fromiter(boundary_set, dtype=np.int64))
+    E = edge_ids(tree, boundary_set, tree.true_leaf_mask(), "true leaf")
     if not E.size:
         raise ValueError("empty boundary set spans nothing")
-    ok = (E >= 0) & (E < tree.n_edges)
-    ok[ok] = tree.true_leaf_mask()[E[ok]]
-    if not ok.all():
-        raise ValueError(f"edge {E[~ok][0]} is not a true leaf")
     marked = np.zeros(tree.n_edges)
     marked[E] = 1.0
     return marked
@@ -653,14 +672,13 @@ class BoundaryMeasure:
 
     @classmethod
     def from_leaf_masses(cls, tree, masses):
-        """Additivize leaf masses upward into a co-potential."""
-        ids = np.fromiter(masses.keys(), dtype=np.int64, count=len(masses))
+        """Additivize leaf masses {id: mass} upward into a co-potential."""
+        ids = edge_ids(tree, masses, tree.n_children == 0, "leaf")
         m = np.fromiter(masses.values(), dtype=float, count=len(masses))
-        inner = tree.n_children[ids] > 0
-        if inner.any():
-            raise ValueError(f"edge {ids[inner][0]} is not a leaf")
-        if np.any(m < 0):
-            raise ValueError("negative mass")
+        ok = np.isfinite(m) & (m >= 0)
+        if not ok.all():
+            raise ValueError(f"edge {ids[~ok][0]} has mass {m[~ok][0]}, "
+                             "not a finite number >= 0")
         at_leaf = np.zeros(tree.n_edges)
         at_leaf[ids] = m
         M, _ = tree.sweep_up(lambda a, b, S: at_leaf[a:b] + S)
@@ -728,12 +746,9 @@ def spec_from_json(obj):
 def tree_to_json(tree):
     # spec-built trees round-trip through their generating spec so the
     # continuation behind a truncation survives serialization
-    spec = getattr(tree, "spec", None)
-    if spec is not None and not isinstance(spec, Explicit):
-        out = {"spec": spec_to_json(spec)}
-        truncated = (tree.truncated if isinstance(tree, SymmetricTree)
-                     else tree.continuation is not None)
-        if truncated:
+    if tree.spec is not None and not isinstance(tree.spec, Explicit):
+        out = {"spec": spec_to_json(tree.spec)}
+        if tree.continuation is not None:  # set exactly when truncated
             out["depth"] = tree.depth
         return out
     if isinstance(tree, SymmetricTree):

@@ -651,3 +651,48 @@ def test_rescaling_constant_matches_the_potential_all_formula():
             assert rescaling_constant(tree, r, alpha).k == k
             checked += 1
     assert checked > 500
+
+
+@pytest.mark.parametrize("call, error, says", [
+    (lambda: symmetric_capacity([0], 2), ValueError, "degrees must be >= 1"),
+    (lambda: symmetric_capacity([2], 2, tail_degree=0), ValueError,
+     "tail degree must be >= 1"),
+    (lambda: capacity_recursive(
+        build_tree(Homogeneous(2), depth=2, layout="explicit"), 2,
+        tail_policy="bogus"), ValueError, "unknown tail policy"),
+], ids=["series-degree-0", "series-tail-degree-0", "unknown-tail-policy"])
+def test_malformed_capacity_arguments_are_refused(call, error, says):
+    with pytest.raises(error, match=says):
+        call()
+
+
+@pytest.mark.parametrize("call, error, says", [
+    (lambda t, r: rescaling_constant(t, r, -1), KeyError, "out of range"),
+    (lambda t, r: rescaling_constant(t, r, 7), KeyError, "out of range"),
+    (lambda t, r: rescaling_constant(
+        build_tree(SphericallySymmetric([2, 2]), layout="compact"),
+        r, 1), TypeError, "explicitly stored"),
+    (lambda t, r: capacity_of_set(t, [3.9], 2), ValueError,
+     "edge 3.9 is not a true leaf"),
+    (lambda t, r: capacity_of_set(t, [3, 4.5], 2), ValueError,
+     "edge 4.5 is not a true leaf"),
+], ids=["rescale-negative-id", "rescale-id-past-the-end", "rescale-compact",
+        "set-fractional-id", "set-second-id-fractional"])
+def test_ids_that_name_no_edge_are_refused(call, error, says):
+    t = build_tree(SphericallySymmetric([2, 2]))
+    with pytest.raises(error, match=says):
+        call(t, capacity_recursive(t, 2))
+
+
+def test_integral_ids_of_any_type_name_leaves_and_tails():
+    finite = build_tree(SphericallySymmetric([2, 2]))
+    leaves = np.asarray(finite.true_leaves())
+    assert capacity_of_set(finite, leaves[:2], 2).capacity == \
+        capacity_of_set(finite, [3.0, 4.0], 2).capacity
+    t = build_tree(Homogeneous(2), depth=2, layout="explicit")
+    want = capacity_recursive(t, 2, tail_policy={3: 0.5}).capacity
+    for key in (3.0, np.int64(3)):
+        assert capacity_recursive(t, 2, tail_policy={key: 0.5}).capacity \
+            == want
+        assert total_resistance(t, tail_policy={key: 0.5}).lower == \
+            total_resistance(t, tail_policy={3: 0.5}).lower

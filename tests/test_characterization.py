@@ -160,3 +160,9 @@ def test_residuals_match_the_energy_all_formula():
                          - energy_all(tree, M, p))
             scale = max(float(M[0]), 1e-12)
             assert np.max(np.abs(rep.residuals - old)) <= 1e-15 * scale
+
+
+def test_capacity_equation_check_refuses_a_wrong_length():
+    t = build_tree(SphericallySymmetric([2]))
+    with pytest.raises(ValueError, match="does not match the tree"):
+        capacity_equation_check(t, np.ones(2), 2)

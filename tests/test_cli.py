@@ -351,6 +351,8 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
      "digit_count"),
     ({}, ["construct-tree", "--target", "0.3", "--digits", "-1"],
      "digit_count"),
+    ({"t": FINITE, "m": {"masses": [1.0]}},
+     ["verify", "--tree", "t", "--measure", "m"], '"M" array'),
 ], ids=["malformed-json", "tree-list", "spec-number", "edges-number",
         "measure-list", "leaf-masses-list", "M-too-short", "target-nan",
         "symmetric-huge-p", "capacity-huge-p", "p-nan", "p-inf", "tol-nan",
@@ -361,7 +363,7 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
         "oracle-tol-negative", "verify-tol-negative",
         "construct-set-tol-negative", "spec-n-fractional",
         "spec-degree-fractional", "spec-run-bool", "digits-zero",
-        "digits-negative"])
+        "digits-negative", "measure-without-masses"])
 def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
                                                 argv, says):
     for name, content in files.items():
@@ -425,3 +427,25 @@ def test_measure_entries_must_be_json_numbers(capsys, tmp_path, tree_file,
                                   "--measure", str(mfile)])
     assert code == 2 and out == ""
     assert err.startswith("treecap:") and says in err
+
+
+def test_tile_of_a_non_equilibrium_measure_exits_1(capsys, tmp_path,
+                                                   tree_file):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"M": [0.75, 0.25, 0.5]}))
+    code, out, err = run(capsys, ["tile", "--tree", tree_file,
+                                  "--measure", str(mfile)])
+    payload = json.loads(out)
+    assert code == 1 and err == ""
+    assert payload["ok"] is False
+    assert payload["error"].startswith("not an equilibrium measure")
+
+
+@pytest.mark.parametrize("degrees, line", [
+    ("2,2", "degrees: [2, 2]"),
+    (",".join(["2"] * 9), "degrees: [9 entries]"),
+], ids=["short-list", "long-list"])
+def test_human_format_prints_lists(capsys, degrees, line):
+    code, out, _ = run(capsys, ["symmetric", "--degrees", degrees,
+                                "--format", "human"])
+    assert code == 0 and line in out.splitlines()

@@ -242,3 +242,8 @@ def test_compact_set_refuses_non_integer_sizes(name, value):
     kwargs = {"n": 2, "depth": 6, name: value}
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         compact_set_of_capacity(kwargs["n"], 2, 0.3, depth=kwargs["depth"])
+
+
+def test_compact_set_refuses_depth_zero():
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        compact_set_of_capacity(2, 2, 0.3, depth=0)

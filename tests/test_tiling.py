@@ -648,3 +648,9 @@ def test_ids_that_are_not_ints_print_by_repr():
     rep = validate_tiling(odd)
     assert ("squares naming no edge of the tree: "
             f"5 [3, 2.0, True, None, {np.bool_(0)!r}]") in rep.messages
+
+
+def test_zero_measure_tiles_nothing():
+    t = build_tree(SphericallySymmetric([2]))
+    with pytest.raises(ValueError, match="zero measure tiles nothing"):
+        build_tiling(t, np.zeros(t.n_edges))

@@ -602,3 +602,91 @@ def test_spec_json_covers_every_variant():
             ({"n": 2}, "unknown spec variant None")):
         with pytest.raises(ValueError, match=message):
             spec_from_json(bad)
+
+
+@pytest.mark.parametrize("make, error, says", [
+    (lambda: build_tree(Homogeneous(1), depth=2), TreeStructureError,
+     "order must be >= 2"),
+    (lambda: build_tree(SphericallySymmetric([0])), TreeStructureError,
+     "degrees must be >= 1"),
+    (lambda: build_tree(Subdyadic([-1]), depth=2), TreeStructureError,
+     "run lengths must be >= 0"),
+    (lambda: build_tree(5), TypeError, "not a tree spec"),
+    (lambda: Tree([]), TreeStructureError, "nonempty"),
+    (lambda: Tree([-1, 0, 0], tail=[False, True]), TreeStructureError,
+     "one tail flag per edge"),
+    (lambda: BoundaryMeasure(build_tree(SphericallySymmetric([2])),
+                             np.ones(2)), ValueError, "cover every edge"),
+    (lambda: BoundaryMeasure(build_tree(SphericallySymmetric([2])),
+                             [0.5, 1.0, -0.5]), ValueError, "negative mass"),
+    (lambda: build_tree(SphericallySymmetric([2]), layout="compact")
+     .parent_of(3), KeyError, "edge id 3 out of range"),
+], ids=["homogeneous-order-1", "symmetric-degree-0", "subdyadic-run-negative",
+        "not-a-spec", "no-edges", "short-tail", "measure-shape",
+        "measure-negative", "compact-parent-out-of-range"])
+def test_malformed_trees_and_measures_are_refused(make, error, says):
+    with pytest.raises(error, match=says):
+        make()
+
+
+def test_compact_parent_of_the_root_is_none():
+    tc = build_tree(SphericallySymmetric([2, 3]), layout="compact")
+    assert tc.parent_of(0) is None and tc.parent_of(8) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: tent(t, -1),
+    lambda t: tent(t, 7),
+    lambda t: predecessor_path(t, -1),
+    lambda t: t.parent_of(-1),
+    lambda t: confluent(t, 3, -1),
+], ids=["tent-negative", "tent-past-the-end", "path-negative",
+        "parent-negative", "confluent-negative"])
+def test_edge_ids_outside_the_tree_are_refused(call):
+    t = build_tree(SphericallySymmetric([2, 2]))
+    with pytest.raises(KeyError, match="out of range"):
+        call(t)
+
+
+@pytest.mark.parametrize("masses, says", [
+    ({-1: 0.5}, "edge -1 is not a leaf"),
+    ({7: 0.5}, "edge 7 is not a leaf"),
+    ({0: 0.5}, "edge 0 is not a leaf"),
+    ({1: math.nan}, "mass nan"),
+    ({1: math.inf}, "mass inf"),
+    ({1: 0.5, 2: -0.25}, "mass -0.25"),
+    ({1.5: 0.5}, "edge 1.5 is not a leaf"),
+], ids=["id-negative", "id-past-the-end", "inner-edge", "mass-nan",
+        "mass-inf", "mass-negative", "id-fractional"])
+def test_leaf_masses_name_the_bad_id_or_mass(masses, says):
+    t = build_tree(SphericallySymmetric([2]))
+    with pytest.raises(ValueError, match=says):
+        BoundaryMeasure.from_leaf_masses(t, masses)
+
+
+def test_leaf_masses_accept_integral_ids_of_any_type():
+    t = build_tree(SphericallySymmetric([2]))
+    mu = BoundaryMeasure.from_leaf_masses(t, {np.int64(1): 0.25, 2.0: 0.5})
+    assert mu.M.tolist() == [0.75, 0.25, 0.5]
+
+
+def test_level_degrees_are_read_from_the_quotient():
+    for spec, depth in ((SphericallySymmetric([2, 1, 3]), None),
+                        (Homogeneous(3), 4), (Subdyadic([1, 0]), 5)):
+        t = build_tree(spec, depth=depth, layout="explicit")
+        assert t.level_degrees == t.quotient.mult[1:].tolist()
+        assert t.quotient.level_degrees is None
+        assert tent(t, 1).level_degrees is None
+    assert Tree.from_adjacency({"r": ["a"]}).level_degrees is None
+    with pytest.raises(TypeError):
+        Tree([-1, 0], level_degrees=[9])
+
+
+def test_tent_and_spanned_subtree_keep_adjacency_labels():
+    t = Tree.from_adjacency({"r": ["a", "b"], "a": ["c", "d"], "b": [],
+                             "c": [], "d": []})
+    sub = tent(t, t.id_of_label("a"))
+    assert sub.labels == ["a", "c", "d"]
+    span = spanned_subtree(t, [t.id_of_label("d"), t.id_of_label("b")])
+    assert span.labels == ["r", "a", "b", "d"]
+    assert [span.label_of(i) for i in span.true_leaves()] == ["b", "d"]
