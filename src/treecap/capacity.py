@@ -34,8 +34,9 @@ from itertools import accumulate
 import numpy as np
 
 from .potential import _report_json, as_exponent, potential, signed_power
-from .trees import (BoundaryMeasure, SymmetricTree, edge_function_to_mapping,
-                    edge_ids, leaf_indicator, require_explicit, tent)
+from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
+                    _spec_int, edge_function_to_mapping, edge_ids,
+                    leaf_indicator, require_edge, require_explicit, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -95,10 +96,8 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     trivial lower bound 0.
     """
     pe = as_exponent(p)
-    degrees = [int(d) for d in degrees]
-    if any(d < 1 for d in degrees):
-        raise ValueError("forward degrees must be >= 1")
-    if tail_degree is not None and tail_degree < 1:
+    degrees, _ = SphericallySymmetric(degrees).levels()
+    if tail_degree is not None and _spec_int("tail_degree", tail_degree) < 1:
         raise ValueError("tail degree must be >= 1")
     finite = tail_degree is None
     if not finite and tail_degree == 1:
@@ -359,6 +358,7 @@ def rescaling_constant(tree, result, alpha, tol=1e-12):
     already reaches 1 at the begin vertex of alpha.
     """
     require_explicit(tree, "rescaling")
+    alpha = require_edge(tree, alpha)
     pe = as_exponent(result.p)
     v = potential(tree, result.equilibrium_function, tree.parent_of(alpha))
     if v >= 1.0 - tol:

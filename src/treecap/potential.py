@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .trees import co_potential, is_forward_additive, predecessor_path
+from .trees import (co_potential, is_forward_additive, predecessor_path,
+                    require_edge)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def energy_all(tree, M, p):
 def energy(tree, mu, p, alpha=None):
     """p-energy of a measure over the tent at alpha (whole tree if None)."""
     e = energy_all(tree, co_potential(tree, mu), p)
-    return float(e[0 if alpha is None else alpha])
+    return float(e[0 if alpha is None else require_edge(tree, alpha)])
 
 
 def p_laplacian(tree, g, x, p):
@@ -120,6 +121,7 @@ def p_laplacian(tree, g, x, p):
     end vertex of a tail edge has unexplored neighbors, so it is an
     error; every other vertex has all neighbor values stored.
     """
+    x = require_edge(tree, x)
     if tree.is_tail(x):
         raise ValueError(f"edge {x} is a tail: the neighborhood of its "
                          "end vertex is not stored")

@@ -83,9 +83,10 @@ class Homogeneous:
 
     def levels(self):
         """(listed degrees, eventual degree): none listed, then n."""
-        if self.n < 2:
+        n = _spec_int("n", self.n)
+        if n < 2:
             raise TreeStructureError("homogeneous order must be >= 2")
-        return [], self.n
+        return [], n
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class SphericallySymmetric:
 
     def levels(self):
         """(listed degrees, eventual degree): the degrees, then none."""
-        degs = list(self.degrees)
+        degs = [_spec_int("degrees", d) for d in self.degrees]
         if any(d < 1 for d in degs):
             raise TreeStructureError("forward degrees must be >= 1")
         return degs, None
@@ -113,7 +114,7 @@ class Subdyadic:
 
     def levels(self):
         """(listed degrees, eventual degree): the runs, then 2."""
-        runs = list(self.runs)
+        runs = [_spec_int("runs", r) for r in self.runs]
         if any(r < 0 for r in runs):
             raise TreeStructureError("run lengths must be >= 0")
         return [d for r in runs for d in [1] * r + [2]], 2
@@ -131,21 +132,23 @@ _SPECS = {
 
 def _spec_degree_sequence(spec, depth):
     """Per-level forward degrees for levels 0..depth-1, plus the
-    continuation below the truncation: (prefix_after_depth, eventual),
-    cut from spec.levels().  depth=None on a spec that ends (eventual
-    None) means the whole tree."""
+    continuation below the truncation, (prefix_after_depth, eventual),
+    or None where the tree ends; cut from spec.levels().  depth=None on
+    a spec that ends (eventual None) means the whole tree."""
     if not isinstance(spec, tuple(cls for cls, _ in _SPECS.values())):
         raise TypeError(f"not a tree spec: {spec!r}")
     listed, eventual = spec.levels()
     if depth is None and eventual is None:
-        return listed, (), None
+        return listed, None
     if depth is None or depth < 1:
         raise TreeStructureError("infinite specs need depth >= 1")
     if eventual is None and depth > len(listed):
         raise TreeStructureError(
             f"depth {depth} exceeds the {len(listed)} listed degrees")
     degs = listed[:depth] + [eventual] * (depth - len(listed))
-    return degs, tuple(listed[depth:]), eventual
+    prefix = tuple(listed[depth:])
+    truncated = len(prefix) > 0 or eventual is not None
+    return degs, (prefix, eventual) if truncated else None
 
 
 # ---------------------------------------------------------------------------
@@ -274,25 +277,25 @@ class Tree:
         return None if q is None else q.mult[1:].tolist()
 
     def children_of(self, i):
+        i = require_edge(self, i)
         first = int(self.first_child[i])
         return list(range(first, first + int(self.n_children[i])))
 
     def parent_of(self, i):
-        require_edge(self, i)
-        p = int(self.parent[i])
+        p = int(self.parent[require_edge(self, i)])
         return None if p < 0 else p
 
     def level_of(self, i):
-        return int(self.level[i])
+        return int(self.level[require_edge(self, i)])
 
     def is_leaf(self, i):
-        return bool(self.n_children[i] == 0)
+        return bool(self.n_children[require_edge(self, i)] == 0)
 
     def is_tail(self, i):
-        return bool(self.tail[i])
+        return bool(self.tail[require_edge(self, i)])
 
     def is_true_leaf(self, i):
-        return self.is_leaf(i) and not self.tail[i]
+        return self.is_leaf(i) and not self.is_tail(i)
 
     def true_leaf_mask(self):
         return (self.n_children == 0) & ~self.tail
@@ -308,15 +311,14 @@ class Tree:
         return self._starts[k], self._starts[k + 1]
 
     def label_of(self, i):
+        i = require_edge(self, i)
         return self.labels[i] if self.labels is not None else i
 
     def id_of_label(self, label):
-        """Edge id of a label.  A string also matches the label whose
-        str() it is, since JSON object keys are always strings."""
+        """Edge id of a label, a number on a tree without labels.  A string
+        also matches the label whose str() it is, as JSON keys are strings."""
         if self.labels is None:
-            i = int(label)
-            require_edge(self, i)
-            return i
+            return require_edge(self, float(label))
         if self._label_index is None:
             ids = range(self.n_edges)
             index = dict(zip(map(str, self.labels), ids))
@@ -388,59 +390,45 @@ def _raise_first_repeated_child(child_lists):
 
 
 class SymmetricTree:
-    """Compact spherically symmetric truncation: only per-level data.
+    """Compact spherically symmetric truncation: its level quotient,
+    which degrees, truncated, continuation and depth read, plus offsets.
 
     Edge ids are still the BFS ids of the explicit arena (they may be
     astronomically large), defined arithmetically: level k occupies
-    ids [offset(k), offset(k+1)) in child-after-child order.  The sweeps
-    run on its level quotient.
+    ids [offset(k), offset(k+1)) in child-after-child order.
     """
 
     def __init__(self, degrees, truncated, continuation=None):
-        self.degrees = tuple(int(d) for d in degrees)
-        if any(d < 1 for d in self.degrees):
-            raise TreeStructureError("forward degrees must be >= 1")
-        self.truncated = bool(truncated)
-        self.continuation = continuation
+        self.quotient = _level_quotient(degrees, truncated, continuation)
         self.spec = None
-        offs = [0, 1]
-        card = 1
-        for d in self.degrees:
-            card *= d
-            offs.append(offs[-1] + card)
-        self._offsets = offs  # offsets[k] = first id of level k
-        self.quotient = _level_quotient(self.degrees, self.truncated,
-                                        continuation)
+        self._offsets = _level_offsets(self.degrees)
 
-    @property
-    def depth(self):
-        return len(self.degrees)
-
-    @property
-    def n_edges(self):
-        return self._offsets[-1]
+    degrees = property(lambda t: tuple(t.quotient.mult[1:].tolist()))
+    truncated = property(lambda t: bool(t.quotient.tail[-1]))
+    continuation = property(lambda t: t.quotient.continuation)
+    depth = property(lambda t: t.quotient.depth)
+    n_edges = property(lambda t: t._offsets[-1])
 
     def level_of(self, i):
-        require_edge(self, i)
-        return bisect_right(self._offsets, i) - 1
+        return bisect_right(self._offsets, require_edge(self, i)) - 1
 
     def parent_of(self, i):
         k = self.level_of(i)
         if k == 0:
             return None
-        j = i - self._offsets[k]
+        j = require_edge(self, i) - self._offsets[k]
         return self._offsets[k - 1] + j // self.degrees[k - 1]
 
     def children_of(self, i):
         k = self.level_of(i)
         if k >= self.depth:
             return []
-        j = i - self._offsets[k]
+        j = require_edge(self, i) - self._offsets[k]
         base = self._offsets[k + 1] + j * self.degrees[k]
         return list(range(base, base + self.degrees[k]))
 
     def is_tail(self, i):
-        return self.truncated and self.level_of(i) == self.depth
+        return self.level_of(i) == self.depth and self.truncated
 
     def tail_ids(self):
         if not self.truncated:
@@ -458,8 +446,19 @@ def _level_quotient(degrees, truncated, continuation):
     multiplicity degrees[k - 1], the last one a tail when truncated."""
     levels = np.arange(len(degrees) + 1)
     return Tree(levels - 1, mult=(1, *degrees),
-                tail=truncated & (levels == len(degrees)),
+                tail=bool(truncated) & (levels == len(degrees)),
                 continuation=continuation)
+
+
+def _level_offsets(degrees, budget=None):
+    """First id of every level, then the edge count, in exact ints (a
+    compact tree may pass 2^63 edges); stops past budget, if given."""
+    offsets = [0, 1]
+    for d in degrees:  # level k + 1 is d times as wide as level k
+        if budget is not None and offsets[-1] > budget:
+            break
+        offsets.append(offsets[-1] + d * (offsets[-1] - offsets[-2]))
+    return offsets
 
 
 def build_tree(spec, depth=None, layout="auto"):
@@ -474,38 +473,33 @@ def build_tree(spec, depth=None, layout="auto"):
     the budget), "compact" returns a SymmetricTree, "auto" picks
     compact only when the arena would not fit.
     """
+    if layout not in ("auto", "explicit", "compact"):
+        raise ValueError(f"unknown layout {layout!r}")
     cap = MAX_EXPLICIT_EDGES
     if isinstance(spec, Explicit):
         tree = Tree.from_adjacency(spec.adjacency, root=spec.root)
         tree.spec = spec
         return tree
 
-    degs, prefix, eventual = _spec_degree_sequence(spec, depth)
-    truncated = len(prefix) > 0 or eventual is not None
-    continuation = (prefix, eventual) if truncated else None
+    degs, continuation = _spec_degree_sequence(spec, depth)
+    truncated = continuation is not None
 
-    widths = [1]  # edges per level
-    n_total = 1
-    for d in degs:
-        widths.append(widths[-1] * d)
-        n_total += widths[-1]
-        if layout != "compact" and n_total > cap:
-            break
-
-    if layout == "compact" or (layout == "auto" and n_total > cap):
+    # level starts of the arena, cut short once it would not fit
+    offsets = None if layout == "compact" else _level_offsets(degs, cap)
+    if layout == "compact" or (layout == "auto" and offsets[-1] > cap):
         out = SymmetricTree(degs, truncated, continuation=continuation)
         out.spec = spec
         return out
-    if n_total > cap:
+    if offsets[-1] > cap:
         raise TreeTooLargeError(
-            f"{n_total}+ edges exceed the explicit budget {cap}")
+            f"{offsets[-1]}+ edges exceed the explicit budget {cap}")
 
     # each edge of level k has degs[k] children, listed in id order
-    n_children = np.repeat(degs + [0], widths)
+    n_children = np.repeat(degs + [0], np.diff(offsets))
     parent = np.concatenate(
         ([-1], np.repeat(np.arange(n_children.size), n_children)))
     tail = np.zeros(len(parent), dtype=bool)
-    tail[len(parent) - widths[-1]:] = truncated
+    tail[offsets[-2]:] = truncated
     tree = Tree(parent, tail=tail, continuation=continuation)
     tree.spec = spec
     tree.quotient = _level_quotient(degs, truncated, continuation)
@@ -519,7 +513,7 @@ def build_tree(spec, depth=None, layout="auto"):
 def predecessor_path(tree, x):
     """Edges from the root edge down to x, inclusive."""
     out = []
-    i = x
+    i = require_edge(tree, x)
     while i is not None:
         out.append(i)
         i = tree.parent_of(i)
@@ -546,10 +540,10 @@ def tent(tree, alpha):
     """
     if isinstance(tree, SymmetricTree):
         return tree.tent_profile(tree.level_of(alpha))
-    require_edge(tree, alpha)
     # the descendants of alpha on each level form one contiguous id range
     ranges = []
-    lo, hi = int(alpha), int(alpha) + 1
+    lo = require_edge(tree, alpha)
+    hi = lo + 1
     while lo < hi:
         ranges.append(np.arange(lo, hi))
         lo, hi = (int(tree.first_child[lo]),
@@ -558,9 +552,12 @@ def tent(tree, alpha):
 
 
 def require_edge(tree, i):
-    """Raise KeyError unless i is an edge id of tree."""
-    if not 0 <= i < tree.n_edges:
-        raise KeyError(f"edge id {i} out of range")
+    """Edge id i as an int, or KeyError unless i is a whole number in
+    [0, n_edges): 3.0 is edge 3; 3.5, nan and -1 (numpy wraps) are not."""
+    if isinstance(i, Real) and 0 <= i < tree.n_edges and i == int(i):
+        return int(i)
+    shown = int(i) if isinstance(i, float) and i.is_integer() else i
+    raise KeyError(f"edge id {shown} out of range")
 
 
 def edge_ids(tree, ids, allowed, what):

@@ -696,3 +696,21 @@ def test_integral_ids_of_any_type_name_leaves_and_tails():
             == want
         assert total_resistance(t, tail_policy={key: 0.5}).lower == \
             total_resistance(t, tail_policy={3: 0.5}).lower
+
+
+@pytest.mark.parametrize("degrees, tail, says", [
+    ([2.5], None, "'degrees' holds 2.5"),
+    ([2, True], None, "'degrees' holds True"),
+    ([2], 2.5, "'tail_degree' holds 2.5"),
+], ids=["fractional-degree", "bool-degree", "fractional-tail"])
+def test_the_series_refuses_degrees_that_are_not_whole(degrees, tail, says):
+    with pytest.raises(ValueError, match=says):
+        symmetric_capacity(degrees, 2, tail_degree=tail)
+    assert symmetric_capacity([2.0, 3.0], 2.5, tail_degree=2.0) == \
+        symmetric_capacity([2, 3], 2.5, tail_degree=2)
+
+
+def test_a_fractional_homogeneous_order_is_refused_not_truncated():
+    # the compact tree was binary while its tails took the 2.5-ary seed
+    with pytest.raises(ValueError, match="'n' holds 2.5"):
+        capacity_recursive(build_tree(Homogeneous(2.5), depth=30), 2)

@@ -166,3 +166,40 @@ def test_capacity_equation_check_refuses_a_wrong_length():
     t = build_tree(SphericallySymmetric([2]))
     with pytest.raises(ValueError, match="does not match the tree"):
         capacity_equation_check(t, np.ones(2), 2)
+
+
+@pytest.mark.parametrize("degrees", [[2, 3, 2], [3, 1, 2, 2], [2] * 12,
+                                     [1, 1, 2, 3]])
+def test_a_compact_result_verifies_on_its_quotient(degrees):
+    # the referees sweep with mult, so on the quotient they reach the
+    # explicit tree's verdicts with one value per level
+    spec = SphericallySymmetric(degrees)
+    te = build_tree(spec, layout="explicit")
+    for p in (1.05, 1.5, 2.0, 2.7, 8.0):
+        r_e, r_c = (capacity_recursive(build_tree(spec, layout=layout), p)
+                    for layout in ("explicit", "compact"))
+        assert r_c.tree.mult is not None  # the quotient, one node per level
+        ve, vc = (verify_equilibrium(r.tree, r.measure, p) for r in (r_e, r_c))
+        assert ve.is_equilibrium and vc.is_equilibrium
+        assert np.array_equal(te.from_levels(vc.residuals), ve.residuals)
+        assert vc.max_residual == ve.max_residual
+        assert vc.recovered_set == [len(degrees)]
+        assert ve.recovered_set == te.true_leaves()
+        be, bc = (check_potential_bound(r.tree, r.measure, p)
+                  for r in (r_e, r_c))
+        assert (be.ok, be.max_value, be.interior_strict) == \
+            (bc.ok, bc.max_value, bc.interior_strict)
+        ee, ec = (capacity_equation_check(r.tree, r, p) for r in (r_e, r_c))
+        assert ee.ok and ec.ok
+        assert np.array_equal(te.from_levels(ec.residuals), ee.residuals)
+
+
+def test_a_truncated_compact_result_is_undetermined_on_both_layouts():
+    spec = Homogeneous(2)
+    te = build_tree(spec, depth=8, layout="explicit")
+    r_e, r_c = (capacity_recursive(build_tree(spec, depth=8, layout=layout),
+                                   2) for layout in ("explicit", "compact"))
+    ve, vc = (verify_equilibrium(r.tree, r.measure, 2) for r in (r_e, r_c))
+    assert not ve.is_equilibrium and not vc.is_equilibrium
+    assert ve.undetermined == te.tail_ids() and vc.undetermined == [8]
+    assert vc.max_residual == ve.max_residual

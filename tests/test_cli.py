@@ -410,6 +410,41 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     assert err == b""
 
 
+def test_a_reader_leaving_after_one_byte_gets_exit_1(tmp_path):
+    # 2^16 - 1 edges print far more than a pipe buffer holds, so the
+    # writer is still blocked on the pipe when the reader closes it
+    tfile = tmp_path / "t.json"
+    tfile.write_text(json.dumps(
+        {"spec": {"variant": "symmetric", "degrees": [2] * 15}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treecap.cli", "equilibrium", "--tree",
+         str(tfile)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_broken_pipe_handler_in_process(monkeypatch, tmp_path, tree_file):
+    # the same exit seen by line tracing: a stdout whose reader is gone,
+    # backed by a file descriptor the handler may point at /dev/null
+    class GonePipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return sink.fileno()
+
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", GonePipe())
+        assert main(["capacity", "--tree", tree_file]) == 1
+
+
 @pytest.mark.parametrize("measure, says", [
     ({"M": ["0.6666666666666666", 1 / 3, True]}, "'0.6666666666666666'"),
     ({"M": [2 / 3, 1 / 3, True]}, "True"),

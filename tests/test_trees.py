@@ -690,3 +690,60 @@ def test_tent_and_spanned_subtree_keep_adjacency_labels():
     span = spanned_subtree(t, [t.id_of_label("d"), t.id_of_label("b")])
     assert span.labels == ["r", "a", "b", "d"]
     assert [span.label_of(i) for i in span.true_leaves()] == ["b", "d"]
+
+
+def test_a_compact_tree_states_its_levels_only_in_its_quotient():
+    tc = build_tree(Homogeneous(2), depth=30)
+    assert not {"degrees", "truncated", "continuation"} & set(vars(tc))
+    assert tc.degrees == tuple(tc.quotient.mult[1:].tolist()) == (2,) * 30
+    assert (tc.truncated, tc.continuation, tc.depth) == (True, ((), 2), 30)
+    finite = build_tree(SphericallySymmetric([2, 3]), layout="compact")
+    assert (finite.degrees, finite.truncated) == ((2, 3), False)
+    assert finite.continuation is None and finite.depth == 2
+    direct = SymmetricTree([3, 1], True, continuation=((), 2))
+    assert (direct.degrees, direct.truncated, direct.n_edges) == \
+        ((3, 1), True, 7)
+    with pytest.raises(AttributeError):
+        tc.degrees = (3,)
+
+
+def test_an_unknown_layout_is_refused_before_anything_is_built():
+    for call in (lambda: build_tree(SphericallySymmetric([2, 2]),
+                                    layout="bogus"),
+                 lambda: build_tree(Homogeneous(2), layout="Compact"),
+                 lambda: tree_from_json(
+                     {"spec": {"variant": "homogeneous", "n": 2}},
+                     depth=4, layout=None)):
+        with pytest.raises(ValueError, match="unknown layout"):
+            call()
+
+
+@pytest.mark.parametrize("spec, says", [
+    (Homogeneous(2.5), "'n' holds 2.5"),
+    (SphericallySymmetric([2.5, 2]), "'degrees' holds 2.5"),
+    (SphericallySymmetric([True, 2]), "'degrees' holds True"),
+    (Subdyadic([1.5]), "'runs' holds 1.5"),
+], ids=["homogeneous", "symmetric", "symmetric-bool", "subdyadic"])
+def test_fractional_degrees_are_refused_on_both_layouts(spec, says):
+    for layout in ("explicit", "compact"):
+        with pytest.raises(ValueError, match=says):
+            build_tree(spec, depth=3, layout=layout)
+
+
+def test_integral_float_degrees_read_as_ints_on_both_layouts():
+    for spec, like in ((Homogeneous(2.0), Homogeneous(2)),
+                       (Subdyadic([1.0]), Subdyadic([1])),
+                       (SphericallySymmetric([2.0, np.int64(3), 1.0]),
+                        SphericallySymmetric([2, 3, 1]))):
+        te, want = (build_tree(s, depth=3, layout="explicit")
+                    for s in (spec, like))
+        assert np.array_equal(te.parent, want.parent)
+        assert repr(te.continuation) == repr(want.continuation)
+        tc = build_tree(spec, depth=3, layout="compact")
+        assert repr((tc.degrees, tc.continuation)) == \
+            repr((tuple(te.level_degrees), te.continuation))
+
+
+def test_children_lists_of_the_wrong_length_are_refused():
+    with pytest.raises(TreeStructureError, match="disagree with parent"):
+        Tree([-1, 0, 0], [[1, 2], []])
