@@ -14,7 +14,8 @@ capacities, checked by capacity_equation_check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -38,15 +39,33 @@ class CharacterizationReport:
     to_json = _report_json
 
 
-def _measure_potential(tree, measure, p, tol):
-    """(co-potential M, M_p, potential of M_p) for the checks below,
-    after refusing a compact tree and a negative tol."""
+def _on_levels(check, tree, x, p, tol, read=co_potential):
+    """Refuse a compact tree, a negative tol and a wrong length, then run
+    check(host, x, exponent, tol) on x = read(tree, x).  The host is the
+    tree's level quotient when it has one and x is constant on every
+    level, with the report spread back to the edges: arrays by level, id
+    lists as the ids of their levels, worst_edge as the first edge of its
+    level and skipped_tails as the tree's count.  Else it is the tree."""
     require_explicit(tree, "verification")
     require_tolerance(tol)
     pe = as_exponent(p)
-    M = co_potential(tree, measure)
-    M_p = signed_power(M, pe)
-    return M, M_p, potential_all(tree, M_p)
+    x = read(tree, x)
+    levels = None if tree.quotient is None else tree.to_levels(x)
+    if levels is None:
+        return check(tree, x, pe, tol)
+    rep = check(tree.quotient, levels, pe, tol)
+    for f in fields(rep):
+        v = getattr(rep, f.name)
+        if isinstance(v, np.ndarray):
+            v = tree.from_levels(v)
+        elif isinstance(v, list):
+            v = list(chain(*(range(*tree.level_slice(k)) for k in v)))
+        elif f.name == "worst_edge":
+            v = tree.level_slice(v)[0]
+        elif f.name == "skipped_tails":
+            v = int(np.count_nonzero(tree.tail))
+        setattr(rep, f.name, v)
+    return rep
 
 
 def verify_equilibrium(tree, measure, p, tol=1e-9):
@@ -58,7 +77,12 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     support leaves where the potential reaches 1, which for a genuine
     equilibrium is exactly the set the measure equilibrates.
     """
-    M, M_p, V = _measure_potential(tree, measure, p, tol)
+    return _on_levels(_verify_equilibrium, tree, measure, p, tol)
+
+
+def _verify_equilibrium(tree, M, pe, tol):
+    M_p = signed_power(M, pe)
+    V = potential_all(tree, M_p)
     total = float(M[tree.root])
     scale = max(total, 1e-12)
 
@@ -71,9 +95,9 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     # mass sitting on a tail edge makes every tent through it unverifiable
     on_tail = tree.tail & (M > tol * scale)
     undetermined = np.flatnonzero(on_tail).tolist()
-    blocked, _ = tree.sweep_up(lambda a, b, S: on_tail[a:b] + S)
-
-    checkable = residuals[blocked == 0]
+    if undetermined:  # else no tent is blocked
+        blocked, _ = tree.sweep_up(lambda a, b, S: on_tail[a:b] + S)
+    checkable = residuals[blocked == 0] if undetermined else residuals
     max_residual = float(checkable.max()) if checkable.size else 0.0
 
     z = np.flatnonzero(tree.true_leaf_mask() & (M > tol * scale))
@@ -83,16 +107,11 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
 
     ok = add.ok and max_residual <= tol * scale and not undetermined
     return CharacterizationReport(
-        is_equilibrium=bool(ok),
-        max_residual=max_residual,
-        residuals=residuals,
-        additivity_ok=add.ok,
-        additivity_violation=add.max_violation,
-        recovered_set=recovered,
-        irregular_points=irregular,
-        undetermined=undetermined,
-        total_mass=total,
-    )
+        is_equilibrium=bool(ok), max_residual=max_residual,
+        residuals=residuals, additivity_ok=add.ok,
+        additivity_violation=add.max_violation, recovered_set=recovered,
+        irregular_points=irregular, undetermined=undetermined,
+        total_mass=total)
 
 
 def recover_equilibrium_set(tree, measure, p, tol=1e-9):
@@ -117,18 +136,18 @@ def check_potential_bound(tree, measure, p, tol=1e-9):
     at or below 1, with equality only at boundary points.  Equality at
     the end of a non-leaf edge means the measure pushes the potential
     to 1 strictly inside the tree, reported via interior_strict."""
-    _, _, V = _measure_potential(tree, measure, p, tol)
-    worst = int(np.argmax(V.end_values))
-    max_value = float(V.end_values[worst])
-    equality = np.flatnonzero(np.abs(V.end_values - 1.0) <= tol)
-    interior_strict = bool(np.all(tree.n_children[equality] == 0))
+    return _on_levels(_potential_bound, tree, measure, p, tol)
+
+
+def _potential_bound(tree, M, pe, tol):
+    V = potential_all(tree, signed_power(M, pe)).end_values
+    worst = int(np.argmax(V))
+    max_value = float(V[worst])
+    equality = np.flatnonzero(np.abs(V - 1.0) <= tol)
     return PotentialBoundReport(
-        ok=max_value <= 1.0 + tol,
-        max_value=max_value,
-        worst_edge=worst,
+        ok=max_value <= 1.0 + tol, max_value=max_value, worst_edge=worst,
         equality_edges=equality.tolist(),
-        interior_strict=interior_strict,
-    )
+        interior_strict=bool(np.all(tree.n_children[equality] == 0)))
 
 
 @dataclass
@@ -154,14 +173,17 @@ def capacity_equation_check(tree, c, p, tol=1e-9):
     children; true leaves carry c = 1 and W = 0.  Tail edges hold
     seeded values with no materialized children, so they are skipped.
     """
-    require_explicit(tree, "verification")
-    require_tolerance(tol)
-    pe = as_exponent(p)
-    if hasattr(c, "c_of_alpha"):
-        c = c.c_of_alpha
-    c = np.asarray(c, dtype=float)
+    return _on_levels(_capacity_equation, tree, c, p, tol, _capacities)
+
+
+def _capacities(tree, c):
+    c = np.asarray(getattr(c, "c_of_alpha", c), dtype=float)
     if c.shape != (tree.n_edges,):
         raise ValueError("capacity array length does not match the tree")
+    return c
+
+
+def _capacity_equation(tree, c, pe, tol):
     q = pe.conjugate
 
     # a tail edge's continuation is not materialized; grant it the

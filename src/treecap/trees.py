@@ -22,8 +22,9 @@ An explicit Tree is stored in compressed sparse row form.  Breadth
 first ids make parent[1:] non-decreasing with parent[i] < i, so the
 children of edge i are the contiguous id range
 [first_child[i], first_child[i] + n_children[i]) and every level is one
-contiguous id range as well.  Only this module knows the level layout;
-every pass over an explicit tree goes through the two primitives
+contiguous id range as well.  Only this module knows the level layout.
+Child sums of a given edge function are one np.bincount over parent[1:];
+every pass that carries values across levels uses the two primitives
 
 * Tree.sweep_up(step): levels from the deepest up; for level [a, b) it
   calls step(a, b, S), where S[j] sums step's outputs over the children
@@ -38,7 +39,8 @@ sweep_up weights each child's output by it.  Such a tree is a weighted
 quotient, one node per orbit of identical subtrees; every pass built on
 the two primitives then returns the value of each copy.  Every tree
 built from a level-regular spec knows its quotient, a path with one
-node per level.
+node per level; Tree.from_levels spreads per-level values over the
+edges, and Tree.to_levels is its inverse.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from numbers import Real
 from typing import Mapping, Sequence, Union
 
@@ -163,8 +165,9 @@ class Tree:
     when given, must list exactly the children that parent implies, in
     id order; it is checked and not stored.  orig_ids maps this tree's
     ids back to the tree it was cut from, when it was produced by tent()
-    or spanned_subtree().  mult, when given, holds the multiplicity
-    (>= 1) of every edge and makes the tree a weighted quotient; ids,
+    or spanned_subtree().  mult, when given, holds the multiplicity of
+    every edge, a whole number in [1, 2^63) read by _spec_int's rule (no
+    bool, NaN or infinity), and makes the tree a weighted quotient; ids,
     n_edges and the per-edge arrays then count quotient nodes.
     """
 
@@ -198,10 +201,12 @@ class Tree:
             raise TreeStructureError("need one tail flag per edge")
         if np.any(self.tail & (self.n_children > 0)):
             raise TreeStructureError("tail edges must be leaves")
-        self.mult = None if mult is None else np.asarray(mult, dtype=np.int64)
-        if mult is not None and (self.mult.shape != (n,)
-                                 or self.mult.min() < 1):
-            raise TreeStructureError("need one multiplicity >= 1 per edge")
+        m = None if mult is None else np.asarray(mult, dtype=object)
+        if m is not None and (m.shape != (n,) or not all(
+                isinstance(x, Real) and not isinstance(x, bool)
+                and 1 <= x < 2 ** 63 and x % 1 == 0 for x in m)):
+            raise TreeStructureError("need a whole multiplicity >= 1 per edge")
+        self.mult = None if m is None else m.astype(np.int64)
         self.labels = labels
         self.continuation = continuation
         self.orig_ids = orig_ids
@@ -255,6 +260,15 @@ class Tree:
     def from_levels(self, values):
         """Edge function holding values[k] on every edge of level k."""
         return np.repeat(values, np.diff(self._starts))
+
+    def to_levels(self, values):
+        """Inverse of from_levels: per-level values, or None unless values
+        is constant on every level (NaN never is).  The first and last
+        edge of each level are compared before every edge is."""
+        first = values[self._starts[:-1]]
+        same = (np.array_equal(first, values[np.subtract(self._starts[1:], 1)])
+                and np.array_equal(self.from_levels(first), values))
+        return first if same else None
 
     # -- basic queries ------------------------------------------------
 
@@ -318,7 +332,11 @@ class Tree:
         """Edge id of a label, a number on a tree without labels.  A string
         also matches the label whose str() it is, as JSON keys are strings."""
         if self.labels is None:
-            return require_edge(self, float(label))
+            try:
+                i = float(label)
+            except (TypeError, ValueError):
+                raise KeyError(f"unknown edge label {label!r}") from None
+            return require_edge(self, i)
         if self._label_index is None:
             ids = range(self.n_edges)
             index = dict(zip(map(str, self.labels), ids))
@@ -341,7 +359,6 @@ class Tree:
         connected to the root.  A declared root must be a key with no
         parent.
         """
-        adjacency = dict(adjacency)
         children = list(chain.from_iterable(adjacency.values()))
         as_child = set(children)
         if len(as_child) != len(children):
@@ -358,14 +375,14 @@ class Tree:
         elif root not in adjacency:
             raise TreeStructureError(
                 f"declared root {root!r} is not an edge of the adjacency")
-        order = [root]
+        order, n_children = [root], []
         for e in order:
-            order.extend(adjacency.get(e, ()))
+            kids = adjacency.get(e, ())
+            order.extend(kids)
+            n_children.append(len(kids))
         n = len(order)
         if n != len(as_child) + len(roots):  # edges mentioned
             raise TreeStructureError("adjacency is not connected to the root")
-        kids = map(adjacency.get, order, repeat(()))
-        n_children = np.fromiter(map(len, kids), dtype=np.int64, count=n)
         parent = np.concatenate(([-1], np.repeat(np.arange(n), n_children)))
         tail = np.zeros(n, dtype=bool)
         if tails:
@@ -637,7 +654,8 @@ def is_forward_additive(tree, f, tol=1e-12):
     residuals holds the signed f - sum there and 0 elsewhere."""
     require_tolerance(tol)
     f = np.asarray(f, dtype=float)
-    _, S = tree.sweep_up(lambda a, b, S: f[a:b])
+    w = f[1:] if tree.mult is None else f[1:] * tree.mult[1:]
+    S = np.bincount(tree.parent[1:], weights=w, minlength=tree.n_edges)
     r = np.where(tree.n_children > 0, f - S, 0.0)
     i = int(np.argmax(np.abs(r)))
     worst = float(abs(r[i]))
