@@ -9,6 +9,15 @@ arguments or malformed input.
 Numerical work stays in the library modules; this file only parses
 arguments, loads JSON, and shapes results.
 
+The JSON bytes are those of json.dumps(payload, indent=2,
+sort_keys=True) plus a newline.  CPython runs its pure-Python encoder
+whenever indent is set, one Python step per value, and an equilibrium
+holds two values per edge.  So each container of scalars goes to the C
+encoder in one call, with the line break and indent in its item
+separator, and only containers that nest others are laid out here.  The
+document is written once it has all encoded, so a payload that cannot
+be encoded prints nothing.
+
 --threads N / TREECAP_THREADS sets the BLAS/OpenMP thread variables
 that are still unset.  Both `treecap` and `python -m treecap.cli` import
 the package, and numpy with it, before main() runs, so numpy's BLAS pool
@@ -58,7 +67,41 @@ def _dump(payload, fmt):
         for line in _human_lines(payload, ""):
             print(line)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # encode the whole document first, so a payload that cannot be
+        # encoded leaves stdout empty
+        pieces = []
+        _json_pieces(payload, "\n", pieces)
+        pieces.append("\n")
+        sys.stdout.writelines(pieces)
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_pieces(obj, pad, out):
+    """Append to out the text json.dumps(obj, indent=2, sort_keys=True)
+    writes for obj on a line that starts with pad (newline and indent)."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        out.append(json.dumps(obj))
+        return
+    inner = pad + "  "
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        # one C encoder call; its item separator carries the line breaks
+        text = json.dumps(obj, sort_keys=True,
+                          separators=("," + inner, ": "))
+        out += text[0], inner, text[1:-1], pad, text[-1]
+        return
+    # a key as the encoder converts it: {3: 0} writes '"3": '
+    items = ([(json.dumps({k: 0})[1:-2], v) for k, v in sorted(obj.items())]
+             if is_dict else [("", v) for v in obj])
+    sep, close = "{}" if is_dict else "[]"
+    for key, v in items:
+        out += sep, inner, key
+        _json_pieces(v, inner, out)
+        sep = ","
+    out += pad, close
 
 
 def _human_lines(obj, prefix):

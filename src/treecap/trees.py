@@ -736,13 +736,15 @@ def spec_to_json(spec):
 
 
 def _spec_int(field, x):
-    """A JSON integer, or a float with an integral value; bools, strings
-    and fractional values are refused, and int() refuses infinity."""
-    if isinstance(x, Real) and not isinstance(x, bool):
-        n = int(x)
-        if n == x:
-            return n
-    raise ValueError(f"tree spec {field!r} holds {x!r}, not an integer")
+    """A JSON integer, or a float with an integral value; bools, strings,
+    fractional values, NaN and infinity are refused."""
+    if (isinstance(x, Real) and not isinstance(x, bool)
+            and -np.inf < x < np.inf and int(x) == x):
+        return int(x)
+    # JSON reads a number beyond the float range, such as 1e400, as inf
+    why = (" (a number beyond the float range reads as infinity)"
+           if x in (np.inf, -np.inf) else "")
+    raise ValueError(f"tree spec {field!r} holds {x!r}, not an integer{why}")
 
 
 def spec_from_json(obj):

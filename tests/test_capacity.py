@@ -702,7 +702,9 @@ def test_integral_ids_of_any_type_name_leaves_and_tails():
     ([2.5], None, "'degrees' holds 2.5"),
     ([2, True], None, "'degrees' holds True"),
     ([2], 2.5, "'tail_degree' holds 2.5"),
-], ids=["fractional-degree", "bool-degree", "fractional-tail"])
+    ([2], float("inf"), "'tail_degree' holds inf"),
+], ids=["fractional-degree", "bool-degree", "fractional-tail",
+        "infinite-tail"])
 def test_the_series_refuses_degrees_that_are_not_whole(degrees, tail, says):
     with pytest.raises(ValueError, match=says):
         symmetric_capacity(degrees, 2, tail_degree=tail)

@@ -1,13 +1,18 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treecap import SphericallySymmetric, build_tree, tree_to_json
+from treecap import (SphericallySymmetric, build_tree, capacity_recursive,
+                     tree_to_json)
+from treecap import cli
 from treecap.cli import main
 
 
@@ -353,6 +358,10 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
      "digit_count"),
     ({"t": FINITE, "m": {"masses": [1.0]}},
      ["verify", "--tree", "t", "--measure", "m"], '"M" array'),
+    ({"t": '{"spec": {"variant": "homogeneous", "n": 1e400}}'},
+     ["capacity", "--tree", "t"], "tree spec 'n' holds inf, not an integer"),
+    ({"t": '{"spec": {"variant": "subdyadic", "runs": [-1e400]}}'},
+     ["equilibrium", "--tree", "t"], "'runs' holds -inf"),
 ], ids=["malformed-json", "tree-list", "spec-number", "edges-number",
         "measure-list", "leaf-masses-list", "M-too-short", "target-nan",
         "symmetric-huge-p", "capacity-huge-p", "p-nan", "p-inf", "tol-nan",
@@ -363,7 +372,8 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
         "oracle-tol-negative", "verify-tol-negative",
         "construct-set-tol-negative", "spec-n-fractional",
         "spec-degree-fractional", "spec-run-bool", "digits-zero",
-        "digits-negative", "measure-without-masses"])
+        "digits-negative", "measure-without-masses", "spec-n-overflows",
+        "spec-run-overflows"])
 def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
                                                 argv, says):
     for name, content in files.items():
@@ -484,3 +494,96 @@ def test_human_format_prints_lists(capsys, degrees, line):
     code, out, _ = run(capsys, ["symmetric", "--degrees", degrees,
                                 "--format", "human"])
     assert code == 0 and line in out.splitlines()
+
+
+def _dumped(obj):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._dump(obj, "json")
+    return buf.getvalue()
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=2 ** 53, max_value=2 ** 80),
+    st.floats(),
+    st.sampled_from([1e-05, 1e16, -0.0, 5e-324, float("nan"), float("inf"),
+                     -float("inf")]),
+    st.text(), st.sampled_from(["\u00e9\u2603\U0001f600", "\x00\x1f\n\"\\"]))
+# one key type per dict, so that sort_keys can order them
+_KEYS = [st.text(), st.integers(), st.floats(), st.booleans(), st.none()]
+
+
+def _documents(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(k, children, max_size=4) for k in _KEYS),
+        st.lists(st.dictionaries(st.sampled_from(["edge", "x", "y", "side"]),
+                                 _SCALARS), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _documents, max_leaves=30))
+def test_json_output_is_the_indent_encoders_bytes(obj):
+    assert _dumped(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None,
+                    reason="this interpreter has no C JSON encoder")
+def test_the_pure_python_encoder_never_runs(capsys, monkeypatch, tmp_path,
+                                            tree_file):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"M": [2 / 3, 1 / 3, 1 / 3]}))
+    runs = [
+        ["capacity", "--tree", tree_file],
+        ["capacity", "--tree", tree_file, "--set", "1"],
+        ["equilibrium", "--tree", tree_file, "--include-zero"],
+        ["verify", "--tree", tree_file, "--measure", str(mfile)],
+        ["tile", "--tree", tree_file, "--svg", str(tmp_path / "t.svg")],
+        ["symmetric", "--degrees", "2,3", "--tail", "2"],
+        ["resistance", "--tree", tree_file],
+        ["construct-set", "--target", "0.25", "--depth", "10", "--leaves"],
+        ["construct-tree", "--target", "0.3", "--digits", "8"],
+        ["oracle", "--tree", tree_file, "--p", "3"],
+    ]
+    assert {argv[0] for argv in runs} == set(cli._COMMANDS)
+    outs = []
+    for argv in runs:
+        code, out, err = run(capsys, argv)
+        assert code in (0, 1) and err == "", argv
+        outs.append(out)
+    monkeypatch.undo()
+    for out in outs:
+        assert out == json.dumps(json.loads(out), indent=2,
+                                 sort_keys=True) + "\n"
+
+
+def test_json_output_peak_memory_stays_below_four_times_its_length():
+    res = capacity_recursive(build_tree(SphericallySymmetric([2] * 15)), 2.0)
+    payload = dict(res.to_json(), p=2.0)
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(buf):
+            cli._dump(payload, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(buf.getvalue())
+    assert n > 4_000_000
+    assert peak < 4 * n, f"peak {peak} B for {n} B of output"
+
+
+def test_a_payload_that_cannot_be_encoded_prints_nothing(capsys,
+                                                         monkeypatch):
+    # the first value encodes, the second cannot
+    monkeypatch.setitem(cli._COMMANDS, "symmetric", lambda args: (
+        0, {"a": [1.0, 2.0], "b": {"c": [{1, 2}]}}))
+    code, out, err = run(capsys, ["symmetric", "--degrees", "2"])
+    assert code == 2 and out == ""
+    assert err == "treecap: Object of type set is not JSON serializable\n"

@@ -730,6 +730,20 @@ def test_fractional_degrees_are_refused_on_both_layouts(spec, says):
             build_tree(spec, depth=3, layout=layout)
 
 
+@pytest.mark.parametrize("make, says", [
+    (lambda: spec_from_json({"variant": "symmetric",
+                             "degrees": [2, float("nan")]}),
+     "'degrees' holds nan, not an integer"),
+    (lambda: Homogeneous(float("inf")).levels(),
+     "'n' holds inf, not an integer"),
+    (lambda: build_tree(Subdyadic([-float("inf")]), depth=3,
+                        layout="compact"), "'runs' holds -inf"),
+], ids=["nan-degree", "inf-order", "minus-inf-run"])
+def test_non_finite_spec_integers_name_their_field(make, says):
+    with pytest.raises(ValueError, match=says):
+        make()
+
+
 def test_integral_float_degrees_read_as_ints_on_both_layouts():
     for spec, like in ((Homogeneous(2.0), Homogeneous(2)),
                        (Subdyadic([1.0]), Subdyadic([1])),
