@@ -259,15 +259,15 @@ def _one_step(S, pe):
 def _tent_capacities(tree, pe, boundary_values):
     """Bottom-up half of the sweep: (c, 1/D) at every edge, with
     boundary_values feeding the leaves and tails as c, and D the
-    denominator of the one-step map c = S / D."""
-    leaf = tree.n_children == 0
+    denominator of the one-step map c = S / D (1/D = 1 at a leaf).  The
+    map runs on the edges with children only: a leaf's S is 0, and a
+    power of 0 takes numpy off its vector path."""
     inv_D = np.ones(tree.n_edges)
 
     def step(a, b, S):
-        if b == tree.n_edges:  # the deepest level holds leaves only
-            return boundary_values[a:b]
-        c, inv_D[a:b] = _one_step(S, pe)
-        np.copyto(c, boundary_values[a:b], where=leaf[a:b])
+        j = tree.inner_positions(a)
+        c = boundary_values[a:b].copy()
+        c[j], inv_D[a:b][j] = _one_step(S[j], pe)
         return c
 
     c, _ = tree.sweep_up(step)
@@ -414,11 +414,11 @@ def _tail_resistance(t):
 
 def _resistance_explicit(tree, seeds):
     R = np.where(tree.tail, seeds, 0.0)
-    inner = tree.n_children > 0
 
     def step(a, b, G):  # G sums the children's conductances 1/(1 + R)
+        j = tree.inner_positions(a)
         with np.errstate(divide="ignore"):
-            R[a:b] = np.where(inner[a:b], 1.0 / G, R[a:b])
+            R[a:b][j] = 1.0 / G[j]
         return 1.0 / (1.0 + R[a:b])
 
     tree.sweep_up(step)

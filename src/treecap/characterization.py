@@ -184,21 +184,23 @@ def _capacities(tree, c):
 
 
 def _capacity_equation(tree, c, pe, tol):
-    q = pe.conjugate
+    # one power over the tree: c^q is taken as c c^(q-1), which moves
+    # W by a few ulps per level below it
+    c_q1 = c ** (pe.conjugate - 1.0)
+    c_q = c * c_q1
 
     # a tail edge's continuation is not materialized; grant it the
     # energy split c = c^q + W its seeded value implies, so parents
     # close exactly and the tail itself carries no checkable residual
-    W = np.where(tree.tail, c - c ** q, 0.0)
-    inner = tree.n_children > 0
+    W = np.where(tree.tail, c - c_q, 0.0)
 
     def step(a, b, S):  # S sums c^q + W over the children
-        m = inner[a:b]
-        W[a:b][m] = (1.0 - c[a:b][m] ** (q - 1.0)) ** pe.p * S[m]
-        return c[a:b] ** q + W[a:b]
+        j = tree.inner_positions(a)
+        W[a:b][j] = (1.0 - c_q1[a:b][j]) ** pe.p * S[j]
+        return c_q[a:b] + W[a:b]
 
     tree.sweep_up(step)
-    residuals = np.abs(c * (1.0 - c ** (q - 1.0)) - W)
+    residuals = np.abs(c * (1.0 - c_q1) - W)
     ok = float(residuals.max()) <= tol * max(float(c[tree.root]), 1e-12)
     return EquationReport(ok=bool(ok), max_residual=float(residuals.max()),
                           residuals=residuals,

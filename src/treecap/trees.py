@@ -33,6 +33,14 @@ every pass that carries values across levels uses the two primitives
 * Tree.push_down(values, op): out[0] = values[0] and
   out[i] = op(out[parent[i]], values[i]), one level at a time.
 
+A step that maps S only where there are children reads the level's
+edges with children from Tree.inner_positions(a), an index built once
+per tree.  The steps of the capacity recursion, the resistance and the
+capacity equation check do: a leaf takes its boundary value, and its
+S = 0 would only slow them, since numpy's power leaves its vector path
+on a zero base.  Additive steps (energies, leaf masses, spanned edges)
+stay on whole level slices, which is faster for a plain sum.
+
 A Tree may carry a multiplicity per edge: mult[i] identical copies of
 the subtree of edge i hang off the end vertex of its parent, and
 sweep_up weights each child's output by it.  Such a tree is a weighted
@@ -45,10 +53,11 @@ edges, and Tree.to_levels is its inverse.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
 from numbers import Real
 from typing import Mapping, Sequence, Union
 
@@ -213,6 +222,7 @@ class Tree:
         self.spec = None  # generating spec, when built from one
         self.quotient = None  # its level quotient, when built from a spec
         self._label_index = None
+        self._inner = None
 
     def _lists_children(self, children):
         n = self.n_edges
@@ -256,6 +266,27 @@ class Tree:
             a, b = s[k], s[k + 1]
             out[a:b] = op(out[self.parent[a:b]], out[a:b])
         return out
+
+    def inner_positions(self, a):
+        """Positions j of the edges a + j with children in the level
+        that starts at id a: a slice where they are contiguous (on a
+        full level, a quotient node or a level of leaves), else an int
+        array.  Built for every level at the first call, then cached."""
+        if self._inner is None:
+            starts = np.array(self._starts)
+            ids = np.flatnonzero(self.n_children > 0)  # a bool mask is faster
+            cut = ids.searchsorted(starts)
+            count = np.diff(cut)
+            at = np.append(ids, 0)  # read past the end on empty levels
+            first = np.where(count > 0, at[cut[:-1]] - starts[:-1], 0)
+            last = at[np.maximum(cut[1:] - 1, 0)] - starts[:-1]
+            run = (count == 0) | (last - first == count - 1)
+            self._inner = {
+                a: slice(f, f + m) if r else ids[i:i + m] - a
+                for a, i, m, f, r in zip(
+                    self._starts, cut.tolist(), count.tolist(),
+                    first.tolist(), run.tolist())}
+        return self._inner[a]
 
     def from_levels(self, values):
         """Edge function holding values[k] on every edge of level k."""
@@ -353,36 +384,25 @@ class Tree:
     def from_adjacency(cls, adjacency, root=None, tails=()):
         """Breadth-first ids for an adjacency mapping {edge: [children]}.
 
-        Once every edge is known to have at most one parent and the root
-        none, the breadth-first walk from the root meets each edge at
-        most once; the edges it misses lie on a cycle or in a piece not
-        connected to the root.  A declared root must be a key with no
-        parent.
+        One walk from the declared root, or else from the first key,
+        pops each key's child list, so no list is read twice and a cycle
+        cannot loop.  The walk is the tree exactly when it popped every
+        key, starting with its own, and met no edge twice: then every
+        edge has one parent, the start none, and all are connected to
+        it.  Otherwise the checks run in turn, each with its own
+        message, and a second walk starts from the true root; the edges
+        it misses lie in a piece not connected to it.  A declared root
+        must be a key with no parent.
         """
-        children = list(chain.from_iterable(adjacency.values()))
-        as_child = set(children)
-        if len(as_child) != len(children):
-            _raise_first_repeated_child(adjacency.values())
-        roots = set(adjacency).difference(as_child)
-        if root is None:
-            if len(roots) != 1:
+        start = root if root is not None else next(iter(adjacency), None)
+        order, n_children, missed = _walk(adjacency, start)
+        if missed or start not in adjacency or len(set(order)) != len(order):
+            root = _true_root(adjacency, root)
+            order, n_children, missed = _walk(adjacency, root)
+            if missed:
                 raise TreeStructureError(
-                    "need exactly one root edge, found "
-                    f"{sorted(map(repr, roots))}")
-            (root,) = roots
-        elif root in as_child:
-            raise TreeStructureError(f"declared root {root!r} has a parent")
-        elif root not in adjacency:
-            raise TreeStructureError(
-                f"declared root {root!r} is not an edge of the adjacency")
-        order, n_children = [root], []
-        for e in order:
-            kids = adjacency.get(e, ())
-            order.extend(kids)
-            n_children.append(len(kids))
+                    "adjacency is not connected to the root")
         n = len(order)
-        if n != len(as_child) + len(roots):  # edges mentioned
-            raise TreeStructureError("adjacency is not connected to the root")
         parent = np.concatenate(([-1], np.repeat(np.arange(n), n_children)))
         tail = np.zeros(n, dtype=bool)
         if tails:
@@ -392,6 +412,41 @@ class Tree:
                     raise TreeStructureError(f"tail {lab!r} is not an edge")
                 tail[index[lab]] = True
         return cls(parent, tail=tail, labels=order)
+
+
+def _walk(adjacency, start):
+    """Breadth-first walk from start that pops each key's child list
+    from a copy of adjacency: (order, child counts as int64, the number
+    of keys never reached)."""
+    rest = dict(adjacency)
+    order, counts = [start], array("q")
+    for e in order:
+        kids = rest.pop(e, ())
+        order.extend(kids)
+        counts.append(len(kids))
+    return order, np.frombuffer(counts, dtype=np.int64), len(rest)
+
+
+def _true_root(adjacency, root):
+    """The one key that is no child, or the declared root once it is
+    checked to be one; a second parent or a repeated child is refused
+    first, each with the message of the first offender."""
+    children = list(chain.from_iterable(adjacency.values()))
+    as_child = set(children)
+    if len(as_child) != len(children):
+        _raise_first_repeated_child(adjacency.values())
+    if root is None:
+        roots = set(adjacency).difference(as_child)
+        if len(roots) != 1:
+            raise TreeStructureError(
+                f"need exactly one root edge, found {sorted(map(repr, roots))}")
+        (root,) = roots
+    elif root in as_child:
+        raise TreeStructureError(f"declared root {root!r} has a parent")
+    elif root not in adjacency:
+        raise TreeStructureError(
+            f"declared root {root!r} is not an edge of the adjacency")
+    return root
 
 
 def _raise_first_repeated_child(child_lists):
@@ -795,13 +850,69 @@ def tree_from_json(obj, depth=None, layout="auto"):
         raise TreeStructureError(
             "a truncation depth applies to tree specs, not to an explicit "
             "adjacency")
-    adjacency = {rec["id"]: rec.get("children", []) for rec in obj["edges"]}
-    if len(adjacency) != len(obj["edges"]):
-        counts = Counter(rec["id"] for rec in obj["edges"])
-        twice = next(e for e, k in counts.items() if k > 1)
-        raise TreeStructureError(f"edge {twice!r} has more than one record")
-    tails = [rec["id"] for rec in obj["edges"] if rec.get("tail")]
-    return Tree.from_adjacency(adjacency, root=obj.get("root"), tails=tails)
+    records = obj.get("edges")
+    if not isinstance(records, list):
+        raise TreeStructureError(
+            f'"edges" holds {records!r}, not an array of edge records'
+            if "edges" in obj else 'a tree needs a "spec" or an "edges" array')
+    root = obj.get("root")
+    if root is not None and type(root) not in _LABEL_TYPES:
+        raise TreeStructureError(
+            f'"root" holds {root!r}, not a string or number')
+    # each field is read by one map over the records and checked by one
+    # pass over its types: no Python loop per record, and no tuple per
+    # record for the garbage collector to trace.  The labels are checked
+    # on the built tree, which holds each id and child once; whatever
+    # fails, a malformed record is named first
+    try:
+        ids = list(map(dict.get, records, repeat("id")))
+        kids = list(map(dict.get, records, repeat("children"), repeat(())))
+        tails = list(map(dict.get, records, repeat("tail"), repeat(False)))
+        if not (_only(kids, {list, tuple}) and _only(tails, {bool})):
+            raise TypeError("malformed edge record")
+        adjacency = dict(zip(ids, kids))
+        if len(adjacency) != len(records):
+            counts = Counter(ids)
+            twice = next(e for e, k in counts.items() if k > 1)
+            raise TreeStructureError(
+                f"edge {twice!r} has more than one record")
+        tree = Tree.from_adjacency(adjacency, root=root,
+                                   tails=list(compress(ids, tails)))
+        if not _only(tree.labels, _LABEL_TYPES):
+            raise TypeError("malformed edge record")
+    except (TypeError, TreeStructureError):
+        _raise_first_bad_record(records)
+        raise
+    return tree
+
+
+# the JSON types of an edge label: bool is not one, though an int in Python
+_LABEL_TYPES = {str, int, float}
+
+
+def _only(values, types):
+    return set(map(type, values)) <= types
+
+
+def _raise_first_bad_record(records):
+    """Name the first edge record that is not an object with a string or
+    number "id", an optional array "children" of strings and numbers
+    and an optional boolean "tail"."""
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise TreeStructureError(f"edges[{i}] holds {rec!r}, not an object")
+        if "id" not in rec:
+            raise TreeStructureError(f'edges[{i}] has no "id"')
+        for name, ok, what in (
+                ("id", type(rec["id"]) in _LABEL_TYPES, "a string or number"),
+                ("children", type(rec.get("children", ())) in (list, tuple)
+                 and _only(rec.get("children", ()), _LABEL_TYPES),
+                 "an array of strings or numbers"),
+                ("tail", type(rec.get("tail", False)) is bool,
+                 "true or false")):
+            if not ok:
+                raise TreeStructureError(
+                    f'edges[{i}]: "{name}" holds {rec[name]!r}, not {what}')
 
 
 def edge_function_from_mapping(tree, mapping):

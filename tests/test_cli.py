@@ -295,6 +295,7 @@ def test_set_reads_leaf_labels(capsys, tmp_path):
 DEEP = {"spec": {"variant": "homogeneous", "n": 2}, "depth": 30}
 SHALLOW = {"spec": {"variant": "homogeneous", "n": 2}, "depth": 4}
 FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
+ROOT_AB = {"id": "r", "children": ["a", "b"]}
 
 
 @pytest.mark.parametrize("files, argv, says", [
@@ -362,6 +363,29 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
      ["capacity", "--tree", "t"], "tree spec 'n' holds inf, not an integer"),
     ({"t": '{"spec": {"variant": "subdyadic", "runs": [-1e400]}}'},
      ["equilibrium", "--tree", "t"], "'runs' holds -inf"),
+    ({"t": {"edges": [ROOT_AB, {"id": "a", "tail": "false"}, {"id": "b"}]}},
+     ["capacity", "--tree", "t"],
+     'edges[1]: "tail" holds \'false\', not true or false'),
+    ({"t": {"edges": [{"id": "r", "children": "ab"}]}},
+     ["capacity", "--tree", "t"],
+     'edges[0]: "children" holds \'ab\', not an array'),
+    ({"t": {"edges": [ROOT_AB, {"children": []}]}},
+     ["capacity", "--tree", "t"], 'edges[1] has no "id"'),
+    ({"t": {"edges": [{"id": "r", "children": 5}]}},
+     ["capacity", "--tree", "t"], 'edges[0]: "children" holds 5'),
+    ({"t": {"edges": [ROOT_AB, {"id": ["a"]}]}},
+     ["capacity", "--tree", "t"], 'edges[1]: "id" holds [\'a\']'),
+    ({"t": {"edges": [ROOT_AB, 5]}},
+     ["capacity", "--tree", "t"], "edges[1] holds 5, not an object"),
+    ({"t": {"edges": [{"id": "r", "children": ["a", [1]]}]}},
+     ["capacity", "--tree", "t"],
+     'edges[0]: "children" holds [\'a\', [1]], not an array of strings'),
+    ({"t": {"edges": [{"id": True, "children": ["a"]}]}},
+     ["capacity", "--tree", "t"], 'edges[0]: "id" holds True'),
+    ({"t": {"root": ["r"], "edges": [ROOT_AB]}},
+     ["capacity", "--tree", "t"], '"root" holds [\'r\']'),
+    ({"t": {"root": "r"}}, ["capacity", "--tree", "t"],
+     'a tree needs a "spec" or an "edges" array'),
 ], ids=["malformed-json", "tree-list", "spec-number", "edges-number",
         "measure-list", "leaf-masses-list", "M-too-short", "target-nan",
         "symmetric-huge-p", "capacity-huge-p", "p-nan", "p-inf", "tol-nan",
@@ -373,7 +397,10 @@ FINITE = {"spec": {"variant": "symmetric", "degrees": [2]}}
         "construct-set-tol-negative", "spec-n-fractional",
         "spec-degree-fractional", "spec-run-bool", "digits-zero",
         "digits-negative", "measure-without-masses", "spec-n-overflows",
-        "spec-run-overflows"])
+        "spec-run-overflows", "record-tail-string", "record-children-string",
+        "record-without-id", "record-children-number", "record-id-list",
+        "record-number", "record-child-list", "record-id-bool",
+        "tree-root-list", "tree-without-edges"])
 def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
                                                 argv, says):
     for name, content in files.items():
@@ -384,6 +411,17 @@ def test_malformed_input_exits_2_with_a_message(capsys, tmp_path, files,
     assert code == 2 and out == ""
     assert err.startswith("treecap:") and says in err
     assert "Traceback" not in err
+
+
+def test_well_formed_records_with_tails_still_load(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"root": "r", "edges": [
+        ROOT_AB, {"id": "a", "children": [], "tail": False},
+        {"id": "b", "tail": True}]}))
+    code, out, _ = run(capsys, ["capacity", "--tree", str(path),
+                                "--tail-policy", "pessimistic"])
+    assert code == 0
+    assert json.loads(out)["capacity"] == {"lower": 0.5, "upper": 0.5}
 
 
 def test_large_p_prints_no_overflow_warning(tmp_path):
