@@ -26,6 +26,8 @@ from .trees import (co_potential, is_forward_additive, require_explicit,
 
 @dataclass
 class CharacterizationReport:
+    """What verify_equilibrium found for a measure and its boundary set."""
+
     is_equilibrium: bool
     max_residual: float
     residuals: np.ndarray = field(repr=False)
@@ -122,6 +124,8 @@ def recover_equilibrium_set(tree, measure, p, tol=1e-9):
 
 @dataclass
 class PotentialBoundReport:
+    """Where the potential reaches or passes 1, from check_potential_bound."""
+
     ok: bool
     max_value: float
     worst_edge: int
@@ -152,6 +156,8 @@ def _potential_bound(tree, M, pe, tol):
 
 @dataclass
 class EquationReport:
+    """Residuals of the tent recursion, from capacity_equation_check."""
+
     ok: bool
     max_residual: float
     residuals: np.ndarray = field(repr=False)

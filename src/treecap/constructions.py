@@ -50,7 +50,9 @@ class DigitExpansion:
 
 def greedy_digits(value, base, count):
     """Largest-first digits of value >= 0 in the fractional base
-    0 < base < 1; exact over Fractions, float otherwise."""
+    0 < base < 1; exact over Fractions, float otherwise.  Once the
+    remainder is 0 every later digit is 0; a float power of the base
+    that underflows to 0 while a remainder is left is refused."""
     if value < 0:
         raise ValueError("cannot expand a negative value")
     if not (0 < base < 1):
@@ -59,6 +61,14 @@ def greedy_digits(value, base, count):
     r = value
     pw = base ** 0
     for _ in range(count):
+        if r == 0:
+            digits += [0] * (count - len(digits))
+            break
+        if pw == 0:
+            raise ValueError(
+                f"digit_count = {count} needs base {base!r} to the power "
+                f"{len(digits)}, which underflows to 0 with {r!r} still "
+                "to expand")
         d = int(math.floor(r / pw))
         digits.append(d)
         r -= d * pw
@@ -68,6 +78,8 @@ def greedy_digits(value, base, count):
 
 @dataclass
 class SubdyadicResult:
+    """Subdyadic tree built for a target capacity, and what it achieves."""
+
     spec: Subdyadic
     digits: tuple
     achieved: CapacityInterval
@@ -128,6 +140,8 @@ def lambda_digits(tree, zeta):
 
 @dataclass
 class CompactSetResult:
+    """Leaf prefix of a complete n-ary tree whose capacity meets a target."""
+
     tree: object
     leaves: list
     capacity: float

@@ -33,6 +33,8 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass
 class OracleResult:
+    """Capacity by convex minimization, with its dual lower bound."""
+
     value: float            # feasible objective, an upper bound
     lower_bound: float      # dual certificate from the candidate measure
     f: np.ndarray           # the admissible function attaining value

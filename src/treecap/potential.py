@@ -135,6 +135,8 @@ def p_laplacian(tree, g, x, p):
 
 @dataclass
 class HarmonicityReport:
+    """The largest p-Laplacian and where it sits, from is_p_harmonic."""
+
     ok: bool
     max_abs: float
     worst_edge: int | None

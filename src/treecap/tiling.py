@@ -30,6 +30,8 @@ _BOOLS = {bool, np.bool_}
 
 @dataclass(frozen=True)
 class TilingSquare:
+    """One square of a tiling: its edge, top left corner and side."""
+
     edge: int
     x: float
     y: float
@@ -137,6 +139,8 @@ def build_tiling(tree, measure, tol=1e-9):
 
 @dataclass
 class TilingReport:
+    """Containment, overlap, area and adjacency defects of a tiling."""
+
     ok: bool
     containment_defect: float
     max_overlap: float

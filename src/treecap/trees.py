@@ -389,14 +389,19 @@ class Tree:
         cannot loop.  The walk is the tree exactly when it popped every
         key, starting with its own, and met no edge twice: then every
         edge has one parent, the start none, and all are connected to
-        it.  Otherwise the checks run in turn, each with its own
-        message, and a second walk starts from the true root; the edges
-        it misses lie in a piece not connected to it.  A declared root
-        must be a key with no parent.
+        it.  A walk that popped every key lists each of them at least
+        once, so when it lists no more edges than there are keys it
+        listed none twice; only adjacencies whose leaves are not keys
+        need a set to tell.  Otherwise the checks run in turn, each with
+        its own message, and a second walk starts from the true root;
+        the edges it misses lie in a piece not connected to it.  A
+        declared root must be a key with no parent.
         """
         start = root if root is not None else next(iter(adjacency), None)
         order, n_children, missed = _walk(adjacency, start)
-        if missed or start not in adjacency or len(set(order)) != len(order):
+        if (missed or start not in adjacency
+                or (len(order) != len(adjacency)
+                    and len(set(order)) != len(order))):
             root = _true_root(adjacency, root)
             order, n_children, missed = _walk(adjacency, root)
             if missed:
@@ -692,6 +697,8 @@ def confluent(tree, zeta, eta):
 
 @dataclass
 class AdditivityReport:
+    """The largest violation and where it sits, from is_forward_additive."""
+
     ok: bool
     max_violation: float
     worst_edge: int | None

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -625,3 +626,87 @@ def test_a_payload_that_cannot_be_encoded_prints_nothing(capsys,
     code, out, err = run(capsys, ["symmetric", "--degrees", "2"])
     assert code == 2 and out == ""
     assert err == "treecap: Object of type set is not JSON serializable\n"
+
+
+DEEP_JSON = {"tree": '{"edges": ' + "[" * 2000 + "]" * 2000 + "}",
+             "measure": '{"M": ' * 2000 + "0" + "}" * 2000}
+
+
+@pytest.mark.parametrize("kind", ["tree", "measure"])
+def test_json_nested_too_deeply_exits_2_with_a_message(capsys, tmp_path,
+                                                       tree_file, kind):
+    path = tmp_path / "f.json"
+    path.write_text(DEEP_JSON[kind])
+    argv = (["resistance", "--tree", str(path)] if kind == "tree" else
+            ["verify", "--tree", tree_file, "--measure", str(path)])
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"treecap: {path} nests its JSON too deeply\n"
+
+
+def test_construct_tree_past_float_underflow(capsys):
+    code, out, err = run(capsys, ["construct-tree", "--target", "0.3",
+                                  "--digits", "1076"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["runs"]) == 1076
+    code, out, err = run(capsys, ["construct-tree", "--target", "0.2",
+                                  "--p", "1.3", "--digits", "1100"])
+    assert code == 2 and out == ""
+    assert err.startswith("treecap: digit_count = 1100 needs base")
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False],
+                         ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2",
+                                  "argparse-exit-2", "broken-pipe"])
+def test_main_runs_with_the_collector_off_and_restores_it(
+        capsys, monkeypatch, tmp_path, tree_file, case, caller_enabled):
+    seen = []
+
+    def recording(cmd):
+        def wrapped(args):
+            seen.append(gc.isenabled())
+            return cmd(args)
+        return wrapped
+
+    for name in ("capacity", "verify"):
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            recording(cli._COMMANDS[name]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"M": [2 / 3, 1 / 3, 0.4]}))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+
+    class GonePipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return sink.fileno()
+
+    was = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        with open(tmp_path / "sink", "w") as sink:
+            if case == "exit-0":
+                code = main(["capacity", "--tree", tree_file])
+            elif case == "exit-1":
+                code = main(["verify", "--tree", tree_file,
+                             "--measure", str(bad)])
+            elif case == "exit-2":
+                code = main(["capacity", "--tree", str(malformed)])
+            elif case == "argparse-exit-2":
+                with pytest.raises(SystemExit) as exc:
+                    main(["capacity", "--tree"])
+                code = exc.value.code
+            else:
+                monkeypatch.setattr(sys, "stdout", GonePipe())
+                code = main(["capacity", "--tree", tree_file])
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    expected = {"exit-0": 0, "exit-1": 1, "exit-2": 2, "argparse-exit-2": 2,
+                "broken-pipe": 1}[case]
+    assert code == expected
+    assert seen == ([] if case == "argparse-exit-2" else [False])
+    assert after is caller_enabled

@@ -247,3 +247,22 @@ def test_compact_set_refuses_non_integer_sizes(name, value):
 def test_compact_set_refuses_depth_zero():
     with pytest.raises(ValueError, match="depth must be >= 1"):
         compact_set_of_capacity(2, 2, 0.3, depth=0)
+
+
+def test_digits_after_the_remainder_reaches_zero_are_zero():
+    # 2^-1075 underflows to 0.0; the remainder is exactly 0 well before
+    short = subdyadic_tree_of_capacity(0.3, 2.0, digit_count=1075)
+    long = subdyadic_tree_of_capacity(0.3, 2.0, digit_count=1076)
+    assert long.digits == short.digits + (0,)
+    assert long.achieved == short.achieved
+    exp = greedy_digits(Fraction(11, 4), Fraction(1, 2), 1200)
+    assert exp.digits == (2, 1, 1) + (0,) * 1197 and exp.remainder == 0
+
+
+def test_a_base_power_that_underflows_before_the_remainder_is_refused():
+    # base 2^(1 - 13/3) is no power of two: a subnormal remainder is left
+    # when its 323rd power rounds to 0
+    with pytest.raises(ValueError, match="digit_count = 1100"):
+        subdyadic_tree_of_capacity(0.2, 1.3, digit_count=1100)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        greedy_digits(0.46929793387117447, 0.1, 400)
