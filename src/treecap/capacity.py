@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Real
 
 import numpy as np
 
@@ -124,14 +125,20 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     return CapacityInterval(*_pad_interval(lo, hi))
 
 
+def _is_real(v):
+    """A real number, numpy's included, that is not a bool."""
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
 def _tail_value(v):
-    """(lower, upper) of a tail value: a number or a pair lo <= hi."""
-    lo, hi = (v, v) if isinstance(v, (int, float)) else v
-    lo, hi = float(lo), float(hi)
-    if not 0.0 <= lo <= hi <= 1.0:
+    """(lower, upper) of a tail value: a real number or a pair lo <= hi
+    of them, inside [0, 1]."""
+    pair = (v, v) if _is_real(v) else v
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(map(_is_real, pair)) and 0.0 <= pair[0] <= pair[1] <= 1.0):
         raise ValueError(f"tail value {v!r} is not a number or a pair "
                          "lo <= hi inside [0, 1]")
-    return lo, hi
+    return float(pair[0]), float(pair[1])
 
 
 def _tail_bounds(tree, tail_policy, p):
@@ -154,7 +161,7 @@ def _tail_bounds(tree, tail_policy, p):
         return 0.0, 0.0
     if tail_policy == "optimistic":
         return 1.0, 1.0
-    if isinstance(tail_policy, (int, float)):
+    if _is_real(tail_policy):
         return _tail_value(tail_policy)
     raise ValueError(f"unknown tail policy {tail_policy!r}")
 

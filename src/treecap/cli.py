@@ -410,12 +410,14 @@ def main(argv=None):
 
 def _run(argv):
     args = _build_parser().parse_args(argv)
-    threads = args.threads or os.environ.get("TREECAP_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        threads = args.threads or os.environ.get("TREECAP_THREADS")
+        if threads:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+                os.environ.setdefault(var, str(threads))
         _check_finite(args)
         if getattr(args, "tol", 0.0) < 0.0:
             raise ValueError(f"--tol must be >= 0, got {args.tol}")

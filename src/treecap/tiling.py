@@ -17,6 +17,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,10 +168,10 @@ def _first_ids(ids, limit=10):
 
 
 def _floats(values):
-    """values as a float array; a number beyond the float range (a
+    """values as a 1-d float array; a number beyond the float range (a
     huge Python int) reads as NaN, so it fails the finiteness check."""
     try:
-        return np.array(values, dtype=float)
+        return np.fromiter(values, dtype=float, count=len(values))
     except OverflowError:
         return np.array([v if abs(v) <= sys.float_info.max else np.nan
                          for v in values], dtype=float)
@@ -420,15 +421,14 @@ def measure_from_tiling(tree, tiling, tol=1e-9):
 
 
 def tiling_from_json(tree, obj):
-    """The Tiling of a JSON object as Tiling.to_json writes it; edge ids
-    are kept as given, so one that is not an int names no edge."""
-    rows = [(s["edge"], float(s["x"]), float(s["y"]), float(s["side"]))
-            for s in obj["squares"]]
-    edge, x, y, side = zip(*rows) if rows else ((),) * 4
-    return Tiling._of_columns(tree, float(obj["width"]), float(obj["height"]),
-                              _edge_column(edge), np.array(x, dtype=float),
-                              np.array(y, dtype=float),
-                              np.array(side, dtype=float))
+    """The Tiling of a JSON object as Tiling.to_json writes it, read as
+    Tiling reads its columns: an edge id that is not an int names no
+    edge, and a number beyond the float range is NaN."""
+    edge, x, y, side = (list(map(itemgetter(k), obj["squares"]))
+                        for k in ("edge", "x", "y", "side"))
+    width, height = _floats([obj["width"], obj["height"]]).tolist()
+    return Tiling._of_columns(tree, width, height, _edge_column(edge),
+                              _floats(x), _floats(y), _floats(side))
 
 
 def _xml_text(label):

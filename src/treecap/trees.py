@@ -33,9 +33,9 @@ every pass that carries values across levels uses the two primitives
 * Tree.push_down(values, op): out[0] = values[0] and
   out[i] = op(out[parent[i]], values[i]), one level at a time.
 
-A step that maps S only where there are children reads the level's
-edges with children from Tree.inner_positions(a), an index built once
-per tree.  The steps of the capacity recursion, the resistance and the
+A step that maps S only where there are children takes their positions
+from Tree.inner_positions(a), one int array per level built once per
+tree.  The steps of the capacity recursion, the resistance and the
 capacity equation check do: a leaf takes its boundary value, and its
 S = 0 would only slow them, since numpy's power leaves its vector path
 on a zero base.  Additive steps (energies, leaf masses, spanned edges)
@@ -64,6 +64,9 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 MAX_EXPLICIT_EDGES = 2_000_000
+# a compact tree keeps one exact int per level, of up to depth * log2(n)
+# bits for degree n, so its level table grows as depth^2
+MAX_LEVEL_TABLE_BITS = 2 ** 28
 
 
 class TreeStructureError(ValueError):
@@ -71,7 +74,8 @@ class TreeStructureError(ValueError):
 
 
 class TreeTooLargeError(ValueError):
-    """Explicit arena would exceed the edge budget."""
+    """A tree would exceed a size budget: the explicit arena's edges,
+    the levels of any tree or the compact level table's bits."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +132,11 @@ class Subdyadic:
         runs = [_spec_int("runs", r) for r in self.runs]
         if any(r < 0 for r in runs):
             raise TreeStructureError("run lengths must be >= 0")
+        n = sum(runs) + len(runs)
+        if n > MAX_EXPLICIT_EDGES:  # checked before any level is listed
+            raise TreeTooLargeError(
+                f"tree spec 'runs' lists {n} levels, more than the "
+                f"{MAX_EXPLICIT_EDGES} a tree may have")
         return [d for r in runs for d in [1] * r + [2]], 2
 
 
@@ -151,11 +160,16 @@ def _spec_degree_sequence(spec, depth):
     listed, eventual = spec.levels()
     if depth is None and eventual is None:
         return listed, None
+    depth = None if depth is None else _spec_int("depth", depth)
     if depth is None or depth < 1:
         raise TreeStructureError("infinite specs need depth >= 1")
     if eventual is None and depth > len(listed):
         raise TreeStructureError(
             f"depth {depth} exceeds the {len(listed)} listed degrees")
+    if depth > MAX_EXPLICIT_EDGES:
+        raise TreeTooLargeError(
+            f"depth {depth} is more than the {MAX_EXPLICIT_EDGES} levels a "
+            "tree may have")
     degs = listed[:depth] + [eventual] * (depth - len(listed))
     prefix = tuple(listed[depth:])
     truncated = len(prefix) > 0 or eventual is not None
@@ -269,23 +283,13 @@ class Tree:
 
     def inner_positions(self, a):
         """Positions j of the edges a + j with children in the level
-        that starts at id a: a slice where they are contiguous (on a
-        full level, a quotient node or a level of leaves), else an int
-        array.  Built for every level at the first call, then cached."""
+        that starts at id a, as an int array.  Built for every level at
+        the first call, then cached."""
         if self._inner is None:
-            starts = np.array(self._starts)
-            ids = np.flatnonzero(self.n_children > 0)  # a bool mask is faster
-            cut = ids.searchsorted(starts)
-            count = np.diff(cut)
-            at = np.append(ids, 0)  # read past the end on empty levels
-            first = np.where(count > 0, at[cut[:-1]] - starts[:-1], 0)
-            last = at[np.maximum(cut[1:] - 1, 0)] - starts[:-1]
-            run = (count == 0) | (last - first == count - 1)
-            self._inner = {
-                a: slice(f, f + m) if r else ids[i:i + m] - a
-                for a, i, m, f, r in zip(
-                    self._starts, cut.tolist(), count.tolist(),
-                    first.tolist(), run.tolist())}
+            ids = np.flatnonzero(self.n_children > 0)
+            cut = ids.searchsorted(self._starts).tolist()
+            self._inner = {a: ids[i:j] - a for a, i, j
+                           in zip(self._starts, cut, cut[1:])}
         return self._inner[a]
 
     def from_levels(self, values):
@@ -294,11 +298,9 @@ class Tree:
 
     def to_levels(self, values):
         """Inverse of from_levels: per-level values, or None unless values
-        is constant on every level (NaN never is).  The first and last
-        edge of each level are compared before every edge is."""
+        is constant on every level (NaN never is)."""
         first = values[self._starts[:-1]]
-        same = (np.array_equal(first, values[np.subtract(self._starts[1:], 1)])
-                and np.array_equal(self.from_levels(first), values))
+        same = np.array_equal(self.from_levels(first), values)
         return first if same else None
 
     # -- basic queries ------------------------------------------------
@@ -529,12 +531,18 @@ def _level_quotient(degrees, truncated, continuation):
 
 def _level_offsets(degrees, budget=None):
     """First id of every level, then the edge count, in exact ints (a
-    compact tree may pass 2^63 edges); stops past budget, if given."""
-    offsets = [0, 1]
+    compact tree may pass 2^63 edges); stops past budget, if given.
+    TreeTooLargeError once the ints pass MAX_LEVEL_TABLE_BITS bits."""
+    offsets, bits = [0, 1], 0
     for d in degrees:  # level k + 1 is d times as wide as level k
         if budget is not None and offsets[-1] > budget:
             break
         offsets.append(offsets[-1] + d * (offsets[-1] - offsets[-2]))
+        bits += offsets[-1].bit_length()
+        if bits > MAX_LEVEL_TABLE_BITS:
+            raise TreeTooLargeError(
+                f"depth {len(degrees)} needs a level table of more than "
+                f"{MAX_LEVEL_TABLE_BITS} bits")
     return offsets
 
 

@@ -716,3 +716,19 @@ def test_a_fractional_homogeneous_order_is_refused_not_truncated():
     # the compact tree was binary while its tails took the 2.5-ary seed
     with pytest.raises(ValueError, match="'n' holds 2.5"):
         capacity_recursive(build_tree(Homogeneous(2.5), depth=30), 2)
+
+
+def test_tail_values_are_real_numbers_and_not_bools():
+    t = build_tree(Homogeneous(2), depth=3, layout="explicit")
+    z = t.tail_ids()[0]
+    want = capacity_recursive(t, 2.5, tail_policy=0.5)
+    got = capacity_recursive(t, 2.5, tail_policy=np.float32(0.5))
+    assert got.capacity == want.capacity
+    want = capacity_recursive(t, 2.5, tail_policy={z: 0.5})
+    got = capacity_recursive(t, 2.5, tail_policy={z: np.float32(0.5)})
+    assert np.array_equal(got.c_of_alpha, want.c_of_alpha)
+    with pytest.raises(ValueError, match="unknown tail policy True"):
+        capacity_recursive(t, 2.5, tail_policy=True)
+    for v in (True, np.bool_(True), (False, True), "ab", (0.5,)):
+        with pytest.raises(ValueError, match="is not a number or a pair"):
+            total_resistance(t, tail_policy={z: v})

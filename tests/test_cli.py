@@ -3,6 +3,8 @@ import gc
 import io
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -710,3 +712,106 @@ def test_main_runs_with_the_collector_off_and_restores_it(
     assert code == expected
     assert seen == ([] if case == "argparse-exit-2" else [False])
     assert after is caller_enabled
+
+
+# ---------------------------------------------------------------------------
+# size bounds, each checked in a child process under a memory cap, so a
+# bound that stops holding fails the test instead of exhausting memory
+
+MEMORY_CAP = 1 << 30  # bytes of address space
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_capped(argv, timeout=120):
+    """python -m treecap.cli argv in a child process limited to
+    MEMORY_CAP bytes of address space and timeout seconds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "treecap.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=timeout, preexec_fn=_cap_memory)
+
+
+def homogeneous_file(tmp_path, depth=None):
+    """A Homogeneous(2) spec file, its "depth" given as JSON text."""
+    tfile = tmp_path / "homogeneous.json"
+    stored = "" if depth is None else f', "depth": {depth}'
+    tfile.write_text('{"spec": {"variant": "homogeneous", "n": 2}'
+                     + stored + "}")
+    return str(tfile)
+
+
+def assert_exit_2(proc, says):
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert re.fullmatch(f"treecap: .*{says}.*\n", proc.stderr)
+
+
+@pytest.mark.parametrize("target, p, says", [
+    # the greedy digits ask for 2.9e10, 1e10 and 2e52 unary levels
+    ("0.3", "1.05", r"'runs' lists 28\d{9} levels, more than the 2000000"),
+    ("0.1", "1.1", r"'runs' lists 10\d{9} levels"),
+    ("0.3", "1.01", r"'runs' lists \d{50,} levels"),
+])
+def test_subdyadic_runs_past_the_bound_exit_2_under_a_memory_cap(
+        target, p, says):
+    assert_exit_2(run_capped(["construct-tree", "--target", target,
+                              "--p", p]), says)
+
+
+def test_a_subdyadic_target_inside_the_bound_builds_under_a_memory_cap():
+    proc = run_capped(["construct-tree", "--target", "0.3", "--p", "1.1"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    out = json.loads(proc.stdout)
+    assert 1e5 < sum(out["runs"]) + len(out["runs"]) <= 2_000_000
+    assert out["achieved"]["lower"] <= 0.3 <= out["achieved"]["upper"]
+
+
+def test_deep_trees_exit_2_under_a_memory_cap(tmp_path):
+    # the compact level table of depth d holds about d^2 / 2 bits
+    proc = run_capped(["capacity", "--tree", homogeneous_file(tmp_path),
+                       "--depth", "1000000"])
+    assert_exit_2(proc, "depth 1000000 needs a level table of more than")
+    proc = run_capped(["capacity", "--tree",
+                       homogeneous_file(tmp_path, 2_000_001)])
+    assert_exit_2(proc, "depth 2000001 is more than the 2000000 levels")
+
+
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_threads_below_1_exit_2(capsys, tree_file, monkeypatch, threads):
+    monkeypatch.delenv("TREECAP_THREADS", raising=False)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    code, out, err = run(capsys, ["--threads", threads, "capacity",
+                                  "--tree", tree_file])
+    assert (code, out) == (2, "")
+    assert err == f"treecap: --threads must be >= 1, got {threads}\n"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("depth, says", [
+    ("true", "'depth' holds True, not an integer"),
+    ("2.5", "'depth' holds 2.5, not an integer"),
+    ('"x"', "'depth' holds 'x', not an integer"),
+    ("1e400", "'depth' holds inf, not an integer"),
+], ids=["bool", "fraction", "string", "beyond-float"])
+def test_a_stored_depth_is_a_whole_number(capsys, tmp_path, depth, says):
+    code, out, err = run(capsys, ["capacity", "--tree",
+                                  homogeneous_file(tmp_path, depth)])
+    assert (code, out) == (2, "")
+    assert says in err
+
+
+def test_a_stored_depth_of_2_0_is_depth_2(capsys, tmp_path):
+    outs = []
+    for depth in ("2", "2.0"):
+        code, out, _ = run(capsys, ["equilibrium", "--tree",
+                                    homogeneous_file(tmp_path, depth)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[1])["M"]) == 7

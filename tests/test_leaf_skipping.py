@@ -220,3 +220,11 @@ def test_the_one_step_map_sees_only_edges_with_children(monkeypatch):
     assert tree.quotient is None and not tree.tail.any()
     capacity_recursive(tree, 2.5)
     assert sum(seen) == np.count_nonzero(tree.n_children > 0)
+
+
+@pytest.mark.parametrize("tree", TREES + [COMPACT.quotient, Tree([-1])],
+                         ids=lambda t: f"{t.n_edges}e")
+def test_inner_positions_are_int_arrays(tree):
+    for k in range(tree.depth + 1):
+        j = tree.inner_positions(tree.level_slice(k)[0])
+        assert isinstance(j, np.ndarray) and j.dtype.kind == "i"

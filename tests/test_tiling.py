@@ -654,3 +654,32 @@ def test_zero_measure_tiles_nothing():
     t = build_tree(SphericallySymmetric([2]))
     with pytest.raises(ValueError, match="zero measure tiles nothing"):
         build_tiling(t, np.zeros(t.n_edges))
+
+
+@pytest.mark.parametrize("field", ["x", "y", "side", "width"])
+def test_json_numbers_beyond_float_range_are_non_finite(field):
+    t, r, til = fixture_tiling()
+    obj = json.loads(json.dumps(til.to_json()))
+    if field == "width":
+        obj["width"] = 10 ** 400
+    else:
+        obj["squares"][1][field] = 10 ** 400
+    rep = validate_tiling(tiling_from_json(t, obj))
+    assert not rep.ok
+    edge = obj["squares"][1]["edge"]
+    want = ("rectangle nan x 1.0 is not finite" if field == "width" else
+            f"squares with non-finite geometry: 1 [{edge}]")
+    assert want in rep.messages
+
+
+def test_coordinates_are_numbers_not_arrays():
+    t, r, til = fixture_tiling()
+    obj = json.loads(json.dumps(til.to_json()))
+    for s in obj["squares"]:
+        s["x"] = [s["x"], s["x"]]
+    with pytest.raises(ValueError, match="sequence"):
+        tiling_from_json(t, obj)
+    with pytest.raises(ValueError, match="sequence"):
+        Tiling(t, til.width, til.height,
+               [TilingSquare(**{**vars(s), "x": [s.x, s.x]})
+                for s in til.squares])

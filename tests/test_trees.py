@@ -29,6 +29,7 @@ from treecap import (
     tree_from_json,
     tree_to_json,
 )
+from treecap.trees import MAX_EXPLICIT_EDGES
 from helpers import random_tree
 
 
@@ -761,3 +762,15 @@ def test_integral_float_degrees_read_as_ints_on_both_layouts():
 def test_children_lists_of_the_wrong_length_are_refused():
     with pytest.raises(TreeStructureError, match="disagree with parent"):
         Tree([-1, 0, 0], [[1, 2], []])
+
+
+def test_subdyadic_runs_are_counted_before_they_are_listed():
+    listed, eventual = Subdyadic([MAX_EXPLICIT_EDGES - 1]).levels()
+    assert (len(listed), listed[-2:], eventual) == (
+        MAX_EXPLICIT_EDGES, [1, 2], 2)
+    for runs in ([MAX_EXPLICIT_EDGES], [MAX_EXPLICIT_EDGES // 2] * 2,
+                 [10 ** 30]):
+        with pytest.raises(TreeTooLargeError, match=(
+                rf"'runs' lists {sum(runs) + len(runs)} levels, more than "
+                f"the {MAX_EXPLICIT_EDGES}")):
+            Subdyadic(runs).levels()
