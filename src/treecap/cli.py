@@ -30,11 +30,11 @@ file took 48 ms with the collector and 30 ms without (min of 7 on a
 benchmark ran at 3.87 op/s against 3.71 (medians of 20 seeds).
 
 --threads N / TREECAP_THREADS sets the BLAS/OpenMP thread variables
-that are still unset.  Both `treecap` and `python -m treecap.cli` import
-the package, and numpy with it, before main() runs, so numpy's BLAS pool
-keeps the size it started with; the cap reaches only libraries loaded
-later, such as the OpenBLAS that a SciPy wheel bundles, which `oracle`
-loads at p != 2.
+that are still unset; either must be an integer >= 1.  Both `treecap`
+and `python -m treecap.cli` import the package, and numpy with it,
+before main() runs, so numpy's BLAS pool keeps the size it started
+with; the cap reaches only libraries loaded later, such as the OpenBLAS
+that a SciPy wheel bundles, which `oracle` loads at p != 2.
 """
 
 from __future__ import annotations
@@ -398,6 +398,18 @@ def _check_finite(args):
             raise ValueError(f"--{name.replace('_', '-')} must be finite")
 
 
+def _env_threads(raw):
+    """TREECAP_THREADS read as --threads is: an integer >= 1."""
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(
+            f"TREECAP_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def main(argv=None):
     was_enabled = gc.isenabled()
     gc.disable()
@@ -411,9 +423,11 @@ def main(argv=None):
 def _run(argv):
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        threads = args.threads or os.environ.get("TREECAP_THREADS")
+        threads = args.threads
+        if threads is not None and threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {threads}")
+        if threads is None and os.environ.get("TREECAP_THREADS"):
+            threads = _env_threads(os.environ["TREECAP_THREADS"])
         if threads:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):

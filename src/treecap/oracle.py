@@ -10,6 +10,14 @@ bound, and any nonnegative leaf weighting w gives the lower bound
 (sum w)^p / energy(w)^(p/p'), tight exactly at the equilibrium weights.
 This module deliberately shares no computation with the recursion in
 capacity.py; agreement between the two is a real consistency check.
+
+At p = 2 one KKT linear solve gives the optimum.  For other p, SLSQP
+starts from that optimum f2 raised to the power 1 / (p - 1): the
+equilibrium function is M^(p'-1) with M the equilibrium measure's
+co-potential, and at p = 2 f2 is M itself.  SLSQP works in variables
+scaled by the objective's curvature at the start, so its quasi-Newton
+matrix, which starts as the identity, fits the problem from the first
+step.  The start is built from the path matrix alone.
 """
 
 from __future__ import annotations
@@ -91,6 +99,11 @@ def _warm_start(n, paths):
     return f
 
 
+def _length_start(A, paths):
+    """The 1 / length start made admissible; constant on every class."""
+    return _feasible_correction(_warm_start(A.shape[1], paths), A, paths)
+
+
 def _dual_bound(f, A, leaf_rows, p):
     """Lower bound from the candidate measure with leaf weights
     f(leaf edge)^(p-1); exact at the optimum."""
@@ -104,6 +117,16 @@ def _dual_bound(f, A, leaf_rows, p):
     if en <= 0.0:
         return 0.0
     return float((total / en ** (1.0 / pe.conjugate)) ** pe.p)
+
+
+def _certify(f, A, paths, leaf_rows, p, tol):
+    """f made admissible, its value, the dual lower bound, and whether
+    the relative gap between the two is within max(tol, 1e-6)."""
+    f = _feasible_correction(f, A, paths)
+    value = float(np.sum(f ** p))
+    lower = _dual_bound(f, A, leaf_rows, p)
+    gap_ok = value - lower <= max(tol, 1e-6) * max(lower, 1e-12)
+    return f, value, lower, gap_ok
 
 
 def _solve_kkt_p2(A):
@@ -120,7 +143,29 @@ def _solve_kkt_p2(A):
     return A.T @ np.maximum(lam, 0.0)
 
 
-def _solve_slsqp(A, paths, p, tol):
+def _p2_start(A, paths, p):
+    """An admissible start for exponent p, from the p = 2 optimum.
+
+    The equilibrium function is f = M^(p'-1), M the co-potential of the
+    equilibrium measure, and p' - 1 = 1 / (p - 1).  At p = 2 f is M
+    itself, so f2^(1/(p-1)) with f2 the KKT solution guesses f for p.
+    f2 is normalized by its largest value first, so the power stays in
+    [0, 1] and neither overflows nor warns.  The guess is divided by its
+    smallest path sum and made admissible.  Edges with equal columns of
+    A get equal values throughout, so the start is constant on every
+    class.  Where the power underflows to 0 along a whole path, or f2 is
+    0, the 1 / length start serves instead."""
+    f = _solve_kkt_p2(A)
+    top = f.max()
+    if top > 0.0:
+        f = (f / top) ** (1.0 / (p - 1.0))
+        low = (A @ f).min()
+        if low > 0.0:
+            return _feasible_correction(f / low, A, paths)
+    return _length_start(A, paths)
+
+
+def _solve_slsqp(A, paths, p, tol, start=None):
     """SLSQP on the inner classes of edges with identical columns of A;
     each chosen leaf's own class is solved out of its path equation.
 
@@ -135,11 +180,24 @@ def _solve_slsqp(A, paths, p, tol):
     Leaf i's edge lies on path i alone, so exactly one class, of L_i
     edges, has the column e_i; every other class is inner (on two paths
     or more), with values h.  Row i of B g = 1 fixes the own class at
-    g_i = (1 - (B_in h)_i) / L_i >= 0.  Substituted, the problem reads:
-    minimize sum L_in h^p + sum L_i g_i^p over h >= 0 with B_in h <= 1,
-    the same problem with the same optimum, and with its gradient
+    g_i = (1 - (B_in h)_i) / L_i, and these own values are the
+    constraints g_i >= 0.  Substituted, the problem reads: minimize
+    sum L_in h^p + sum L_i g_i^p over h >= 0 with g >= 0, the same
+    problem with the same optimum, and with its gradient
     p (L_in h^(p-1) - B_in^T g^(p-1)).  With one chosen leaf there is
-    no inner class and g = 1 / L is the answer."""
+    no inner class and g = 1 / L is the answer.  An inner class lies on
+    some chosen path, whose own value stays >= 0 only if L_k h_k <= 1,
+    so the result is clipped to that box.
+
+    SLSQP starts from the admissible f start, _p2_start by default, and
+    works in the variables u = h / s with
+    s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at the start h0.  The term
+    L_k h_k^p has second derivative p (p - 1) L_k h_k^(p-2), which is
+    then 1 in every coordinate at the start, so the identity that
+    SLSQP's quasi-Newton matrix starts from fits the objective's
+    curvature there.  A class below sqrt(eps) of the largest start
+    value, or at the bound 0, is scaled as if it sat at that floor.
+    The objective itself is not rescaled, so ftol keeps its meaning."""
     n = A.shape[1]
     used = np.flatnonzero(A.any(0))
     cols, first, cls, L = np.unique(A[:, used].T, axis=0, return_index=True,
@@ -157,27 +215,42 @@ def _solve_slsqp(A, paths, p, tol):
     if inner.any():
         from scipy.optimize import minimize
 
-        def fun(h):
+        if start is None:
+            start = _p2_start(A, paths, p)
+        h0 = start[used[first[inner]]]
+        floor = max(2.0 ** -26 * h0.max(), np.finfo(float).tiny)
+        log_h = np.log(np.maximum(h0, floor))
+        # in logs, and clipped, so that s is finite and positive at any p
+        s = np.exp(np.clip(-0.5 * (np.log(p * (p - 1.0) * L_in)
+                                   + (p - 2.0) * log_h), -300.0, 300.0))
+        B_s = B_in * s / L_own[:, None]
+
+        def fun(u):
+            h = s * u
             return float(L_in @ np.abs(h) ** p
                          + L_own @ np.abs(own_values(h)) ** p)
 
-        def jac(h):
+        def jac(u):
+            h = s * u
             r = own_values(h)
-            return p * (L_in * np.sign(h) * np.abs(h) ** (p - 1.0)
-                        - B_in.T @ (np.sign(r) * np.abs(r) ** (p - 1.0)))
+            return p * s * (L_in * np.sign(h) * np.abs(h) ** (p - 1.0)
+                            - B_in.T @ (np.sign(r) * np.abs(r) ** (p - 1.0)))
 
-        # the warm start is already constant on every class
-        g0 = _feasible_correction(_warm_start(n, paths), A, paths)
-        res = minimize(
-            fun, g0[used[first[inner]]], jac=jac,
-            bounds=[(0.0, None)] * L_in.size,
-            constraints=[{"type": "ineq",
-                          "fun": lambda h: 1.0 - B_in @ h,
-                          "jac": lambda h: -B_in}],
-            method="SLSQP",
-            options={"maxiter": SLSQP_MAX_ITER, "ftol": min(tol, 1e-12)},
-        )
-        g[inner] = res.x
+        # at large p a line search may try points far outside the box
+        # L_k h_k <= 1 that the constraints imply, where h^p overflows
+        # to inf; the result is clipped back into the box below
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = minimize(
+                fun, h0 / s, jac=jac,
+                bounds=[(0.0, None)] * L_in.size,
+                constraints=[{"type": "ineq",
+                              "fun": lambda u: own_values(s * u),
+                              "jac": lambda u: -B_s}],
+                method="SLSQP",
+                options={"maxiter": SLSQP_MAX_ITER,
+                         "ftol": min(tol, 1e-12)},
+            )
+        g[inner] = np.minimum(s * res.x, 1.0 / L_in)
         it, ok = int(res.nit), bool(res.success)
     g[own] = own_values(g[inner])
     f = np.zeros(n)
@@ -207,11 +280,19 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     else:
         f, it, ok = _solve_slsqp(A, paths, pe.p, tol)
         used = "slsqp"
-
-    f = _feasible_correction(f, A, paths)
-    value = float(np.sum(f ** pe.p))
-    lower = _dual_bound(f, A, leaf_rows, pe.p)
-    gap_ok = value - lower <= max(tol, 1e-6) * max(lower, 1e-12)
+    f, value, lower, gap_ok = _certify(f, A, paths, leaf_rows, pe.p, tol)
+    if used == "slsqp" and not gap_ok:
+        # SLSQP also stops "successfully" when a stalled line search no
+        # longer changes the objective by ftol.  Restart once from the
+        # result, rescaled there and with a fresh quasi-Newton matrix;
+        # if that fails too, once more from the 1 / length start.
+        for start in (f, _length_start(A, paths)):
+            f, more, ok = _solve_slsqp(A, paths, pe.p, tol, start=start)
+            f, value, lower, gap_ok = _certify(f, A, paths, leaf_rows,
+                                               pe.p, tol)
+            it += more
+            if ok or gap_ok:
+                break
     if not ok and not gap_ok:
         raise OracleConvergenceError(
             f"slsqp: no convergence within {SLSQP_MAX_ITER} iterations "

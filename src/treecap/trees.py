@@ -496,15 +496,17 @@ class SymmetricTree:
         if k == 0:
             return None
         j = require_edge(self, i) - self._offsets[k]
-        return self._offsets[k - 1] + j // self.degrees[k - 1]
+        # degrees[k - 1] is mult[k]; read the one level, not the tuple
+        return self._offsets[k - 1] + j // int(self.quotient.mult[k])
 
     def children_of(self, i):
         k = self.level_of(i)
         if k >= self.depth:
             return []
         j = require_edge(self, i) - self._offsets[k]
-        base = self._offsets[k + 1] + j * self.degrees[k]
-        return list(range(base, base + self.degrees[k]))
+        d = int(self.quotient.mult[k + 1])
+        base = self._offsets[k + 1] + j * d
+        return list(range(base, base + d))
 
     def is_tail(self, i):
         return self.level_of(i) == self.depth and self.truncated

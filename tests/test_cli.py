@@ -793,6 +793,25 @@ def test_threads_below_1_exit_2(capsys, tree_file, monkeypatch, threads):
     assert "OMP_NUM_THREADS" not in os.environ
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "2.5", "two", " "])
+def test_treecap_threads_not_an_integer_of_1_or_more_exit_2(
+        capsys, tree_file, monkeypatch, value):
+    monkeypatch.setenv("TREECAP_THREADS", value)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    code, out, err = run(capsys, ["capacity", "--tree", tree_file])
+    assert (code, out) == (2, "")
+    assert err == ("treecap: TREECAP_THREADS must be an integer >= 1, "
+                   f"got {value!r}\n")
+    assert "OMP_NUM_THREADS" not in os.environ
+    # --threads takes precedence over the environment
+    code, _, _ = run(capsys, ["--threads", "3", "capacity",
+                              "--tree", tree_file])
+    assert code == 0
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
 @pytest.mark.parametrize("depth, says", [
     ("true", "'depth' holds True, not an integer"),
     ("2.5", "'depth' holds 2.5, not an integer"),

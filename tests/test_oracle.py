@@ -19,7 +19,7 @@ from treecap import (
 )
 from treecap.cli import main
 from treecap.oracle import (_constraint_matrix, _dual_bound,
-                            _feasible_correction, _warm_start)
+                            _feasible_correction, _p2_start, _warm_start)
 from helpers import random_p, random_tree
 
 
@@ -375,3 +375,63 @@ def test_all_leaf_solves_land_on_the_recursion(kind, p):
         while tree.n_edges < 500:
             tree = random_tree(rng, max_edges=500)
     check_merged_solve(tree, tree.true_leaves(), p, ref=False)
+
+
+def test_referee_instance_that_ran_out_of_iterations_converges():
+    # drawn by the referee-small benchmark workload (seed 3400, cycle 32,
+    # the 19th small instance): SLSQP from the 1 / length start ran
+    # 500 iterations and raised, its best value 3.79 against 0.98166
+    parent = [
+        -1, 0, 0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 7, 7, 8, 8, 9, 9,
+        10, 10, 10, 11, 11, 11, 12, 12, 13, 13, 14, 15, 15, 16, 16, 16, 17,
+        17, 17, 18, 18, 21, 21, 21, 22, 22, 23, 23, 23, 24, 25, 25, 26, 26,
+        28, 28, 28, 29, 29, 30, 30, 31, 31, 31, 32, 33, 33, 33, 34, 34, 35,
+        35, 36, 36, 40, 40, 40, 41, 41, 41, 43, 43, 43, 44, 44, 45, 46, 47,
+        47, 47, 48, 49, 49, 50, 51, 52, 52, 52]
+    picked = [19, 20, 27, 38, 39, 42, 53, 56, 65, 66, 67, 68, 70, 72, 73,
+              75, 77, 81, 83, 90, 91, 93, 95, 97]
+    res = check_merged_solve(Tree(parent), picked, 1.3559189697605454,
+                             ref=False)
+    assert res.converged
+
+
+def test_referee_instance_near_p_1_2_lands_on_the_recursion():
+    # drawn by the referee-small benchmark workload (seed 12, cycle 21,
+    # a 150-edge instance): capacity 0.9979, so most class values are
+    # near 0, and the point where SLSQP stops depends on how h is scaled
+    parent = [
+        -1, 0, 0, 0, 1, 1, 1, 2, 3, 4, 4, 5, 5, 5, 7, 7, 8, 8, 12, 12, 12,
+        14, 14, 15, 15, 16, 17, 17, 17, 20, 20, 21, 21, 22, 22, 22, 23, 23,
+        23, 24, 24, 24, 25, 26, 26, 29, 30, 33, 35, 35, 36, 36, 36, 37, 37,
+        37, 38, 38, 38, 41, 41, 41, 42, 42, 43, 44, 44, 44, 45, 46, 47, 47,
+        49, 53, 53, 54, 54, 55, 55, 56, 56, 56, 57, 58, 58, 58, 60, 60, 60,
+        61, 61, 62, 63, 63, 65, 65, 65, 66, 66, 67, 69, 69, 69, 71, 71, 72,
+        72, 72, 73, 76, 76, 76, 77, 77, 78, 79, 79, 80, 80, 82, 84, 84, 84,
+        85, 85, 85, 86, 86, 88, 89, 89, 90, 90, 92, 93, 93, 93, 94, 95, 95,
+        95, 99, 100, 100, 101, 101, 101, 102, 102, 103]
+    picked = [9, 10, 13, 27, 28, 31, 39, 40, 48, 50, 51, 52, 59, 64, 68, 70,
+              81, 83, 91, 96, 97, 98, 105, 106, 108, 109, 110, 111, 112,
+              114, 115, 117, 118, 119, 120, 121, 122, 126, 127, 128, 129,
+              130, 131, 132, 133, 134, 136, 137, 138, 140, 141, 143, 144,
+              145, 147, 148, 149]
+    check_merged_solve(Tree(parent), picked, 1.2155071951719352, ref=False)
+
+
+def test_p2_start_is_admissible_and_constant_on_every_class():
+    rng = np.random.default_rng(40)
+    for _ in range(30):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 300)))
+        leaves = tree.true_leaves()
+        share = rng.random()
+        picked = [z for z in leaves if rng.random() < share] or leaves[:1]
+        _, paths, A = _constraint_matrix(tree, picked)
+        on = A.any(0)
+        _, cls = np.unique(A[:, on].T, axis=0, return_inverse=True)
+        for p in (1.05, 1.3, 3.0, 8.0):
+            f = _p2_start(A, paths, p)
+            assert np.all(f >= 0)
+            assert np.all(A @ f >= 1.0 - 1e-9)
+            assert np.all(f[~on] == 0.0)
+            g = f[on]
+            for k in range(cls.max() + 1):
+                assert np.ptp(g[cls == k]) == 0.0

@@ -117,6 +117,16 @@ def test_compact_matches_explicit_arithmetic():
     assert list(tc.tail_ids()) == te.tail_ids()
 
 
+def test_compact_parent_and_children_match_explicit_on_every_id():
+    spec = SphericallySymmetric([2, 3, 1, 2])
+    te = build_tree(spec, layout="explicit")
+    tc = build_tree(spec, layout="compact")
+    assert isinstance(tc, SymmetricTree)
+    for i in range(te.n_edges):
+        assert tc.parent_of(i) == te.parent_of(i)
+        assert list(tc.children_of(i)) == list(te.children_of(i))
+
+
 def test_size_guard_and_auto_layout():
     with pytest.raises(TreeTooLargeError):
         build_tree(Homogeneous(2), depth=30, layout="explicit")
