@@ -36,8 +36,8 @@ import numpy as np
 
 from .potential import _report_json, as_exponent, potential, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
-                    _spec_int, edge_function_to_mapping, edge_ids,
-                    leaf_indicator, require_edge, require_explicit, tent)
+                    _json_edge_mapping, _spec_int, edge_ids, leaf_indicator,
+                    require_edge, require_explicit, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -215,10 +215,10 @@ class EquilibriumResult:
     def to_json(self, keep_zero=False):
         return {
             "capacity": self.capacity.to_json(),
-            "M": edge_function_to_mapping(self.tree, self.measure.M,
-                                          keep_zero=keep_zero),
-            "c": edge_function_to_mapping(self.tree, self.c_of_alpha,
-                                          keep_zero=keep_zero),
+            "M": _json_edge_mapping(self.tree, self.measure.M,
+                                    keep_zero=keep_zero),
+            "c": _json_edge_mapping(self.tree, self.c_of_alpha,
+                                    keep_zero=keep_zero),
         }
 
 

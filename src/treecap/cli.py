@@ -55,8 +55,8 @@ from .characterization import verify_equilibrium
 from .constructions import compact_set_of_capacity, subdyadic_tree_of_capacity
 from .oracle import OracleConvergenceError, oracle_capacity
 from .tiling import build_tiling, emit_svg, validate_tiling
-from .trees import (BoundaryMeasure, require_explicit, spec_from_json,
-                    tree_from_json)
+from .trees import (BoundaryMeasure, _spec_int, require_explicit,
+                    spec_from_json, tree_from_json)
 
 
 def _refuse_constant(name):
@@ -78,6 +78,22 @@ def _read_json(path):
 
 
 def _dump(payload, fmt):
+    """Print payload.  Exact ints that treecap computes, such as the
+    n_edges of a deep compact tree, may have more digits than the
+    interpreter converts to text by default, so the limit is lifted
+    while encoding and restored after; input parsing keeps it.
+    Interpreters without the limit skip this."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _write(payload, fmt)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _write(payload, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _write(payload, fmt):
     if fmt == "human":
         for line in _human_lines(payload, ""):
             print(line)
@@ -335,8 +351,25 @@ def _cmd_tile(args):
                                   "validation": rep.to_json()}
 
 
+def _degrees(text):
+    """--degrees as ints.  An entry that is not an int is read as a
+    float by the rule of a spec file's integers, so 2.0 is 2 and 2.5 is
+    refused, while a long int keeps every digit."""
+    degrees = []
+    for d in filter(str.strip, text.split(",")):
+        try:
+            degrees.append(int(d))
+        except ValueError:
+            try:
+                degrees.append(_spec_int("degrees", float(d)))
+            except ValueError:
+                raise ValueError(f"--degrees holds {d.strip()!r}, "
+                                 "not an integer") from None
+    return degrees
+
+
 def _cmd_symmetric(args):
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    degrees = _degrees(args.degrees)
     iv = symmetric_capacity(degrees, args.p, tail_degree=args.tail)
     return 0, {"p": args.p, "degrees": degrees, "tail": args.tail,
                "capacity": iv.to_json()}

@@ -102,7 +102,9 @@ def subdyadic_tree_of_capacity(target, p, digit_count=30):
     """Infinite tree of unary runs and binary branchings whose boundary
     capacity comes out at target, which must lie strictly between 0 and
     the capacity of the fully binary tree.  A Fraction target with
-    p = 2 is expanded exactly.  digit_count must be at least 1.
+    p = 2 is expanded exactly.  digit_count must be at least 1.  A p so
+    close to 1 that 2^(1 - p') underflows or target^(1 - p') overflows
+    is refused.
     """
     if digit_count < 1:
         raise ValueError(f"digit_count must be at least 1, got {digit_count}")
@@ -118,7 +120,15 @@ def subdyadic_tree_of_capacity(target, p, digit_count=30):
         shift = Fraction(2)
     else:
         base = 2.0 ** (1.0 - pe.conjugate)
-        lam = t ** (1.0 - pe.conjugate)
+        try:
+            lam = t ** (1.0 - pe.conjugate)
+        except OverflowError:
+            lam = math.inf
+        if base == 0.0 or lam == math.inf:
+            what = ("2^(1 - p') underflows to 0" if base == 0.0
+                    else f"{t}^(1 - p') overflows")
+            raise ValueError(f"p = {pe.p} is too close to 1 for target "
+                             f"{t}: {what}")
         shift = 1.0 / (1.0 - base)
     reduced = lam - shift
     if reduced < 0:  # rounding right at the binary-tree endpoint

@@ -99,11 +99,6 @@ def _warm_start(n, paths):
     return f
 
 
-def _length_start(A, paths):
-    """The 1 / length start made admissible; constant on every class."""
-    return _feasible_correction(_warm_start(A.shape[1], paths), A, paths)
-
-
 def _dual_bound(f, A, leaf_rows, p):
     """Lower bound from the candidate measure with leaf weights
     f(leaf edge)^(p-1); exact at the optimum."""
@@ -149,23 +144,22 @@ def _p2_start(A, paths, p):
     The equilibrium function is f = M^(p'-1), M the co-potential of the
     equilibrium measure, and p' - 1 = 1 / (p - 1).  At p = 2 f is M
     itself, so f2^(1/(p-1)) with f2 the KKT solution guesses f for p.
-    f2 is normalized by its largest value first, so the power stays in
-    [0, 1] and neither overflows nor warns.  The guess is divided by its
-    smallest path sum and made admissible.  Edges with equal columns of
-    A get equal values throughout, so the start is constant on every
-    class.  Where the power underflows to 0 along a whole path, or f2 is
-    0, the 1 / length start serves instead."""
+    f2 is normalized by its root edge's value f2[0]: column 0 of A is all
+    ones, so f2[0] = sum max(lam, 0) adds every term any other entry
+    adds, in the same order, and as rounding is monotone it is the
+    largest; it is positive, as G lam = 1 with G = A A^T >= 0 needs some
+    lam > 0.  The power then stays in [0, 1] and neither overflows nor
+    warns, the root's value is exactly 1 at every p, and every chosen
+    path holds the root edge, so every path sum is >= 1.  The guess is
+    divided by its smallest path sum and made admissible.  Edges with
+    equal columns of A get equal values throughout, so the start is
+    constant on every class."""
     f = _solve_kkt_p2(A)
-    top = f.max()
-    if top > 0.0:
-        f = (f / top) ** (1.0 / (p - 1.0))
-        low = (A @ f).min()
-        if low > 0.0:
-            return _feasible_correction(f / low, A, paths)
-    return _length_start(A, paths)
+    f = (f / f[0]) ** (1.0 / (p - 1.0))
+    return _feasible_correction(f / (A @ f).min(), A, paths)
 
 
-def _solve_slsqp(A, paths, p, tol, start=None):
+def _solve_slsqp(A, p, tol, start):
     """SLSQP on the inner classes of edges with identical columns of A;
     each chosen leaf's own class is solved out of its path equation.
 
@@ -189,7 +183,7 @@ def _solve_slsqp(A, paths, p, tol, start=None):
     some chosen path, whose own value stays >= 0 only if L_k h_k <= 1,
     so the result is clipped to that box.
 
-    SLSQP starts from the admissible f start, _p2_start by default, and
+    SLSQP starts from the admissible f start, which the caller picks, and
     works in the variables u = h / s with
     s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at the start h0.  The term
     L_k h_k^p has second derivative p (p - 1) L_k h_k^(p-2), which is
@@ -198,7 +192,6 @@ def _solve_slsqp(A, paths, p, tol, start=None):
     curvature there.  A class below sqrt(eps) of the largest start
     value, or at the bound 0, is scaled as if it sat at that floor.
     The objective itself is not rescaled, so ftol keeps its meaning."""
-    n = A.shape[1]
     used = np.flatnonzero(A.any(0))
     cols, first, cls, L = np.unique(A[:, used].T, axis=0, return_index=True,
                                     return_inverse=True, return_counts=True)
@@ -215,8 +208,6 @@ def _solve_slsqp(A, paths, p, tol, start=None):
     if inner.any():
         from scipy.optimize import minimize
 
-        if start is None:
-            start = _p2_start(A, paths, p)
         h0 = start[used[first[inner]]]
         floor = max(2.0 ** -26 * h0.max(), np.finfo(float).tiny)
         log_h = np.log(np.maximum(h0, floor))
@@ -253,7 +244,7 @@ def _solve_slsqp(A, paths, p, tol, start=None):
         g[inner] = np.minimum(s * res.x, 1.0 / L_in)
         it, ok = int(res.nit), bool(res.success)
     g[own] = own_values(g[inner])
-    f = np.zeros(n)
+    f = np.zeros(A.shape[1])
     f[used] = g[cls]
     return f, it, ok
 
@@ -278,7 +269,7 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     if pe.p == 2.0:
         f, it, ok, used = _solve_kkt_p2(A), 0, True, "kkt"
     else:
-        f, it, ok = _solve_slsqp(A, paths, pe.p, tol)
+        f, it, ok = _solve_slsqp(A, pe.p, tol, _p2_start(A, paths, pe.p))
         used = "slsqp"
     f, value, lower, gap_ok = _certify(f, A, paths, leaf_rows, pe.p, tol)
     if used == "slsqp" and not gap_ok:
@@ -286,8 +277,9 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
         # longer changes the objective by ftol.  Restart once from the
         # result, rescaled there and with a fresh quasi-Newton matrix;
         # if that fails too, once more from the 1 / length start.
-        for start in (f, _length_start(A, paths)):
-            f, more, ok = _solve_slsqp(A, paths, pe.p, tol, start=start)
+        for start in (f, _feasible_correction(
+                _warm_start(A.shape[1], paths), A, paths)):
+            f, more, ok = _solve_slsqp(A, pe.p, tol, start)
             f, value, lower, gap_ok = _certify(f, A, paths, leaf_rows,
                                                pe.p, tol)
             it += more

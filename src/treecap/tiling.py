@@ -49,8 +49,8 @@ class Tiling:
     array, which validate_tiling reports as naming no edge of the tree.
 
     Tiling(tree, width, height, squares) takes the columns from a list
-    of TilingSquare; `squares` is that list, or for a tiling built from
-    columns, the same squares built on first use.
+    of TilingSquare and keeps no reference to it; `squares` is built
+    from the columns on first use.
     """
 
     def __init__(self, tree, width, height, squares):
@@ -59,7 +59,7 @@ class Tiling:
         self.x = _floats([s.x for s in squares])
         self.y = _floats([s.y for s in squares])
         self.side = _floats([s.side for s in squares])
-        self._squares = squares
+        self._squares = None
 
     @classmethod
     def _of_columns(cls, tree, width, height, edge, x, y, side):

@@ -59,7 +59,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from numbers import Real
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -139,8 +139,6 @@ class Subdyadic:
                 f"{MAX_EXPLICIT_EDGES} a tree may have")
         return [d for r in runs for d in [1] * r + [2]], 2
 
-
-TreeSpec = Union[Explicit, Homogeneous, SphericallySymmetric, Subdyadic]
 
 # the level-regular specs: JSON variant name -> (class, its one field)
 _SPECS = {
@@ -949,3 +947,20 @@ def edge_function_to_mapping(tree, f, keep_zero=False):
     if tree.labels is not None:
         labels = map(tree.labels.__getitem__, labels)
     return dict(zip(map(str, labels), f[ids].tolist()))
+
+
+def _json_edge_mapping(tree, f, keep_zero=False):
+    """edge_function_to_mapping for a JSON document.  Two labels with
+    one text, such as 1 and "1", raise ValueError rather than write one
+    key for two edges."""
+    out = edge_function_to_mapping(tree, f, keep_zero)
+    if len(out) != (tree.n_edges if keep_zero else np.count_nonzero(f)):
+        ids = np.arange(tree.n_edges) if keep_zero else np.flatnonzero(f)
+        seen = {}
+        for lab in map(tree.labels.__getitem__, ids.tolist()):
+            other = seen.setdefault(str(lab), lab)
+            if other is not lab:
+                raise ValueError(f"edge labels {other!r} and {lab!r} "
+                                 "both write the JSON key "
+                                 f"{str(lab)!r}")
+    return out

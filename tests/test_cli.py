@@ -834,3 +834,86 @@ def test_a_stored_depth_of_2_0_is_depth_2(capsys, tmp_path):
         outs.append(out)
     assert outs[0] == outs[1]
     assert len(json.loads(outs[1])["M"]) == 7
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Lift the interpreter's int-to-text digit limit, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_n_edges_of_a_deep_compact_tree_prints_in_full(capsys, tmp_path,
+                                                       fmt):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, ["capacity", "--format", fmt, "--tree",
+                                  homogeneous_file(tmp_path, 15000)])
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with no_int_digit_limit():
+        n_edges = str(2 ** 15001 - 1)
+    pattern = '"n_edges": (\\d+),' if fmt == "json" else "n_edges: (\\d+)\n"
+    assert re.search(pattern, out).group(1) == n_edges
+
+
+def test_input_keeps_the_int_digit_limit(capsys, tmp_path):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length")
+    code, out, err = run(capsys, ["capacity", "--tree",
+                                  homogeneous_file(tmp_path, "9" * 5000)])
+    assert (code, out) == (2, "")
+    assert "4300 digits" in err
+
+
+def test_two_labels_with_one_json_key_exit_2(capsys, tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text('{"edges": [{"id": 1, "children": ["1"]}, {"id": "1"}]}')
+    code, out, err = run(capsys, ["equilibrium", "--tree", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("treecap: edge labels 1 and '1' both write the JSON "
+                   "key '1'\n")
+    for cmd, key, value in (("capacity", "n_edges", 2),
+                            ("resistance", "resistance",
+                             {"lower": 1.0, "upper": 1.0})):
+        code, out, err = run(capsys, [cmd, "--tree", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)[key] == value
+
+
+@pytest.mark.parametrize("target, p, says", [
+    ("0.999", "1.0005", "2^(1 - p') underflows to 0"),
+    ("0.3", "1.001", "0.3^(1 - p') overflows"),
+], ids=["base-underflow", "target-power-overflow"])
+def test_construct_tree_refuses_p_too_close_to_1(capsys, target, p, says):
+    code, out, err = run(capsys, ["construct-tree", "--target", target,
+                                  "--p", p])
+    assert (code, out) == (2, "")
+    assert err == (f"treecap: p = {p} is too close to 1 for target "
+                   f"{target}: {says}\n")
+
+
+@pytest.mark.parametrize("degrees, bad", [
+    ("2,x", "x"), ("2.5", "2.5"), ("2, 1e400", "1e400"), ("nan", "nan"),
+])
+def test_symmetric_degrees_must_be_whole_numbers(capsys, degrees, bad):
+    code, out, err = run(capsys, ["symmetric", "--degrees", degrees])
+    assert (code, out) == (2, "")
+    assert err == f"treecap: --degrees holds {bad!r}, not an integer\n"
+
+
+def test_symmetric_degree_2_0_is_2(capsys):
+    outs = [run(capsys, ["symmetric", "--degrees", d]) for d in ("2,3",
+                                                                 "2.0,3")]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0][1])["degrees"] == [2, 3]
+    big = 2 ** 64 + 1  # beyond float precision
+    code, out, _ = run(capsys, ["symmetric", "--degrees", f"2,{big}"])
+    assert code == 0 and json.loads(out)["degrees"] == [2, big]

@@ -19,7 +19,8 @@ from treecap import (
 )
 from treecap.cli import main
 from treecap.oracle import (_constraint_matrix, _dual_bound,
-                            _feasible_correction, _p2_start, _warm_start)
+                            _feasible_correction, _p2_start, _solve_kkt_p2,
+                            _warm_start)
 from helpers import random_p, random_tree
 
 
@@ -435,3 +436,52 @@ def test_p2_start_is_admissible_and_constant_on_every_class():
             g = f[on]
             for k in range(cls.max() + 1):
                 assert np.ptp(g[cls == k]) == 0.0
+
+
+def test_p2_start_peaks_on_the_root_edge_and_needs_no_fallback():
+    # the root edge lies on every chosen path and its p = 2 value is the
+    # total mass, the largest; normalized there it is 1 at every p
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 200)))
+        leaves = tree.true_leaves()
+        share = rng.random()
+        picked = [z for z in leaves if rng.random() < share] or leaves[:1]
+        _, paths, A = _constraint_matrix(tree, picked)
+        f2 = _solve_kkt_p2(A)
+        assert f2[0] > 0.0 and f2[0] == f2.max()
+        for p in (1.0 + 1e-9, 1.0001, 1.05, 8.0, 100.0):
+            f = _p2_start(A, paths, p)
+            assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+            assert np.all(A @ f >= 1.0 - 1e-9)
+            assert f[0] == f.max()
+
+
+def test_dual_bound_of_the_zero_candidate_is_0():
+    tree = build_tree(SphericallySymmetric([2, 3]))
+    leaf_rows, _, A = _constraint_matrix(tree, tree.true_leaves())
+    for p in (1.5, 2.0, 8.0):
+        assert _dual_bound(np.zeros(tree.n_edges), A, leaf_rows, p) == 0.0
+
+
+def test_kkt_falls_back_to_least_squares_when_solve_fails(monkeypatch):
+    rng = np.random.default_rng(42)
+    cases = []
+    for _ in range(10):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 120)))
+        leaves = tree.true_leaves()
+        picked = [z for z in leaves if rng.random() < 0.6] or leaves[:1]
+        cases.append((tree, picked, oracle_capacity(tree, picked, 2).value))
+
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for tree, picked, value in cases:
+        res = oracle_capacity(tree, picked, 2)
+        assert res.method == "kkt"
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert len(calls) == len(cases)

@@ -683,3 +683,13 @@ def test_coordinates_are_numbers_not_arrays():
         Tiling(t, til.width, til.height,
                [TilingSquare(**{**vars(s), "x": [s.x, s.x]})
                 for s in til.squares])
+
+
+def test_a_tiling_keeps_no_reference_to_its_square_list():
+    t, _, til = fixture_tiling()
+    squares = list(til.squares)
+    built = Tiling(t, til.width, til.height, squares)
+    squares.append(TilingSquare(0, 5.0, 5.0, 1.0))
+    assert len(built.squares) == len(built.edge) == 3
+    assert built.squares == til.squares
+    assert validate_tiling(built).ok

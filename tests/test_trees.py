@@ -29,7 +29,7 @@ from treecap import (
     tree_from_json,
     tree_to_json,
 )
-from treecap.trees import MAX_EXPLICIT_EDGES
+from treecap.trees import MAX_EXPLICIT_EDGES, _json_edge_mapping
 from helpers import random_tree
 
 
@@ -784,3 +784,18 @@ def test_subdyadic_runs_are_counted_before_they_are_listed():
                 rf"'runs' lists {sum(runs) + len(runs)} levels, more than "
                 f"the {MAX_EXPLICIT_EDGES}")):
             Subdyadic(runs).levels()
+
+
+def test_two_labels_with_one_json_key_are_refused_on_output():
+    t = Tree.from_adjacency({1: ["1"], "1": []})
+    # the plain mapping writes one key for the two edges, as a dict does
+    assert edge_function_to_mapping(t, [1.0, 0.5]) == {"1": 0.5}
+    with pytest.raises(ValueError, match="edge labels 1 and '1' both write "
+                                         "the JSON key '1'"):
+        _json_edge_mapping(t, np.array([1.0, 0.5]))
+    # with the root's value 0 only one of them is written
+    assert _json_edge_mapping(t, np.array([0.0, 0.5])) == {"1": 0.5}
+    t = Tree.from_adjacency({1: [2, "2"], 2: [], "2": []})
+    assert _json_edge_mapping(t, np.array([0.0, 1.0, 0.0])) == {"2": 1.0}
+    with pytest.raises(ValueError, match="2 and '2'"):
+        _json_edge_mapping(t, np.zeros(3), keep_zero=True)
