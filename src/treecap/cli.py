@@ -327,7 +327,7 @@ def _cmd_equilibrium(args):
 
 
 def _cmd_verify(args):
-    tree = _load_tree(args)
+    tree = _load_tree(args, "verification")
     mu = _load_measure(tree, _read_json(args.measure))
     rep = verify_equilibrium(tree, mu, args.p, tol=args.tol)
     return (0 if rep.is_equilibrium else 1), rep.to_json()

@@ -11,13 +11,32 @@ bound, and any nonnegative leaf weighting w gives the lower bound
 This module deliberately shares no computation with the recursion in
 capacity.py; agreement between the two is a real consistency check.
 
-At p = 2 one KKT linear solve gives the optimum.  For other p, SLSQP
-starts from that optimum f2 raised to the power 1 / (p - 1): the
-equilibrium function is M^(p'-1) with M the equilibrium measure's
-co-potential, and at p = 2 f2 is M itself.  SLSQP works in variables
-scaled by the objective's curvature at the start, so its quasi-Newton
-matrix, which starts as the identity, fits the problem from the first
-step.  The start is built from the path matrix alone.
+At p = 2 one KKT linear solve gives the optimum.  For other p the
+problem is posed on path classes, the edges with equal columns in the
+leaves x edges path matrix, with each chosen leaf's own class solved
+out of its path equation.  The start is the p = 2 optimum f2 raised to
+the power 1 / (p - 1): the equilibrium function is M^(p'-1) with M the
+equilibrium measure's co-potential, and at p = 2 f2 is M itself.
+
+From there a damped Newton method minimizes F(h) = sum L_in h^p +
+sum L_own r^p over the inner class values h, with own values
+r = (1 - B_in h) / L_own, using the exact Hessian
+diag(p (p-1) L_in h^(p-2)) + B_in^T diag(p (p-1) r^(p-2) / L_own) B_in.
+Its steps keep h and r positive (at most 0.99 of the way to the
+boundary, then Armijo backtracking; a full step is doubled while F
+falls), and it stops once the Newton decrement -g^T d is at most
+1e-14 F, a relative test that holds at any scale of F, which at large p
+is tiny.  SLSQP then starts from the Newton point and confirms it.
+Where Newton does not converge (a singular Hessian, a non-finite value,
+a failed line search or its step cap), SLSQP starts from the start
+Newton was given, as it would without Newton.  Either way SLSQP works
+in variables scaled by the objective's curvature at its start, so that
+its quasi-Newton matrix, which starts as the identity, fits the problem
+from the first step.  Newton steps and SLSQP iterations share the
+budget SLSQP_MAX_ITER, and a result's iterations count both.
+Everything is built from the path matrix alone, with numpy and SLSQP,
+never from the recursion or the tree sweeps, so the oracle stays an
+independent referee.
 """
 
 from __future__ import annotations
@@ -46,7 +65,7 @@ class OracleResult:
     value: float            # feasible objective, an upper bound
     lower_bound: float      # dual certificate from the candidate measure
     f: np.ndarray           # the admissible function attaining value
-    iterations: int
+    iterations: int         # Newton steps plus SLSQP iterations
     converged: bool
     method: str
 
@@ -159,6 +178,88 @@ def _p2_start(A, paths, p):
     return _feasible_correction(f / (A @ f).min(), A, paths)
 
 
+def _path_classes(A):
+    """The used columns of A (those on some chosen path) and their
+    classes of equal columns: the classes' columns in sorted order, each
+    class's first used column, every used column's class and the class
+    sizes, as np.unique(A[:, used].T, axis=0, ...) gives them.  Each
+    column is packed into bits, most significant first, and read as one
+    byte string, so the classes come from one sort of strings whose byte
+    order is the order of the 0/1 columns."""
+    used = np.flatnonzero(A.any(0))
+    bits = np.packbits(A[:, used].T > 0.0, axis=1)
+    keys = np.ascontiguousarray(bits).view(f"V{bits.shape[1]}").ravel()
+    _, first, cls, L = np.unique(keys, return_index=True,
+                                 return_inverse=True, return_counts=True)
+    return used, A[:, used[first]].T, first, cls, L
+
+
+def _newton(B_in, L_in, L_own, p, h, max_steps):
+    """Damped Newton on the class problem F(h) = sum L_in h^p +
+    sum L_own r^p, r = (1 - B_in h) / L_own, inside h > 0, r > 0, from
+    h.  The gradient is p (L_in h^(p-1) - B_in^T r^(p-1)) and the Hessian
+    diag(p (p-1) L_in h^(p-2)) + B_in^T diag(p (p-1) r^(p-2) / L_own) B_in,
+    solved after scaling its diagonal to 1.
+
+    A start on the boundary is first pulled inside: values below 2^-26
+    of the largest are raised to that floor, and h is scaled down, only
+    as far as needed, until every r >= 0.001 / L_own.  A step goes at
+    most 0.99 of the way to the boundary and halves until F falls by
+    1e-4 of the decrement -g^T d.  A full step is doubled while F keeps
+    falling and the point stays inside: far from the optimum at large p,
+    Newton's model of h^p moves a value only 1 / (p - 1) of the way to 0
+    per step.  The method stops once the decrement is at most 1e-14 F, a
+    test that does not depend on F's scale.  Returns the last point, the
+    steps taken and whether it stopped so; a singular Hessian, a
+    non-finite decrement, a failed line search or max_steps steps end it
+    unconverged."""
+    c = p * (p - 1.0)
+
+    def objective(h):
+        r = (1.0 - B_in @ h) / L_own
+        return float(L_in @ h ** p + L_own @ r ** p), r
+
+    h = np.maximum(h, max(2.0 ** -26 * h.max(), np.finfo(float).tiny))
+    h = h * min(1.0, 0.999 / (B_in @ h).max())
+    F, r = objective(h)
+    with np.errstate(all="ignore"):
+        for step in range(max_steps):
+            hp, rp = h ** (p - 2.0), r ** (p - 2.0)
+            g = p * (L_in * hp * h - B_in.T @ (rp * r))
+            H = B_in.T @ ((c * rp / L_own)[:, None] * B_in)
+            H.flat[::h.size + 1] += c * L_in * hp
+            D = 1.0 / np.sqrt(H.diagonal())
+            try:
+                d = -D * np.linalg.solve(H * D * D[:, None], D * g)
+            except np.linalg.LinAlgError:
+                return h, step, False
+            dec = -float(g @ d)
+            if not dec >= 0.0:  # also NaN
+                return h, step, False
+            if dec <= 1e-14 * F:
+                return h, step, True
+            x = np.concatenate((h, r))
+            dx = np.concatenate((d, -(B_in @ d) / L_own))
+            down = dx < 0.0
+            t_max = (0.99 * float(np.min(x[down] / -dx[down]))
+                     if down.any() else np.inf)
+            t = min(1.0, t_max)
+            while True:
+                F_new, r_new = objective(h + t * d)
+                if F_new <= F - 1e-4 * t * dec:
+                    break
+                t *= 0.5
+                if t < 1e-10:
+                    return h, step, False
+            while t >= 1.0 and 2.0 * t <= t_max:
+                F_far, r_far = objective(h + 2.0 * t * d)
+                if not F_far < F_new:
+                    break
+                t, F_new, r_new = 2.0 * t, F_far, r_far
+            h, F, r = h + t * d, F_new, r_new
+    return h, max_steps, False
+
+
 def _solve_slsqp(A, p, tol, start):
     """SLSQP on the inner classes of edges with identical columns of A;
     each chosen leaf's own class is solved out of its path equation.
@@ -183,18 +284,29 @@ def _solve_slsqp(A, p, tol, start):
     some chosen path, whose own value stays >= 0 only if L_k h_k <= 1,
     so the result is clipped to that box.
 
-    SLSQP starts from the admissible f start, which the caller picks, and
-    works in the variables u = h / s with
-    s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at the start h0.  The term
+    The inner values of the admissible f start, which the caller picks,
+    first go to a damped Newton method on this problem (_newton).  The
+    objective is smooth and strictly convex inside h > 0, g > 0, where
+    the optimum lies, so Newton's method converges there quadratically,
+    and its stop, a decrement of at most 1e-14 of the objective, does
+    not depend on the objective's scale, which at large p is tiny;
+    SLSQP's ftol bounds an absolute change and stops early there.
+    SLSQP then starts from the Newton point and only confirms it.  When
+    Newton does not converge, SLSQP starts from the caller's h instead,
+    exactly as without the Newton phase.  Newton steps and SLSQP
+    iterations share the budget SLSQP_MAX_ITER: Newton takes at most a
+    tenth of it, SLSQP the rest, and their sum is the iteration count
+    returned, failed Newton steps included.
+
+    SLSQP works in the variables u = h / s with
+    s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at its start h0.  The term
     L_k h_k^p has second derivative p (p - 1) L_k h_k^(p-2), which is
     then 1 in every coordinate at the start, so the identity that
     SLSQP's quasi-Newton matrix starts from fits the objective's
     curvature there.  A class below sqrt(eps) of the largest start
     value, or at the bound 0, is scaled as if it sat at that floor.
     The objective itself is not rescaled, so ftol keeps its meaning."""
-    used = np.flatnonzero(A.any(0))
-    cols, first, cls, L = np.unique(A[:, used].T, axis=0, return_index=True,
-                                    return_inverse=True, return_counts=True)
+    used, cols, first, cls, L = _path_classes(A)
     inner = cols.sum(1) > 1
     own = np.flatnonzero(~inner)[np.argsort(cols[~inner].argmax(1))]
     B_in = cols[inner].T * L[inner]
@@ -209,6 +321,10 @@ def _solve_slsqp(A, p, tol, start):
         from scipy.optimize import minimize
 
         h0 = start[used[first[inner]]]
+        h, it, polished = _newton(B_in, L_in, L_own, p, h0,
+                                  SLSQP_MAX_ITER // 10)
+        if polished:
+            h0 = h
         floor = max(2.0 ** -26 * h0.max(), np.finfo(float).tiny)
         log_h = np.log(np.maximum(h0, floor))
         # in logs, and clipped, so that s is finite and positive at any p
@@ -238,11 +354,11 @@ def _solve_slsqp(A, p, tol, start):
                               "fun": lambda u: own_values(s * u),
                               "jac": lambda u: -B_s}],
                 method="SLSQP",
-                options={"maxiter": SLSQP_MAX_ITER,
+                options={"maxiter": SLSQP_MAX_ITER - it,
                          "ftol": min(tol, 1e-12)},
             )
         g[inner] = np.minimum(s * res.x, 1.0 / L_in)
-        it, ok = int(res.nit), bool(res.success)
+        it, ok = it + int(res.nit), bool(res.success)
     g[own] = own_values(g[inner])
     f = np.zeros(A.shape[1])
     f[used] = g[cls]

@@ -148,6 +148,22 @@ def test_capacity_of_set_on_a_compact_tree_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_verify_on_a_compact_tree_exits_2_for_either_measure_kind(
+        capsys, tmp_path):
+    # a spec with no depth loads as a compact tree; the leaf-mass
+    # measure used to be read against it first and end in a traceback
+    tfile = tmp_path / "compact.json"
+    tfile.write_text(json.dumps({"spec": {"variant": "homogeneous", "n": 2}}))
+    for measure in ({"leaf_masses": {"b": 0.3}}, {"M": [1.0]}):
+        mfile = tmp_path / "mu.json"
+        mfile.write_text(json.dumps(measure))
+        code, out, err = run(capsys, ["verify", "--tree", str(tfile),
+                                      "--measure", str(mfile)])
+        assert code == 2 and out == ""
+        assert err.startswith("treecap: verification needs an explicitly "
+                              "stored tree")
+
+
 def test_construct_tree(capsys):
     code, out, _ = run(capsys, ["construct-tree", "--target", "0.3",
                                 "--digits", "30"])

@@ -19,8 +19,8 @@ from treecap import (
 )
 from treecap.cli import main
 from treecap.oracle import (_constraint_matrix, _dual_bound,
-                            _feasible_correction, _p2_start, _solve_kkt_p2,
-                            _warm_start)
+                            _feasible_correction, _p2_start, _path_classes,
+                            _solve_kkt_p2, _warm_start)
 from helpers import random_p, random_tree
 
 
@@ -485,3 +485,98 @@ def test_kkt_falls_back_to_least_squares_when_solve_fails(monkeypatch):
         assert res.method == "kkt"
         assert res.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert len(calls) == len(cases)
+
+
+def test_solve_lands_on_the_recursion_when_newton_fails(monkeypatch):
+    # SLSQP then starts from the caller's start, as without the Newton
+    # phase, and the failed Newton steps count among the iterations
+    newton, steps, nits = treecap.oracle._newton, [], []
+
+    def failing(*args):
+        h, taken, _ = newton(*args)
+        steps.append(taken)
+        return h, taken, False
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    monkeypatch.setattr(treecap.oracle, "_newton", failing)
+    monkeypatch.setattr("scipy.optimize.minimize", counted)
+    rng = np.random.default_rng(43)
+    failed = 0
+    for _ in range(6):
+        tree = random_tree(rng, max_edges=int(rng.integers(40, 121)))
+        leaves = tree.true_leaves()
+        picked = [z for z in leaves if rng.random() < 0.5] or leaves
+        p = random_p(rng)
+        steps.clear()
+        nits.clear()
+        res = oracle_capacity(tree, picked, p)
+        rec = capacity_of_set(tree, picked, p).capacity.midpoint
+        assert res.value == pytest.approx(rec, rel=1e-6)
+        assert res.iterations == sum(steps) + sum(nits)
+        failed += sum(steps)
+    assert failed > 0
+
+
+def test_converged_at_p8_means_on_the_recursion():
+    # ROADMAP item 4's recipe drawn with the tests' random_tree: SLSQP
+    # alone, its ftol bounding an absolute change of a tiny objective,
+    # stopped here and reported converged 4.0e-5 off the recursion
+    rng = np.random.default_rng(122)
+    tree = random_tree(rng, max_edges=int(rng.integers(20, 201)))
+    leaves = tree.true_leaves()
+    size = int(rng.integers(1, len(leaves) + 1))
+    picked = sorted(int(z) for z in rng.choice(leaves, size, replace=False))
+    res = oracle_capacity(tree, picked, 8.0)
+    rec = capacity_of_set(tree, picked, 8.0).capacity.midpoint
+    assert res.converged
+    # the capacity is 1.1e-8, so approx's default abs of 1e-12 would
+    # pass a relative error of 9e-5
+    assert abs(res.value - rec) <= 1e-9 * rec
+
+
+def test_seed_12_instance_is_certified_within_1e_6():
+    # the instance of test_referee_instance_near_p_1_2_lands_on_the_
+    # recursion: SLSQP alone came out right there, but with a certified
+    # relative gap of 2.6e-4
+    parent = [
+        -1, 0, 0, 0, 1, 1, 1, 2, 3, 4, 4, 5, 5, 5, 7, 7, 8, 8, 12, 12, 12,
+        14, 14, 15, 15, 16, 17, 17, 17, 20, 20, 21, 21, 22, 22, 22, 23, 23,
+        23, 24, 24, 24, 25, 26, 26, 29, 30, 33, 35, 35, 36, 36, 36, 37, 37,
+        37, 38, 38, 38, 41, 41, 41, 42, 42, 43, 44, 44, 44, 45, 46, 47, 47,
+        49, 53, 53, 54, 54, 55, 55, 56, 56, 56, 57, 58, 58, 58, 60, 60, 60,
+        61, 61, 62, 63, 63, 65, 65, 65, 66, 66, 67, 69, 69, 69, 71, 71, 72,
+        72, 72, 73, 76, 76, 76, 77, 77, 78, 79, 79, 80, 80, 82, 84, 84, 84,
+        85, 85, 85, 86, 86, 88, 89, 89, 90, 90, 92, 93, 93, 93, 94, 95, 95,
+        95, 99, 100, 100, 101, 101, 101, 102, 102, 103]
+    picked = [9, 10, 13, 27, 28, 31, 39, 40, 48, 50, 51, 52, 59, 64, 68, 70,
+              81, 83, 91, 96, 97, 98, 105, 106, 108, 109, 110, 111, 112,
+              114, 115, 117, 118, 119, 120, 121, 122, 126, 127, 128, 129,
+              130, 131, 132, 133, 134, 136, 137, 138, 140, 141, 143, 144,
+              145, 147, 148, 149]
+    res = oracle_capacity(Tree(parent), picked, 1.2155071951719352)
+    assert res.converged
+    assert res.gap <= 1e-6 * res.lower_bound
+
+
+def test_path_classes_match_unique_on_float_columns():
+    # most draws choose more than 8 leaves, so a column packs into
+    # several bytes, whose order must follow the order of the bits
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        tree = random_tree(rng, max_edges=int(rng.integers(2, 300)))
+        leaves = tree.true_leaves()
+        share = rng.random()
+        picked = [z for z in leaves if rng.random() < share] or leaves[:1]
+        _, _, A = _constraint_matrix(tree, picked)
+        used = np.flatnonzero(A.any(0))
+        ref = np.unique(A[:, used].T, axis=0, return_index=True,
+                        return_inverse=True, return_counts=True)
+        got = _path_classes(A)
+        assert got[0].tobytes() == used.tobytes()
+        for a, b in zip(got[1:], ref):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
