@@ -34,7 +34,8 @@ that are still unset; either must be an integer >= 1.  Both `treecap`
 and `python -m treecap.cli` import the package, and numpy with it,
 before main() runs, so numpy's BLAS pool keeps the size it started
 with; the cap reaches only libraries loaded later, such as the OpenBLAS
-that a SciPy wheel bundles, which `oracle` loads at p != 2.
+that a SciPy wheel bundles, which `oracle` loads only when a p != 2
+solve falls back to SLSQP.
 """
 
 from __future__ import annotations

@@ -26,14 +26,19 @@ Its steps keep h and r positive (at most 0.99 of the way to the
 boundary, then Armijo backtracking; a full step is doubled while F
 falls), and it stops once the Newton decrement -g^T d is at most
 1e-14 F, a relative test that holds at any scale of F, which at large p
-is tiny.  SLSQP then starts from the Newton point and confirms it.
-Where Newton does not converge (a singular Hessian, a non-finite value,
-a failed line search or its step cap), SLSQP starts from the start
-Newton was given, as it would without Newton.  Either way SLSQP works
-in variables scaled by the objective's curvature at its start, so that
-its quasi-Newton matrix, which starts as the identity, fits the problem
-from the first step.  Newton steps and SLSQP iterations share the
-budget SLSQP_MAX_ITER, and a result's iterations count both.
+is tiny.  The Newton point is then certified as any result is: made
+admissible, with its dual lower bound, and accepted when the relative
+gap is within max(tol, 1e-6).  A certified Newton point is the result,
+and neither SLSQP nor scipy.optimize, about 0.6 s to import cold, is
+touched.  SLSQP runs only as the fallback: from the Newton point when
+its certificate fails, and from the start Newton was given, as it
+would without Newton, where Newton does not converge (a singular
+Hessian, a non-finite value, a failed line search or its step cap).
+SLSQP works in variables scaled by the objective's curvature at its
+start, so that its quasi-Newton matrix, which starts as the identity,
+fits the problem from the first step.  Newton steps and SLSQP
+iterations share the budget SLSQP_MAX_ITER, and a result's iterations
+count both.
 Everything is built from the path matrix alone, with numpy and SLSQP,
 never from the recursion or the tree sweeps, so the oracle stays an
 independent referee.
@@ -48,7 +53,7 @@ import numpy as np
 from .potential import as_exponent
 from .trees import leaf_indicator, require_tolerance
 
-SLSQP_MAX_ITER = 500  # SLSQP iterations
+SLSQP_MAX_ITER = 500  # Newton steps plus SLSQP iterations
 
 
 class OracleConvergenceError(RuntimeError):
@@ -91,7 +96,8 @@ def _constraint_matrix(tree, boundary_set):
     # BFS ids put every ancestor before its descendants, so each row's
     # nonzero columns in id order run from the root down
     r, cols = np.nonzero(A)
-    paths = np.split(cols, np.cumsum(np.bincount(r, minlength=E.size))[:-1])
+    ends = np.cumsum(np.bincount(r, minlength=E.size)).tolist()
+    paths = [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
     return E, paths, A
 
 
@@ -260,9 +266,11 @@ def _newton(B_in, L_in, L_own, p, h, max_steps):
     return h, max_steps, False
 
 
-def _solve_slsqp(A, p, tol, start):
-    """SLSQP on the inner classes of edges with identical columns of A;
-    each chosen leaf's own class is solved out of its path equation.
+def _class_problem(A):
+    """The problem on the inner classes of edges with identical columns
+    of A, each chosen leaf's own class solved out of its path equation:
+    one used column of each inner class, B_in, L_in, L_own, and the map
+    from inner values h to the full f.
 
     The objective is strictly convex for p > 1, so the optimum is unique;
     swapping two edges with identical columns leaves the problem as it
@@ -282,21 +290,45 @@ def _solve_slsqp(A, p, tol, start):
     p (L_in h^(p-1) - B_in^T g^(p-1)).  With one chosen leaf there is
     no inner class and g = 1 / L is the answer.  An inner class lies on
     some chosen path, whose own value stays >= 0 only if L_k h_k <= 1,
-    so the result is clipped to that box.
+    so the map clips h to that box."""
+    used, cols, first, cls, L = _path_classes(A)
+    inner = cols.sum(1) > 1
+    own = np.flatnonzero(~inner)[np.argsort(cols[~inner].argmax(1))]
+    B_in = cols[inner].T * L[inner]
+    L_in, L_own = L[inner], L[own]
 
-    The inner values of the admissible f start, which the caller picks,
-    first go to a damped Newton method on this problem (_newton).  The
-    objective is smooth and strictly convex inside h > 0, g > 0, where
-    the optimum lies, so Newton's method converges there quadratically,
-    and its stop, a decrement of at most 1e-14 of the objective, does
-    not depend on the objective's scale, which at large p is tiny;
-    SLSQP's ftol bounds an absolute change and stops early there.
-    SLSQP then starts from the Newton point and only confirms it.  When
-    Newton does not converge, SLSQP starts from the caller's h instead,
-    exactly as without the Newton phase.  Newton steps and SLSQP
-    iterations share the budget SLSQP_MAX_ITER: Newton takes at most a
-    tenth of it, SLSQP the rest, and their sum is the iteration count
-    returned, failed Newton steps included.
+    def to_f(h):
+        g = np.zeros(L.size)
+        g[inner] = np.minimum(h, 1.0 / L_in)
+        g[own] = (1.0 - B_in @ g[inner]) / L_own
+        f = np.zeros(A.shape[1])
+        f[used] = g[cls]
+        return f
+
+    return used[first[inner]], B_in, L_in, L_own, to_f
+
+
+def _solve_slsqp(problem, p, tol, start, certify):
+    """Solve the class problem of _class_problem from the admissible f
+    start, which the caller picks.  Returns certify's tuple (f, value,
+    lower bound, whether the gap is certified) for the result, the
+    iterations taken and whether the solve converged.
+
+    The inner values of the start first go to a damped Newton method
+    (_newton).  The objective is smooth and strictly convex inside
+    h > 0, g > 0, where the optimum lies, so Newton's method converges
+    there quadratically, and its stop, a decrement of at most 1e-14 of
+    the objective, does not depend on the objective's scale, which at
+    large p is tiny; SLSQP's ftol bounds an absolute change and stops
+    early there.  When Newton converges and certify finds the relative
+    gap of its point within max(tol, 1e-6), that point is the result,
+    converged, with the Newton steps as its iterations, and SLSQP is not
+    called.  SLSQP runs only otherwise: from the Newton point when its
+    certificate fails, from the caller's h when Newton does not
+    converge, exactly as without the Newton phase.  Newton steps and
+    SLSQP iterations share the budget SLSQP_MAX_ITER: Newton takes at
+    most a tenth of it, SLSQP the rest, and their sum is the iteration
+    count returned, failed Newton steps included.
 
     SLSQP works in the variables u = h / s with
     s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at its start h0.  The term
@@ -306,71 +338,71 @@ def _solve_slsqp(A, p, tol, start):
     curvature there.  A class below sqrt(eps) of the largest start
     value, or at the bound 0, is scaled as if it sat at that floor.
     The objective itself is not rescaled, so ftol keeps its meaning."""
-    used, cols, first, cls, L = _path_classes(A)
-    inner = cols.sum(1) > 1
-    own = np.flatnonzero(~inner)[np.argsort(cols[~inner].argmax(1))]
-    B_in = cols[inner].T * L[inner]
-    L_in, L_own = L[inner], L[own]
-    g = np.zeros(L.size)
+    rep, B_in, L_in, L_own, to_f = problem
+    h0 = start[rep]
+    if not h0.size:
+        return certify(to_f(h0)), 0, True
+    h, it, polished = _newton(B_in, L_in, L_own, p, h0, SLSQP_MAX_ITER // 10)
+    if polished:
+        cert = certify(to_f(h))
+        if cert[3]:
+            return cert, it, True
+        h0 = h
+    # below the certified return: scipy.optimize takes about 0.6 s to
+    # import cold, and a certified solve never needs it
+    from scipy.optimize import minimize
 
     def own_values(h):
         return (1.0 - B_in @ h) / L_own
 
-    it, ok = 0, True
-    if inner.any():
-        from scipy.optimize import minimize
+    floor = max(2.0 ** -26 * h0.max(), np.finfo(float).tiny)
+    log_h = np.log(np.maximum(h0, floor))
+    # in logs, and clipped, so that s is finite and positive at any p
+    s = np.exp(np.clip(-0.5 * (np.log(p * (p - 1.0) * L_in)
+                               + (p - 2.0) * log_h), -300.0, 300.0))
+    B_s = B_in * s / L_own[:, None]
 
-        h0 = start[used[first[inner]]]
-        h, it, polished = _newton(B_in, L_in, L_own, p, h0,
-                                  SLSQP_MAX_ITER // 10)
-        if polished:
-            h0 = h
-        floor = max(2.0 ** -26 * h0.max(), np.finfo(float).tiny)
-        log_h = np.log(np.maximum(h0, floor))
-        # in logs, and clipped, so that s is finite and positive at any p
-        s = np.exp(np.clip(-0.5 * (np.log(p * (p - 1.0) * L_in)
-                                   + (p - 2.0) * log_h), -300.0, 300.0))
-        B_s = B_in * s / L_own[:, None]
+    def fun(u):
+        h = s * u
+        return float(L_in @ np.abs(h) ** p
+                     + L_own @ np.abs(own_values(h)) ** p)
 
-        def fun(u):
-            h = s * u
-            return float(L_in @ np.abs(h) ** p
-                         + L_own @ np.abs(own_values(h)) ** p)
+    def jac(u):
+        h = s * u
+        r = own_values(h)
+        return p * s * (L_in * np.sign(h) * np.abs(h) ** (p - 1.0)
+                        - B_in.T @ (np.sign(r) * np.abs(r) ** (p - 1.0)))
 
-        def jac(u):
-            h = s * u
-            r = own_values(h)
-            return p * s * (L_in * np.sign(h) * np.abs(h) ** (p - 1.0)
-                            - B_in.T @ (np.sign(r) * np.abs(r) ** (p - 1.0)))
-
-        # at large p a line search may try points far outside the box
-        # L_k h_k <= 1 that the constraints imply, where h^p overflows
-        # to inf; the result is clipped back into the box below
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = minimize(
-                fun, h0 / s, jac=jac,
-                bounds=[(0.0, None)] * L_in.size,
-                constraints=[{"type": "ineq",
-                              "fun": lambda u: own_values(s * u),
-                              "jac": lambda u: -B_s}],
-                method="SLSQP",
-                options={"maxiter": SLSQP_MAX_ITER - it,
-                         "ftol": min(tol, 1e-12)},
-            )
-        g[inner] = np.minimum(s * res.x, 1.0 / L_in)
-        it, ok = it + int(res.nit), bool(res.success)
-    g[own] = own_values(g[inner])
-    f = np.zeros(A.shape[1])
-    f[used] = g[cls]
-    return f, it, ok
+    # at large p a line search may try points far outside the box
+    # L_k h_k <= 1 that the constraints imply, where h^p overflows to
+    # inf; to_f clips the result back into the box
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(
+            fun, h0 / s, jac=jac,
+            bounds=[(0.0, None)] * L_in.size,
+            constraints=[{"type": "ineq",
+                          "fun": lambda u: own_values(s * u),
+                          "jac": lambda u: -B_s}],
+            method="SLSQP",
+            options={"maxiter": SLSQP_MAX_ITER - it,
+                     "ftol": min(tol, 1e-12)},
+        )
+    return certify(to_f(s * res.x)), it + int(res.nit), bool(res.success)
 
 
 def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     """Capacity of a set of true leaves by direct convex minimization:
-    one KKT linear solve at p = 2 (method "kkt"), SLSQP on the inner
-    path classes otherwise ("slsqp").  value is the objective of an
+    one KKT linear solve at p = 2 (method "kkt"), otherwise a damped
+    Newton method on the inner path classes, with SLSQP as its fallback
+    ("slsqp", the label of both).  value is the objective of an
     admissible f, so a true upper bound; lower_bound is the dual
-    certificate from the candidate measure.  tol must be >= 0.
+    certificate from the candidate measure.  A Newton point whose
+    relative gap is within max(tol, 1e-6) is returned as it is,
+    converged, its Newton steps the iterations; SLSQP runs only from a
+    point that fails that test or where Newton does not converge.  When
+    a class solve's result is not certified, it restarts once from that
+    result and, if that does not converge, once from the 1 / length
+    start.  tol must be >= 0.
 
     method "subgradient", kept for older callers, runs the same solve
     and is echoed back as the result's method.  Any value other than it
@@ -382,12 +414,17 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     pe = as_exponent(p)
     leaf_rows, paths, A = _constraint_matrix(tree, boundary_set)
 
+    def certify(f):
+        return _certify(f, A, paths, leaf_rows, pe.p, tol)
+
     if pe.p == 2.0:
-        f, it, ok, used = _solve_kkt_p2(A), 0, True, "kkt"
+        f, value, lower, gap_ok = certify(_solve_kkt_p2(A))
+        it, ok, used = 0, True, "kkt"
     else:
-        f, it, ok = _solve_slsqp(A, pe.p, tol, _p2_start(A, paths, pe.p))
+        problem = _class_problem(A)
+        (f, value, lower, gap_ok), it, ok = _solve_slsqp(
+            problem, pe.p, tol, _p2_start(A, paths, pe.p), certify)
         used = "slsqp"
-    f, value, lower, gap_ok = _certify(f, A, paths, leaf_rows, pe.p, tol)
     if used == "slsqp" and not gap_ok:
         # SLSQP also stops "successfully" when a stalled line search no
         # longer changes the objective by ftol.  Restart once from the
@@ -395,9 +432,8 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
         # if that fails too, once more from the 1 / length start.
         for start in (f, _feasible_correction(
                 _warm_start(A.shape[1], paths), A, paths)):
-            f, more, ok = _solve_slsqp(A, pe.p, tol, start)
-            f, value, lower, gap_ok = _certify(f, A, paths, leaf_rows,
-                                               pe.p, tol)
+            (f, value, lower, gap_ok), more, ok = _solve_slsqp(
+                problem, pe.p, tol, start, certify)
             it += more
             if ok or gap_ok:
                 break

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,3 +584,108 @@ def test_path_classes_match_unique_on_float_columns():
         for a, b in zip(got[1:], ref):
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
+
+
+class Refused(Exception):
+    pass
+
+
+def test_certified_newton_points_need_no_slsqp(monkeypatch):
+    # minimize refuses, so a result can only come from a Newton point
+    # that the certificate accepted; where it did not, the solve stops
+    # at the SLSQP fallback
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    newton, steps = treecap.oracle._newton, []
+
+    def counted(*args):
+        h, taken, polished = newton(*args)
+        steps.append(taken)
+        return h, taken, polished
+
+    monkeypatch.setattr(treecap.oracle, "_newton", counted)
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    rng = np.random.default_rng(45)
+    drawn = certified = 0
+    while drawn < 40:
+        tree = random_tree(rng, max_edges=int(rng.integers(20, 151)))
+        leaves = tree.true_leaves()
+        share = rng.uniform(0.2, 1.0)
+        picked = [z for z in leaves if rng.random() < share]
+        if len(picked) < 2:  # one chosen leaf needs no Newton step
+            continue
+        p = random_p(rng, 1.2, 8.0)
+        drawn += 1
+        steps.clear()
+        try:
+            res = oracle_capacity(tree, picked, p)
+        except Refused:
+            continue
+        rec = capacity_of_set(tree, picked, p).capacity.midpoint
+        assert (res.method, res.converged) == ("slsqp", True)
+        assert len(steps) == 1 and res.iterations == steps[0]
+        assert abs(res.value - rec) <= 1e-9 * rec
+        certified += 1
+    assert certified >= 35
+
+
+def test_uncertified_newton_point_goes_on_to_slsqp(monkeypatch):
+    # the first certificate, the Newton point's, reads a lower bound of
+    # 0; SLSQP must then start from that point and still land on the
+    # recursion
+    dual_bound, bounds = treecap.oracle._dual_bound, []
+
+    def zero_once(*args):
+        bounds.append(1)
+        return 0.0 if len(bounds) == 1 else dual_bound(*args)
+
+    newton, runs, starts, nits = treecap.oracle._newton, [], [], []
+
+    def recorded(*args):
+        h, taken, polished = newton(*args)
+        runs.append((args, h, taken, polished))
+        return h, taken, polished
+
+    def confirming(fun, x0, *args, **kwargs):
+        starts.append(fun(x0))
+        res = minimize(fun, x0, *args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    monkeypatch.setattr(treecap.oracle, "_dual_bound", zero_once)
+    monkeypatch.setattr(treecap.oracle, "_newton", recorded)
+    monkeypatch.setattr("scipy.optimize.minimize", confirming)
+    rng = np.random.default_rng(46)
+    tree = random_tree(rng, max_edges=120)
+    leaves = tree.true_leaves()
+    picked = [z for z in leaves if rng.random() < 0.5] or leaves
+    res = oracle_capacity(tree, picked, 3.0)
+    (B_in, L_in, L_own, p, *_), h, taken, polished = runs[0]
+    assert polished and len(starts) == len(nits) == 1
+    r = (1.0 - B_in @ h) / L_own
+    assert starts[0] == pytest.approx(L_in @ h ** p + L_own @ r ** p,
+                                      rel=1e-12)
+    rec = capacity_of_set(tree, picked, 3.0).capacity.midpoint
+    assert res.converged and res.method == "slsqp"
+    assert res.value == pytest.approx(rec, rel=1e-6)
+    assert res.iterations == sum(run[2] for run in runs) + sum(nits)
+
+
+def test_certified_solve_does_not_import_scipy_optimize(tmp_path):
+    tree = random_tree(np.random.default_rng(47), max_edges=150)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree_to_json(tree)))
+    script = ("import sys\n"
+              "from treecap.cli import main\n"
+              f"code = main(['oracle', '--tree', {str(path)!r}, "
+              "'--p', '3'])\n"
+              "print(code, 'scipy.optimize' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out, last = proc.stdout.rstrip().rsplit("\n", 1)
+    assert last == "0 False"
+    assert json.loads(out)["converged"] is True
