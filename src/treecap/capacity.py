@@ -30,14 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from numbers import Real
 
 import numpy as np
 
 from .potential import _report_json, as_exponent, potential, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
-                    _json_edge_mapping, _spec_int, edge_ids, leaf_indicator,
-                    require_edge, require_explicit, tent)
+                    _is_real, _json_edge_mapping, _spec_int, edge_ids,
+                    leaf_indicator, require_edge, require_explicit, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -123,11 +122,6 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     lo = (partial + rest) ** (1.0 - pe.p)
     hi = partial ** (1.0 - pe.p) if cut else lo
     return CapacityInterval(*_pad_interval(lo, hi))
-
-
-def _is_real(v):
-    """A real number, numpy's included, that is not a bool."""
-    return isinstance(v, Real) and not isinstance(v, bool)
 
 
 def _tail_value(v):

@@ -156,9 +156,9 @@ def _parse_set(text, tree):
 
 
 def _require_numbers(values, field):
-    """Refuse values unless each is a JSON number; one pass over the
-    types, since bools, strings and nulls would otherwise be read as
-    numbers or fail deep inside numpy."""
+    """Refuse values unless each is a JSON number, since bools, strings
+    and nulls would be read as numbers or fail deep inside numpy; one
+    pass over the types, cheaper than a test per value."""
     bad = set(map(type, values)) - {int, float}
     if bad:
         v = next(v for v in values if type(v) in bad)

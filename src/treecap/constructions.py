@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
 from .capacity import (CapacityInterval, _one_step, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
 from .potential import as_exponent
-from .trees import (SphericallySymmetric, Subdyadic, build_tree,
+from .trees import (SphericallySymmetric, Subdyadic, _is_int, build_tree,
                     predecessor_path, require_tolerance)
 
 
@@ -189,7 +188,7 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
     pe = as_exponent(p)
     require_tolerance(tol)
     for name, v in (("n", n), ("depth", depth)):
-        if isinstance(v, bool) or not isinstance(v, Integral):
+        if not _is_int(v):
             raise ValueError(f"{name} must be an integer, got {v!r}")
     n, depth = int(n), int(depth)
     if n < 2:

@@ -23,9 +23,11 @@ import numpy as np
 
 from .characterization import verify_equilibrium
 from .potential import _report_json, potential_all
-from .trees import BoundaryMeasure, co_potential, require_tolerance
+from .trees import (BoundaryMeasure, _is_int, co_potential,
+                    require_tolerance)
 
 SVG_SCALE = 512.0  # pixels per unit length in emit_svg
+# a type set, as _edge_column checks a column's types in one pass, not per id
 _BOOLS = {bool, np.bool_}
 
 
@@ -156,9 +158,7 @@ class TilingReport:
 def _id_text(i):
     """An id as messages print it: an int (not a bool) plainly, anything
     else by repr, so the string '1' reads apart from the edge 1."""
-    if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
-        return str(i)
-    return repr(i)
+    return str(i) if _is_int(i) else repr(i)
 
 
 def _first_ids(ids, limit=10):
@@ -277,10 +277,8 @@ def validate_tiling(tiling, tol=1e-9):
     n_edges = tree.n_edges
     e = edge
     if e.dtype.kind != "i":  # ids numpy cannot hold as ints
-        e = np.array([v if isinstance(v, (int, np.integer))
-                      and not isinstance(v, bool)
-                      and 0 <= v < n_edges else -1 for v in edge],
-                     dtype=np.int64)
+        e = np.array([v if _is_int(v) and 0 <= v < n_edges else -1
+                      for v in edge], dtype=np.int64)
     known = (e >= 0) & (e < n_edges)
     flag("squares naming no edge of the tree", edge[~known])
     held = np.flatnonzero(known)

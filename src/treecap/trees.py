@@ -58,7 +58,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from numbers import Real
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,6 +71,16 @@ MAX_LEVEL_TABLE_BITS = 2 ** 28
 
 class TreeStructureError(ValueError):
     """Malformed tree input: cycles, several roots, bad degrees."""
+
+
+def _is_real(v):
+    """A real number, numpy's included, that is not a bool."""
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def _is_int(v):
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 class TreeTooLargeError(ValueError):
@@ -224,8 +234,7 @@ class Tree:
             raise TreeStructureError("tail edges must be leaves")
         m = None if mult is None else np.asarray(mult, dtype=object)
         if m is not None and (m.shape != (n,) or not all(
-                isinstance(x, Real) and not isinstance(x, bool)
-                and 1 <= x < 2 ** 63 and x % 1 == 0 for x in m)):
+                _is_real(x) and 1 <= x < 2 ** 63 and x % 1 == 0 for x in m)):
             raise TreeStructureError("need a whole multiplicity >= 1 per edge")
         self.mult = None if m is None else m.astype(np.int64)
         self.labels = labels
@@ -808,8 +817,7 @@ def spec_to_json(spec):
 def _spec_int(field, x):
     """A JSON integer, or a float with an integral value; bools, strings,
     fractional values, NaN and infinity are refused."""
-    if (isinstance(x, Real) and not isinstance(x, bool)
-            and -np.inf < x < np.inf and int(x) == x):
+    if _is_real(x) and -np.inf < x < np.inf and int(x) == x:
         return int(x)
     # JSON reads a number beyond the float range, such as 1e400, as inf
     why = (" (a number beyond the float range reads as infinity)"
@@ -901,7 +909,8 @@ def tree_from_json(obj, depth=None, layout="auto"):
     return tree
 
 
-# the JSON types of an edge label: bool is not one, though an int in Python
+# the JSON types of an edge label: bool is not one, though an int in Python;
+# a type set, so _only checks a file's labels in one pass, not per label
 _LABEL_TYPES = {str, int, float}
 
 
