@@ -36,7 +36,8 @@ import numpy as np
 from .potential import _report_json, as_exponent, potential, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
                     _is_real, _json_edge_mapping, _spec_int, edge_ids,
-                    leaf_indicator, require_edge, require_explicit, tent)
+                    leaf_indicator, require_edge, require_explicit,
+                    require_int, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -99,6 +100,8 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     degrees, _ = SphericallySymmetric(degrees).levels()
     if tail_degree is not None and _spec_int("tail_degree", tail_degree) < 1:
         raise ValueError("tail degree must be >= 1")
+    if depth is not None:
+        depth = require_int("depth", depth)
     finite = tail_degree is None
     if not finite and tail_degree == 1:
         # the series grows by a constant term per level from some point

@@ -27,8 +27,8 @@ import numpy as np
 from .capacity import (CapacityInterval, _one_step, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
 from .potential import as_exponent
-from .trees import (SphericallySymmetric, Subdyadic, _is_int, build_tree,
-                    predecessor_path, require_tolerance)
+from .trees import (SphericallySymmetric, Subdyadic, build_tree,
+                    predecessor_path, require_int, require_tolerance)
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,7 @@ def greedy_digits(value, base, count):
         raise ValueError("cannot expand a negative value")
     if not (0 < base < 1):
         raise ValueError("base must lie in (0, 1)")
+    count = require_int("count", count)
     digits = []
     r = value
     pw = base ** 0
@@ -101,11 +102,11 @@ def subdyadic_tree_of_capacity(target, p, digit_count=30):
     """Infinite tree of unary runs and binary branchings whose boundary
     capacity comes out at target, which must lie strictly between 0 and
     the capacity of the fully binary tree.  A Fraction target with
-    p = 2 is expanded exactly.  digit_count must be at least 1.  A p so
+    p = 2 is expanded exactly.  digit_count must be an integer >= 1.  A p so
     close to 1 that 2^(1 - p') underflows or target^(1 - p') overflows
     is refused.
     """
-    if digit_count < 1:
+    if require_int("digit_count", digit_count) < 1:
         raise ValueError(f"digit_count must be at least 1, got {digit_count}")
     pe = as_exponent(p)
     t = float(target)
@@ -187,10 +188,7 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
     """
     pe = as_exponent(p)
     require_tolerance(tol)
-    for name, v in (("n", n), ("depth", depth)):
-        if not _is_int(v):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-    n, depth = int(n), int(depth)
+    n, depth = require_int("n", n), require_int("depth", depth)
     if n < 2:
         raise ValueError("branching order must be >= 2")
     if depth < 1:

@@ -31,9 +31,9 @@ admissible, with its dual lower bound, and accepted when the relative
 gap is within max(tol, 1e-6).  A certified Newton point is the result,
 and neither SLSQP nor scipy.optimize, about 0.6 s to import cold, is
 touched.  SLSQP runs only as the fallback: from the Newton point when
-its certificate fails, and from the start Newton was given, as it
-would without Newton, where Newton does not converge (a singular
-Hessian, a non-finite value, a failed line search or its step cap).
+its certificate fails, and from the start Newton was given where
+Newton does not converge (a singular Hessian, a non-finite value, a
+failed line search or its step cap).
 SLSQP works in variables scaled by the objective's curvature at its
 start, so that its quasi-Newton matrix, which starts as the identity,
 fits the problem from the first step.  Newton steps and SLSQP
@@ -325,10 +325,10 @@ def _solve_slsqp(problem, p, tol, start, certify):
     converged, with the Newton steps as its iterations, and SLSQP is not
     called.  SLSQP runs only otherwise: from the Newton point when its
     certificate fails, from the caller's h when Newton does not
-    converge, exactly as without the Newton phase.  Newton steps and
-    SLSQP iterations share the budget SLSQP_MAX_ITER: Newton takes at
-    most a tenth of it, SLSQP the rest, and their sum is the iteration
-    count returned, failed Newton steps included.
+    converge.  Newton steps and SLSQP iterations share the budget
+    SLSQP_MAX_ITER: Newton takes at most a tenth of it, SLSQP the rest,
+    and their sum is the iteration count returned, failed Newton steps
+    included.
 
     SLSQP works in the variables u = h / s with
     s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at its start h0.  The term

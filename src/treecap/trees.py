@@ -56,8 +56,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, repeat
 from numbers import Integral, Real
 from typing import Mapping, Sequence
 
@@ -369,13 +370,16 @@ class Tree:
         return self.labels[i] if self.labels is not None else i
 
     def id_of_label(self, label):
-        """Edge id of a label, a number on a tree without labels.  A string
-        also matches the label whose str() it is, as JSON keys are strings."""
+        """Edge id of a label, a number (not a bool) on a tree without
+        labels.  A string also matches the label whose str() it is, as
+        JSON keys are strings."""
         if self.labels is None:
             try:
-                i = float(label)
-            except (TypeError, ValueError):
-                raise KeyError(f"unknown edge label {label!r}") from None
+                i = float(label) if isinstance(label, str) else label
+            except ValueError:
+                i = None
+            if not isinstance(i, Real):
+                raise KeyError(f"unknown edge label {label!r}")
             return require_edge(self, i)
         if self._label_index is None:
             ids = range(self.n_edges)
@@ -647,8 +651,9 @@ def tent(tree, alpha):
 
 def require_edge(tree, i):
     """Edge id i as an int, or KeyError unless i is a whole number in
-    [0, n_edges): 3.0 is edge 3; 3.5, nan and -1 (numpy wraps) are not."""
-    if isinstance(i, Real) and 0 <= i < tree.n_edges and i == int(i):
+    [0, n_edges): 3.0 is edge 3; 3.5, nan, -1 (numpy wraps) and True
+    are not."""
+    if _is_real(i) and 0 <= i < tree.n_edges and i == int(i):
         return int(i)
     shown = int(i) if isinstance(i, float) and i.is_integer() else i
     raise KeyError(f"edge id {shown} out of range")
@@ -657,7 +662,15 @@ def require_edge(tree, i):
 def edge_ids(tree, ids, allowed, what):
     """ids as an int64 array, each an edge where the bool array allowed
     holds.  They are read as floats, so 3.0 is edge 3 but 3.9 is refused
-    where an int64 read would truncate it to 3."""
+    where an int64 read would truncate it to 3, and so is a bool or a
+    string, which the float read would take for 1 or for its number."""
+    if not isinstance(ids, Collection):
+        ids = list(ids)
+    # one pass over the types; the rule then reads one id of each type
+    types = set(map(type, ids))
+    if not all(_is_real(next(v for v in ids if type(v) is t)) for t in types):
+        v = next(filterfalse(_is_real, ids))
+        raise ValueError(f"edge {v!r} is not a {what}")
     x = np.fromiter(ids, dtype=float)
     ok = (x >= 0) & (x < tree.n_edges) & (x == np.floor(x))
     ok[ok] = allowed[x[ok].astype(np.int64)]
@@ -720,6 +733,14 @@ class AdditivityReport:
     max_violation: float
     worst_edge: int | None
     residuals: np.ndarray = field(default=None, repr=False)
+
+
+def require_int(name, v):
+    """v as an int, or ValueError naming it unless v is an integer,
+    numpy's included, and not a bool."""
+    if not _is_int(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 def require_tolerance(tol):

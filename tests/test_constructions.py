@@ -244,6 +244,21 @@ def test_compact_set_refuses_non_integer_sizes(name, value):
         compact_set_of_capacity(kwargs["n"], 2, 0.3, depth=kwargs["depth"])
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda v: symmetric_capacity([2] * 40, 3, depth=v), "depth"),
+    (lambda v: subdyadic_tree_of_capacity(0.3, 2, digit_count=v),
+     "digit_count"),
+    (lambda v: greedy_digits(1.0, 0.5, v), "count"),
+], ids=["symmetric_capacity", "subdyadic_tree_of_capacity", "greedy_digits"])
+def test_counts_refuse_bools_and_floats(call, name):
+    # True once counted as 1, and a float failed in range() or a slice
+    for bad in (True, 3.0, 12.5):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be an integer, got {bad}"):
+            call(bad)
+    assert call(np.int64(3)) == call(3)
+
+
 def test_compact_set_refuses_depth_zero():
     with pytest.raises(ValueError, match="depth must be >= 1"):
         compact_set_of_capacity(2, 2, 0.3, depth=0)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,82 @@ def test_dual_bound_of_the_zero_candidate_is_0():
     leaf_rows, _, A = _constraint_matrix(tree, tree.true_leaves())
     for p in (1.5, 2.0, 8.0):
         assert _dual_bound(np.zeros(tree.n_edges), A, leaf_rows, p) == 0.0
+
+
+def test_dual_bound_is_0_when_the_energy_underflows():
+    # leaf weights 1e-300 sum to a positive total, but M^2 underflows to
+    # 0; the bound would otherwise divide by 0 and read inf
+    tree = build_tree(SphericallySymmetric([2, 3]))
+    leaf_rows, _, A = _constraint_matrix(tree, tree.true_leaves())
+    f = np.full(tree.n_edges, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _dual_bound(f, A, leaf_rows, 2.0) == 0.0
+
+
+def _recorded_solves(monkeypatch):
+    """Lists that collect (steps, converged) of every Newton run and the
+    iterations of every SLSQP call of the solves that follow."""
+    newton, runs, nits = treecap.oracle._newton, [], []
+
+    def recorded(*args):
+        h, taken, polished = newton(*args)
+        runs.append((taken, polished))
+        return h, taken, polished
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    monkeypatch.setattr(treecap.oracle, "_newton", recorded)
+    monkeypatch.setattr("scipy.optimize.minimize", counted)
+    return runs, nits
+
+
+def _newton_instance(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_edges=120)
+    leaves = tree.true_leaves()
+    picked = [z for z in leaves if rng.random() < 0.5]
+    assert len(picked) >= 2  # else no class is left for Newton
+    return tree, picked, capacity_of_set(tree, picked, 3.0).capacity.midpoint
+
+
+def test_singular_newton_hessian_hands_over_to_slsqp(monkeypatch):
+    # every solve raises: the KKT start takes lstsq, and Newton ends at
+    # its first step, where SLSQP takes over from the start
+    tree, picked, rec = _newton_instance(47)
+    runs, nits = _recorded_solves(monkeypatch)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = oracle_capacity(tree, picked, 3.0)
+    assert runs and set(runs) == {(0, False)} and nits
+    assert abs(res.value - rec) <= 1e-6 * rec
+    assert res.iterations == sum(nits)
+
+
+def test_failed_newton_line_search_hands_over_to_slsqp(monkeypatch):
+    # from its third step on, each Newton direction is 1e12 times too
+    # long: every trial point down to t = 1e-10 lies a hundred Newton
+    # steps out, or near the boundary, so the backtracking gives up
+    tree, picked, rec = _newton_instance(47)
+    runs, nits = _recorded_solves(monkeypatch)
+    solve, calls = np.linalg.solve, []
+
+    def overshooting(a, b):
+        calls.append(1)  # the first call is the KKT start's
+        x = solve(a, b)
+        return x if len(calls) <= 3 else 1e12 * x
+
+    monkeypatch.setattr(np.linalg, "solve", overshooting)
+    res = oracle_capacity(tree, picked, 3.0)
+    assert runs[0] == (2, False) and nits
+    assert abs(res.value - rec) <= 1e-6 * rec
+    assert res.iterations == sum(steps for steps, _ in runs) + sum(nits)
 
 
 def test_kkt_falls_back_to_least_squares_when_solve_fails(monkeypatch):

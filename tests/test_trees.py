@@ -17,6 +17,8 @@ from treecap import (
     TreeStructureError,
     TreeTooLargeError,
     build_tree,
+    capacity_of_set,
+    capacity_recursive,
     confluent,
     edge_function_from_mapping,
     edge_function_to_mapping,
@@ -31,6 +33,7 @@ from treecap import (
 )
 from treecap.trees import MAX_EXPLICIT_EDGES, _json_edge_mapping
 from helpers import random_tree
+from test_edge_ids import CASES as SINGLE_ID_CASES
 
 
 def test_from_adjacency_basic():
@@ -657,6 +660,63 @@ def test_edge_ids_outside_the_tree_are_refused(call):
     t = build_tree(SphericallySymmetric([2, 2]))
     with pytest.raises(KeyError, match="out of range"):
         call(t)
+
+
+@pytest.mark.parametrize("layout, call, read", SINGLE_ID_CASES)
+def test_every_single_id_entry_point_refuses_a_bool(layout, call, read):
+    # a bool is an int to Python and read as 1 by float(); np.True_ is
+    # no number to the numbers ABCs
+    t = build_tree(SphericallySymmetric([2, 2]), layout=layout)
+    with pytest.raises(KeyError, match="edge id True out of range"):
+        call(t, True)
+    with pytest.raises(KeyError):
+        call(t, np.True_)
+
+
+def test_a_label_that_is_no_number_or_string_names_no_id():
+    t = build_tree(SphericallySymmetric([2, 2]))
+    assert t.id_of_label("3") == t.id_of_label(np.float64(3.0)) == 3
+    with pytest.raises(KeyError, match="out of range"):
+        t.id_of_label(10 ** 400)  # no float holds it
+    with pytest.raises(KeyError, match="unknown edge label"):
+        t.id_of_label(b"3")
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda t, ids: capacity_of_set(t, ids, 2), "true leaf"),
+    (lambda t, ids: BoundaryMeasure.from_leaf_masses(
+        t, dict.fromkeys(ids, 0.5)), "leaf"),
+], ids=["capacity_of_set", "from_leaf_masses"])
+def test_edge_id_lists_refuse_bools_and_strings(call, says):
+    t = build_tree(SphericallySymmetric([2, 2]))  # leaves 3 to 6
+    for ids, shown in (([3, True], "True"), (["3"], "'3'"),
+                       ([4, "5.0"], "'5.0'")):
+        with pytest.raises(ValueError, match=f"edge {shown} is not a {says}"):
+            call(t, ids)
+    with pytest.raises(ValueError, match=f"is not a {says}"):
+        call(t, np.array([True, False]))
+    want = call(t, [3, 4, 5])
+    for same in ([3, 4.0, np.int64(5)], np.array([3, 4, 5]),
+                 (i for i in (3, 4, 5))):
+        got = call(t, same)
+        assert np.array_equal(*(getattr(r, "measure", r).M
+                                for r in (got, want)))
+
+
+def test_a_string_id_on_a_labeled_tree_is_refused_not_read_as_a_number():
+    # ids "2" and edge 2, labelled "4", once read as the same edge
+    lab = Tree.from_adjacency({"5": ["3", "4"], "3": [], "4": []})
+    with pytest.raises(ValueError, match="edge '2' is not a true leaf"):
+        capacity_of_set(lab, ["2"], 2)
+    assert capacity_of_set(lab, [2], 2).measure.M.tolist() == [0.5, 0, 0.5]
+
+
+def test_a_tail_policy_keyed_by_a_bool_is_refused():
+    t = build_tree(Homogeneous(2), depth=2, layout="explicit")
+    tails = t.tail_ids()
+    capacity_recursive(t, 2, tail_policy={tails[0]: 0.5})
+    with pytest.raises(ValueError, match="edge True is not a tail id"):
+        capacity_recursive(t, 2, tail_policy={True: 0.5})
 
 
 @pytest.mark.parametrize("masses, says", [
