@@ -673,7 +673,7 @@ def test_every_single_id_entry_point_refuses_a_bool(layout, call, read):
         call(t, np.True_)
 
 
-def test_a_label_that_is_no_number_or_string_names_no_id():
+def test_id_of_label_reads_only_strings_and_numbers_as_ids():
     t = build_tree(SphericallySymmetric([2, 2]))
     assert t.id_of_label("3") == t.id_of_label(np.float64(3.0)) == 3
     with pytest.raises(KeyError, match="out of range"):
