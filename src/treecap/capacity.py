@@ -91,10 +91,11 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
     tree ends after the last listed level (exact finite sum), otherwise
     it continues with constant degree tail_degree, a geometric series
     summed in closed form.  A depth that cuts into the listed levels
-    caps the number of series terms; the remainder is bounded by
-    comparison with the worst (smallest) continuing degree, so a
-    continuation that may stop branching (degree 1) only yields the
-    trivial lower bound 0.
+    caps the number of series terms, but not below the root's one term,
+    so depth 0 reads as 1; a negative depth is refused.  The remainder
+    is bounded by comparison with the worst (smallest) continuing
+    degree, so a continuation that may stop branching (degree 1) only
+    yields the trivial lower bound 0.
     """
     pe = as_exponent(p)
     degrees, _ = SphericallySymmetric(degrees).levels()
@@ -102,6 +103,8 @@ def symmetric_capacity(degrees, p, depth=None, tail_degree=None):
         raise ValueError("tail degree must be >= 1")
     if depth is not None:
         depth = require_int("depth", depth)
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
     finite = tail_degree is None
     if not finite and tail_degree == 1:
         # the series grows by a constant term per level from some point

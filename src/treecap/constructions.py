@@ -57,6 +57,8 @@ def greedy_digits(value, base, count):
     if not (0 < base < 1):
         raise ValueError("base must lie in (0, 1)")
     count = require_int("count", count)
+    if count < 0:
+        raise ValueError("count must be >= 0")
     digits = []
     r = value
     pw = base ** 0

@@ -14,31 +14,49 @@ capacity.py; agreement between the two is a real consistency check.
 At p = 2 one KKT linear solve gives the optimum.  For other p the
 problem is posed on path classes, the edges with equal columns in the
 leaves x edges path matrix, with each chosen leaf's own class solved
-out of its path equation.  The start is the p = 2 optimum f2 raised to
-the power 1 / (p - 1): the equilibrium function is M^(p'-1) with M the
-equilibrium measure's co-potential, and at p = 2 f2 is M itself.
+out of its path equation, so only the inner class values h are free;
+a single chosen leaf needs no solve.  The first start is the p = 2
+optimum f2 raised to the power 1 / (p - 1): the equilibrium function
+is M^(p'-1) with M the equilibrium measure's co-potential, and at
+p = 2 f2 is M itself.
 
-From there a damped Newton method minimizes F(h) = sum L_in h^p +
-sum L_own r^p over the inner class values h, with own values
-r = (1 - B_in h) / L_own, using the exact Hessian
+From a start a damped Newton method minimizes F(h) = sum L_in h^p +
+sum L_own r^p over h, with own values r = (1 - B_in h) / L_own, using
+the exact Hessian
 diag(p (p-1) L_in h^(p-2)) + B_in^T diag(p (p-1) r^(p-2) / L_own) B_in.
 Its steps keep h and r positive (at most 0.99 of the way to the
 boundary, then Armijo backtracking; a full step is doubled while F
 falls), and it stops once the Newton decrement -g^T d is at most
 1e-14 F, a relative test that holds at any scale of F, which at large p
-is tiny.  The Newton point is then certified as any result is: made
-admissible, with its dual lower bound, and accepted when the relative
-gap is within max(tol, 1e-6).  A certified Newton point is the result,
-and neither SLSQP nor scipy.optimize, about 0.6 s to import cold, is
+is tiny.  Near p = 1 Newton mostly does not converge: own values far
+below 1e-16 are lost to the cancellation in 1 - B_in h.
+
+Every point is certified the same way: made admissible on the full
+matrix, with its dual lower bound, and accepted when the relative gap
+is within max(tol, 1e-6).  A certified Newton point is the result, and
+neither SLSQP nor scipy.optimize, about 0.6 s to import cold, is
 touched.  SLSQP runs only as the fallback: from the Newton point when
 its certificate fails, and from the start Newton was given where
 Newton does not converge (a singular Hessian, a non-finite value, a
-failed line search or its step cap).
-SLSQP works in variables scaled by the objective's curvature at its
-start, so that its quasi-Newton matrix, which starts as the identity,
-fits the problem from the first step.  Newton steps and SLSQP
-iterations share the budget SLSQP_MAX_ITER, and a result's iterations
-count both.
+failed line search or its step cap).  SLSQP works in the variables
+u = h / s with s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at its start
+h0, so that each term L_k h_k^p has curvature 1 there and the identity
+its quasi-Newton matrix starts from fits the problem from the first
+step; a class below sqrt(eps) of the largest start value, or at 0, is
+scaled as if it sat at that floor.  The objective is not rescaled, so
+ftol keeps its meaning; but ftol bounds an absolute change, and SLSQP
+also stops "successfully" when a stalled line search no longer changes
+the objective by ftol.
+
+So a solve whose result is not certified restarts, Newton first, from
+that result, rescaled there and with a fresh quasi-Newton matrix, and
+unless that is certified or SLSQP succeeds, once more from the
+1 / length start.  Each start is built only when it is reached.  A
+result is converged when it is certified or SLSQP reported success on
+its last start.  Per start, Newton takes at most a tenth of
+SLSQP_MAX_ITER steps and SLSQP the rest; a result's iterations count
+every Newton step, failed ones included, and every SLSQP iteration of
+every start.
 Everything is built from the path matrix alone, with numpy and SLSQP,
 never from the recursion or the tree sweeps, so the oracle stays an
 independent referee.
@@ -137,16 +155,6 @@ def _dual_bound(f, A, leaf_rows, p):
     if en <= 0.0:
         return 0.0
     return float((total / en ** (1.0 / pe.conjugate)) ** pe.p)
-
-
-def _certify(f, A, paths, leaf_rows, p, tol):
-    """f made admissible, its value, the dual lower bound, and whether
-    the relative gap between the two is within max(tol, 1e-6)."""
-    f = _feasible_correction(f, A, paths)
-    value = float(np.sum(f ** p))
-    lower = _dual_bound(f, A, leaf_rows, p)
-    gap_ok = value - lower <= max(tol, 1e-6) * max(lower, 1e-12)
-    return f, value, lower, gap_ok
 
 
 def _solve_kkt_p2(A):
@@ -310,34 +318,11 @@ def _class_problem(A):
 
 def _solve_slsqp(problem, p, tol, start, certify):
     """Solve the class problem of _class_problem from the admissible f
-    start, which the caller picks.  Returns certify's tuple (f, value,
+    start: Newton, then SLSQP unless certify accepts the Newton point,
+    as the module docstring tells.  Returns certify's tuple (f, value,
     lower bound, whether the gap is certified) for the result, the
-    iterations taken and whether the solve converged.
-
-    The inner values of the start first go to a damped Newton method
-    (_newton).  The objective is smooth and strictly convex inside
-    h > 0, g > 0, where the optimum lies, so Newton's method converges
-    there quadratically, and its stop, a decrement of at most 1e-14 of
-    the objective, does not depend on the objective's scale, which at
-    large p is tiny; SLSQP's ftol bounds an absolute change and stops
-    early there.  When Newton converges and certify finds the relative
-    gap of its point within max(tol, 1e-6), that point is the result,
-    converged, with the Newton steps as its iterations, and SLSQP is not
-    called.  SLSQP runs only otherwise: from the Newton point when its
-    certificate fails, from the caller's h when Newton does not
-    converge.  Newton steps and SLSQP iterations share the budget
-    SLSQP_MAX_ITER: Newton takes at most a tenth of it, SLSQP the rest,
-    and their sum is the iteration count returned, failed Newton steps
-    included.
-
-    SLSQP works in the variables u = h / s with
-    s_k = (p (p - 1) L_k h0_k^(p-2))^(-1/2) at its start h0.  The term
-    L_k h_k^p has second derivative p (p - 1) L_k h_k^(p-2), which is
-    then 1 in every coordinate at the start, so the identity that
-    SLSQP's quasi-Newton matrix starts from fits the objective's
-    curvature there.  A class below sqrt(eps) of the largest start
-    value, or at the bound 0, is scaled as if it sat at that floor.
-    The objective itself is not rescaled, so ftol keeps its meaning."""
+    Newton steps plus SLSQP iterations taken, and whether the solve
+    converged: SLSQP's success flag, or True where SLSQP did not run."""
     rep, B_in, L_in, L_own, to_f = problem
     h0 = start[rep]
     if not h0.size:
@@ -392,17 +377,13 @@ def _solve_slsqp(problem, p, tol, start, certify):
 
 def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     """Capacity of a set of true leaves by direct convex minimization:
-    one KKT linear solve at p = 2 (method "kkt"), otherwise a damped
-    Newton method on the inner path classes, with SLSQP as its fallback
-    ("slsqp", the label of both).  value is the objective of an
-    admissible f, so a true upper bound; lower_bound is the dual
-    certificate from the candidate measure.  A Newton point whose
-    relative gap is within max(tol, 1e-6) is returned as it is,
-    converged, its Newton steps the iterations; SLSQP runs only from a
-    point that fails that test or where Newton does not converge.  When
-    a class solve's result is not certified, it restarts once from that
-    result and, if that does not converge, once from the 1 / length
-    start.  tol must be >= 0.
+    one KKT linear solve at p = 2 (method "kkt"), otherwise the Newton
+    and SLSQP class solve from up to three starts that the module
+    docstring tells ("slsqp", the label of both).  value is the
+    objective of an admissible f, so a true upper bound; lower_bound is
+    the dual certificate from the candidate measure.  A result that is
+    neither certified nor converged raises OracleConvergenceError,
+    which carries both.  tol must be >= 0.
 
     method "subgradient", kept for older callers, runs the same solve
     and is echoed back as the result's method.  Any value other than it
@@ -415,27 +396,31 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
     leaf_rows, paths, A = _constraint_matrix(tree, boundary_set)
 
     def certify(f):
-        return _certify(f, A, paths, leaf_rows, pe.p, tol)
+        """f made admissible, its value, the dual lower bound, and
+        whether the relative gap between the two is within
+        max(tol, 1e-6)."""
+        f = _feasible_correction(f, A, paths)
+        value = float(np.sum(f ** pe.p))
+        lower = _dual_bound(f, A, leaf_rows, pe.p)
+        return (f, value, lower,
+                value - lower <= max(tol, 1e-6) * max(lower, 1e-12))
 
     if pe.p == 2.0:
         f, value, lower, gap_ok = certify(_solve_kkt_p2(A))
         it, ok, used = 0, True, "kkt"
     else:
-        problem = _class_problem(A)
-        (f, value, lower, gap_ok), it, ok = _solve_slsqp(
-            problem, pe.p, tol, _p2_start(A, paths, pe.p), certify)
-        used = "slsqp"
-    if used == "slsqp" and not gap_ok:
-        # SLSQP also stops "successfully" when a stalled line search no
-        # longer changes the objective by ftol.  Restart once from the
-        # result, rescaled there and with a fresh quasi-Newton matrix;
-        # if that fails too, once more from the 1 / length start.
-        for start in (f, _feasible_correction(
-                _warm_start(A.shape[1], paths), A, paths)):
+        problem, it, used = _class_problem(A), 0, "slsqp"
+        # the p = 2 start, the first result and the 1 / length start,
+        # each built only when reached; SLSQP's success ends the walk
+        # only from the second start on
+        starts = (lambda: _p2_start(A, paths, pe.p), lambda: f,
+                  lambda: _feasible_correction(
+                      _warm_start(A.shape[1], paths), A, paths))
+        for k, start in enumerate(starts):
             (f, value, lower, gap_ok), more, ok = _solve_slsqp(
-                problem, pe.p, tol, start, certify)
+                problem, pe.p, tol, start(), certify)
             it += more
-            if ok or gap_ok:
+            if gap_ok or (ok and k > 0):
                 break
     if not ok and not gap_ok:
         raise OracleConvergenceError(

@@ -372,7 +372,8 @@ class Tree:
     def id_of_label(self, label):
         """Edge id of a label, a number (not a bool) on a tree without
         labels.  A string also matches the label whose str() it is, as
-        JSON keys are strings."""
+        JSON keys are strings; a bool, numpy's included, matches no
+        label, though True == 1."""
         if self.labels is None:
             try:
                 i = float(label) if isinstance(label, str) else label
@@ -386,10 +387,12 @@ class Tree:
             index = dict(zip(map(str, self.labels), ids))
             index.update(zip(self.labels, ids))
             self._label_index = index
-        try:
-            return self._label_index[label]
-        except (KeyError, TypeError):
-            raise KeyError(f"unknown edge label {label!r}") from None
+        if not isinstance(label, (bool, np.bool_)):
+            try:
+                return self._label_index[label]
+            except (KeyError, TypeError):
+                pass
+        raise KeyError(f"unknown edge label {label!r}")
 
     # -- construction ---------------------------------------------------
 
@@ -970,7 +973,9 @@ def edge_function_from_mapping(tree, mapping):
 
 def edge_function_to_mapping(tree, f, keep_zero=False):
     """Array to {str(edge label): value}, in id order; zeros are
-    dropped unless keep_zero."""
+    dropped unless keep_zero.  Two labels with one text, such as 1 and
+    "1", write one key, the later edge's value; _json_edge_mapping
+    refuses that for JSON output."""
     f = np.asarray(f, dtype=float)
     ids = np.arange(tree.n_edges) if keep_zero else np.flatnonzero(f)
     labels = ids.tolist()

@@ -259,6 +259,19 @@ def test_counts_refuse_bools_and_floats(call, name):
     assert call(np.int64(3)) == call(3)
 
 
+def test_counts_refuse_negative_values():
+    # -3 digits once gave the empty expansion, and a depth of -4 read as 1
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        greedy_digits(1.0, 0.5, -3)
+    empty = greedy_digits(1.0, 0.5, 0)
+    assert empty.digits == () and empty.remainder == 1.0
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        symmetric_capacity([2] * 10, 2, depth=-4)
+    # the root's term is always summed, so depth 0 cuts as depth 1 does
+    assert symmetric_capacity([2] * 10, 2, depth=0) == \
+        symmetric_capacity([2] * 10, 2, depth=1)
+
+
 def test_compact_set_refuses_depth_zero():
     with pytest.raises(ValueError, match="depth must be >= 1"):
         compact_set_of_capacity(2, 2, 0.3, depth=0)

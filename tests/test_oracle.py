@@ -766,3 +766,34 @@ def test_certified_solve_does_not_import_scipy_optimize(tmp_path):
     out, last = proc.stdout.rstrip().rsplit("\n", 1)
     assert last == "0 False"
     assert json.loads(out)["converged"] is True
+
+
+@pytest.mark.parametrize("max_iter, solves, builds",
+                         [(500, 2, 0), (1, 3, 1)])
+def test_the_1_over_length_start_is_built_only_when_reached(
+        monkeypatch, max_iter, solves, builds):
+    # at p = 1.1 the first solve of this instance is not certified and
+    # the restart from its result converges, so the third start is never
+    # needed; with one iteration allowed every start fails
+    calls = {"_warm_start": 0, "_solve_slsqp": 0}
+
+    def counting(name):
+        inner = getattr(treecap.oracle, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(treecap.oracle, name, counting(name))
+    monkeypatch.setattr(treecap.oracle, "SLSQP_MAX_ITER", max_iter)
+    rng = np.random.default_rng(42)
+    tree = random_tree(rng, max_edges=60)
+    picked = [z for z in tree.true_leaves() if rng.random() < 0.5]
+    if max_iter == 1:
+        with pytest.raises(OracleConvergenceError):
+            oracle_capacity(tree, picked, 1.1)
+    else:
+        assert oracle_capacity(tree, picked, 1.1).converged
+    assert calls == {"_warm_start": builds, "_solve_slsqp": solves}

@@ -682,6 +682,15 @@ def test_id_of_label_reads_only_strings_and_numbers_as_ids():
         t.id_of_label(b"3")
 
 
+def test_a_labelled_tree_finds_no_label_for_a_bool():
+    # True == 1 with the same hash, so a lookup found the edge labelled 1
+    t = Tree.from_adjacency({1: [2, 3], 2: [], 3: []})
+    for bad in (True, np.True_, False, np.False_):
+        with pytest.raises(KeyError, match="unknown edge label"):
+            t.id_of_label(bad)
+    assert t.id_of_label(1) == t.id_of_label(1.0) == t.id_of_label("1") == 0
+
+
 @pytest.mark.parametrize("call, says", [
     (lambda t, ids: capacity_of_set(t, ids, 2), "true leaf"),
     (lambda t, ids: BoundaryMeasure.from_leaf_masses(
