@@ -28,16 +28,16 @@ becomes constant its tail is geometric and summed in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .potential import _report_json, as_exponent, potential, signed_power
+from .potential import _report_json, as_exponent, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
                     _is_real, _json_edge_mapping, _spec_int, edge_ids,
-                    leaf_indicator, require_edge, require_explicit,
-                    require_int, tent)
+                    leaf_indicator, predecessor_path, require_edge,
+                    require_explicit, require_int, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -166,32 +166,76 @@ def _tail_bounds(tree, tail_policy, p):
     raise ValueError(f"unknown tail policy {tail_policy!r}")
 
 
-def _tail_runs(tree, tail_policy, p, run, lower_extra=lambda *run: ()):
+def _tail_runs(tree, tail_policy, p, run):
     """run(q, t), a tuple of arrays on the nodes of q, for the lower and
-    the upper tail values t; the lower run gains lower_extra(*run), its
-    arrays taken elementwise.  q is the tree's weighted quotient when it
+    the upper tail values t.  q is the tree's weighted quotient when it
     has one and one value pair seeds every tail, else the tree.  Returns
-    (host, lower run, upper run), one run when the values agree, on
-    host: the quotient of a compact SymmetricTree, or else the tree,
-    with each per-level array spread over its edges."""
+    (host, q, lower run, upper run), one run when the values agree.  The
+    host is q for a compact SymmetricTree, else the tree, whose edges a
+    quotient run reaches through host.from_levels."""
     per_tail = isinstance(tail_policy, dict)
     if per_tail and isinstance(tree, SymmetricTree):  # no single tail ids
         raise ValueError("per-tail values need an explicit tree")
     q = tree if per_tail or tree.quotient is None else tree.quotient
     t_lo, t_hi = _tail_bounds(q, tail_policy, p)
     lower = run(q, t_lo)
-    lower += lower_extra(*lower)
     upper = run(q, t_hi) if np.any((t_lo != t_hi) & q.tail) else lower
     host = q if isinstance(tree, SymmetricTree) else tree
-    if host is not q:
-        same = upper is lower
-        lower = tuple(map(host.from_levels, lower))
-        upper = lower if same else tuple(map(host.from_levels, upper))
-    return host, lower, upper
+    return host, q, lower, upper
 
 
 # ---------------------------------------------------------------------------
 # results
+
+
+class _Recipe:
+    """A result field's value before its first read: make(result, *args)
+    builds it.  make is a module-level function and args are arrays, so
+    an unread result pickles."""
+
+    def __init__(self, make, *args):
+        self.make, self.args = make, args
+
+
+class _BuiltOnRead:
+    """Dataclass field descriptor: a stored _Recipe is built on the
+    first read and the value kept in its place, so every later read
+    returns the same object; any other value is kept as given."""
+
+    def __init__(self, default=MISSING):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # the dataclass asks for a default
+            if self.default is MISSING:
+                raise AttributeError(self.key)
+            return self.default
+        v = obj.__dict__[self.key]
+        if isinstance(v, _Recipe):
+            v = obj.__dict__[self.key] = v.make(obj, *v.args)
+        return v
+
+    def __set__(self, obj, v):
+        obj.__dict__[self.key] = v
+
+
+def _on_edges(r, levels):
+    return r.tree.from_levels(levels)
+
+
+def _measure_on_edges(r, m_levels):
+    return BoundaryMeasure(r.tree, _on_edges(r, m_levels), validate=False)
+
+
+def _run_on_edges(r, c_levels, m_levels):
+    return _on_edges(r, c_levels), _measure_on_edges(r, m_levels)
+
+
+def _equilibrium_function(r, ids=slice(None)):
+    return signed_power(r.measure.M[ids], r.p)
 
 
 @dataclass
@@ -202,15 +246,28 @@ class EquilibriumResult:
     function M_p) come from the lower tail run; upper_run is the pair
     (c, measure) of the upper tail run when the tail values differ.  On
     a finite tree the two runs coincide and upper_run is None.
+
+    The result holds what its sweep computed.  When that sweep ran on
+    an explicit tree's level quotient, c_of_alpha, measure and upper_run
+    keep per-level arrays and spread them over the edges on first read;
+    equilibrium_function, unless given, is signed_power(measure.M, p),
+    taken on first read.  Each value is built once and kept.
     """
 
     tree: object
     p: float
     capacity: CapacityInterval
-    c_of_alpha: np.ndarray
-    measure: BoundaryMeasure
-    equilibrium_function: np.ndarray
-    upper_run: tuple | None = None
+    c_of_alpha: np.ndarray = _BuiltOnRead()
+    measure: BoundaryMeasure = _BuiltOnRead()
+    equilibrium_function: np.ndarray = _BuiltOnRead()
+    upper_run: tuple | None = _BuiltOnRead(None)
+
+    def _equilibrium_function_at(self, ids):
+        """equilibrium_function[ids], derived at ids alone while the
+        whole array is unbuilt."""
+        if isinstance(self.__dict__["_equilibrium_function"], _Recipe):
+            return _equilibrium_function(self, ids)
+        return np.asarray(self.equilibrium_function, dtype=float)[ids]
 
     def to_json(self, keep_zero=False):
         return {
@@ -290,25 +347,28 @@ def _run_explicit(tree, pe, boundary_values):
     return c, c * tree.push_down(of_parent, np.multiply)
 
 
-def _equilibrium_result(tree, host, pe, lower, upper, pad=False):
-    """The result of the (c, M, M_p) run lower and the (c, M) run upper
-    (the same object when the tails agree) on host: tree, or the
-    quotient of a compact SymmetricTree; pad absorbs float rounding
-    into the bracket."""
-    (c, M, M_p), (c_hi, M_hi, *_) = lower, upper
+def _equilibrium_result(tree, host, q, pe, lower, upper, pad=False):
+    """The result of the (c, M) runs lower and upper (the same object
+    when the tails agree) on the nodes of q: host, or host's level
+    quotient, whose arrays the result spreads over host's edges on first
+    read.  host is tree, or the quotient of a compact SymmetricTree; pad
+    absorbs float rounding into the bracket."""
+    (c, M), (c_hi, M_hi) = lower, upper
     lo, hi = float(c[0]), float(c_hi[0])
     if pad:
         lo, hi = _pad_interval(lo, hi)
-    upper_run = None
-    if c_hi is not c:
-        upper_run = (c_hi, BoundaryMeasure(host, M_hi, validate=False))
+    if q is host:
+        mu = BoundaryMeasure(host, M, validate=False)
+        run_hi = (c_hi, BoundaryMeasure(host, M_hi, validate=False))
+    else:
+        c, mu = _Recipe(_on_edges, c), _Recipe(_measure_on_edges, M)
+        run_hi = _Recipe(_run_on_edges, c_hi, M_hi)
     cls = EquilibriumResult if host is tree else LevelEquilibriumResult
     return cls(tree=host, p=pe.p,
                capacity=CapacityInterval(min(lo, hi), max(lo, hi)),
-               c_of_alpha=c,
-               measure=BoundaryMeasure(host, M, validate=False),
-               equilibrium_function=M_p,
-               upper_run=upper_run)
+               c_of_alpha=c, measure=mu,
+               equilibrium_function=_Recipe(_equilibrium_function),
+               upper_run=None if upper is lower else run_hi)
 
 
 def capacity_recursive(tree, p, tail_policy="interval"):
@@ -323,13 +383,12 @@ def capacity_recursive(tree, p, tail_policy="interval"):
     """
     pe = as_exponent(p)
     # true leaves carry 1; inner edges ignore their boundary value
-    host, lower, upper = _tail_runs(
+    host, q, lower, upper = _tail_runs(
         tree, tail_policy, pe,
-        lambda q, t: _run_explicit(q, pe, np.where(q.tail, t, 1.0)),
-        lambda c, M: (signed_power(M, pe),))
+        lambda q, t: _run_explicit(q, pe, np.where(q.tail, t, 1.0)))
     # certified seeds promise containment; absorb float rounding
     pad = bool(np.any(host.tail)) and tail_policy == "interval"
-    return _equilibrium_result(tree, host, pe, lower, upper, pad=pad)
+    return _equilibrium_result(tree, host, q, pe, lower, upper, pad=pad)
 
 
 def capacity_of_set(tree, boundary_set, p):
@@ -337,9 +396,8 @@ def capacity_of_set(tree, boundary_set, p):
     the host tree: one run whose boundary values are the indicator of
     the set, so every other leaf and every tail carries 0."""
     pe = as_exponent(p)
-    c, M = _run_explicit(tree, pe, leaf_indicator(tree, boundary_set))
-    run = (c, M, signed_power(M, pe))
-    return _equilibrium_result(tree, tree, pe, run, run)
+    run = _run_explicit(tree, pe, leaf_indicator(tree, boundary_set))
+    return _equilibrium_result(tree, tree, tree, pe, run, run)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +423,18 @@ def rescaling_constant(tree, result, alpha, tol=1e-12):
     already reaches 1 at the begin vertex of alpha.
     """
     require_explicit(tree, "rescaling")
+    if result.tree.n_edges != tree.n_edges:
+        raise ValueError("the result was computed on another tree: "
+                         f"{result.tree.n_edges} edges, not {tree.n_edges}")
     alpha = require_edge(tree, alpha)
     pe = as_exponent(result.p)
-    v = potential(tree, result.equilibrium_function, tree.parent_of(alpha))
+    # I M_p at the begin vertex of alpha, from M_p on its path alone,
+    # summed root first as potential sums it
+    x = tree.parent_of(alpha)
+    path = [] if x is None else predecessor_path(tree, x)
+    v = 0.0
+    for m in result._equilibrium_function_at(path).tolist():
+        v += m
     if v >= 1.0 - tol:
         raise ValueError(
             f"potential {v} at the begin vertex of {alpha} leaves no mass "
@@ -435,8 +502,12 @@ def _resistance_explicit(tree, seeds):
 def total_resistance(tree, tail_policy="interval"):
     """Series-parallel resistance of the tree below its root edge; a
     compact SymmetricTree runs on its quotient and reports on it."""
-    host, (R_high,), (R_low,) = _tail_runs(
+    host, q, (R_high,), (R_low,) = _tail_runs(
         tree, tail_policy, 2.0,
         lambda q, t: (_resistance_explicit(q, _tail_resistance(t)),))
+    if host is not q:  # spread the per-level values over the edges
+        same = R_low is R_high
+        R_high = host.from_levels(R_high)
+        R_low = R_high if same else host.from_levels(R_low)
     return ResistanceResult(host, float(R_low[0]), float(R_high[0]),
                             R_low, R_high)

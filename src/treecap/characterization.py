@@ -89,10 +89,17 @@ def _verify_equilibrium(tree, M, pe, tol):
     scale = max(total, 1e-12)
 
     add = is_forward_additive(tree, M, tol=tol * scale)
-    # tent energies of |M|^(p') = M M_p (M_p has M's sign), in M_p's buffer
-    e = np.multiply(M, M_p, out=M_p)
-    E, _ = tree.sweep_up(lambda a, b, S: e[a:b] + S)
-    residuals = np.abs(M * (1.0 - V.begin_values(tree)) - E)
+    # tent energies E of |M|^(p') = M M_p (M_p has M's sign), summed in
+    # M_p's buffer, so the sweep's own arrays are dropped; the residuals
+    # |M (1 - V(b)) - E| in the buffer of the begin values V(b), one
+    # operation at a time
+    E = np.multiply(M, M_p, out=M_p)
+    tree.sweep_up(lambda a, b, S: np.add(E[a:b], S, out=E[a:b]))
+    residuals = V.begin_values(tree)
+    np.subtract(1.0, residuals, out=residuals)
+    np.multiply(M, residuals, out=residuals)
+    np.subtract(residuals, E, out=residuals)
+    np.abs(residuals, out=residuals)
 
     # mass sitting on a tail edge makes every tent through it unverifiable
     on_tail = tree.tail & (M > tol * scale)

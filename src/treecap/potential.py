@@ -58,7 +58,13 @@ def signed_power(f, p):
     """
     q = as_exponent(p).conjugate - 1.0
     f = np.asarray(f, dtype=float)
-    return np.sign(f) * np.abs(f) ** q
+    # the power is taken in |f|'s buffer, so the sign is the one
+    # temporary; it multiplies first, as in sgn(f) * |f|^q, which keeps
+    # the sign bit of a NaN
+    out = np.abs(f, out=np.empty_like(f))
+    np.power(out, q, out=out)
+    np.multiply(np.sign(f), out, out=out)
+    return out if out.ndim else out[()]  # a number for a number
 
 
 @dataclass

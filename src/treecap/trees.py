@@ -307,8 +307,10 @@ class Tree:
     def to_levels(self, values):
         """Inverse of from_levels: per-level values, or None unless values
         is constant on every level (NaN never is)."""
-        first = values[self._starts[:-1]]
-        same = np.array_equal(self.from_levels(first), values)
+        starts = self._starts[:-1]
+        first = values[starts]
+        same = (np.array_equal(np.minimum.reduceat(values, starts), first)
+                and np.array_equal(np.maximum.reduceat(values, starts), first))
         return first if same else None
 
     # -- basic queries ------------------------------------------------

@@ -732,3 +732,81 @@ def test_tail_values_are_real_numbers_and_not_bools():
     for v in (True, np.bool_(True), (False, True), "ab", (0.5,)):
         with pytest.raises(ValueError, match="is not a number or a pair"):
             total_resistance(t, tail_policy={z: v})
+
+
+@pytest.mark.parametrize("tree, result", [
+    (lambda: build_tree(SphericallySymmetric([3, 3])),
+     lambda: capacity_recursive(build_tree(SphericallySymmetric([2, 2, 2])),
+                                2)),
+    (lambda: build_tree(Homogeneous(2), depth=3, layout="explicit"),
+     lambda: capacity_recursive(build_tree(Homogeneous(2), depth=30), 2)),
+], ids=["other-explicit-tree", "compact-result-on-explicit-tree"])
+def test_rescaling_refuses_a_result_of_another_tree(tree, result):
+    with pytest.raises(ValueError, match="computed on another tree"):
+        rescaling_constant(tree(), result(), 1)
+
+
+def test_an_unread_result_holds_no_per_edge_array():
+    import tracemalloc
+
+    t = build_tree(Homogeneous(2), depth=19, layout="explicit")
+    tracemalloc.start()
+    try:
+        r = capacity_recursive(t, 2.5)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak < 1e6
+        M = r.measure.M
+        # one array of one float per edge, built once and kept
+        grown = tracemalloc.get_traced_memory()[0] - held
+        assert 8 * t.n_edges <= grown < 8 * t.n_edges + 65536
+        assert r.measure.M is M
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 8.0, 30.0])
+@settings(max_examples=60, deadline=None, database=None)
+@given(t=spec_built_trees(),
+       policy=st.sampled_from(["interval", "pessimistic", "optimistic",
+                               "tails"]) | st.floats(0.0, 1.0))
+def test_every_array_read_from_a_result_is_built_as_before(p, t, policy):
+    # the quotient route spreads the run on t.quotient over the edges;
+    # per-tail values sweep the edges of t, as its spec-free copy does
+    if policy == "tails":
+        policy = {z: (0.25, 0.75) for z in t.tail_ids()}
+        ref = capacity_recursive(
+            Tree(t.parent, tail=t.tail, continuation=t.continuation), p,
+            policy)
+        spread = np.asarray
+    else:
+        ref = capacity_recursive(t.quotient, p, policy)
+        spread = t.from_levels
+    r = capacity_recursive(t, p, policy)
+    assert r.capacity == ref.capacity
+    same = lambda a, b: a.tobytes() == spread(b).tobytes()
+    assert same(r.c_of_alpha, ref.c_of_alpha)
+    assert same(r.measure.M, ref.measure.M)
+    assert r.equilibrium_function.tobytes() == \
+        signed_power(r.measure.M, p).tobytes()
+    assert (r.upper_run is None) == (ref.upper_run is None)
+    if r.upper_run is not None:
+        assert same(r.upper_run[0], ref.upper_run[0])
+        assert same(r.upper_run[1].M, ref.upper_run[1].M)
+    assert r.measure.tree is t and r.c_of_alpha is r.c_of_alpha
+
+
+def test_an_unread_result_survives_a_pickle_round_trip():
+    import pickle
+
+    t = build_tree(Homogeneous(3), depth=5, layout="explicit")
+    back = pickle.loads(pickle.dumps(capacity_recursive(t, 2.5)))
+    r = capacity_recursive(t, 2.5)
+    assert back.capacity == r.capacity
+    for a, b in [(back.c_of_alpha, r.c_of_alpha),
+                 (back.measure.M, r.measure.M),
+                 (back.equilibrium_function, r.equilibrium_function),
+                 (back.upper_run[0], r.upper_run[0]),
+                 (back.upper_run[1].M, r.upper_run[1].M)]:
+        assert a.tobytes() == b.tobytes()
+    assert back.measure.tree is back.tree
+    assert back.tree.n_edges == t.n_edges

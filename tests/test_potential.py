@@ -41,6 +41,20 @@ def test_signed_power():
     assert np.allclose(back, f)
 
 
+def test_signed_power_is_bit_identical_to_sign_times_power():
+    rng = np.random.default_rng(5)
+    f = np.concatenate([
+        rng.standard_normal(10_000) * 10.0 ** rng.integers(-320, 300, 10_000),
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]])
+    with np.errstate(over="ignore"):
+        for p in (1.05, 1.5, 2.0, 3.0, 8.0, 30.0, 1e6):
+            q = as_exponent(p).conjugate - 1.0
+            want = np.sign(f) * np.abs(f) ** q
+            assert signed_power(f, p).tobytes() == want.tobytes()
+    assert type(signed_power(-4.0, 3)) is np.float64
+    assert signed_power(-4.0, 3) == -2.0
+
+
 def test_potential_accumulates_along_path():
     t = build_tree(SphericallySymmetric([1, 1]))  # 3-edge path
     f = np.array([1.0, 2.0, 4.0])

@@ -107,6 +107,23 @@ def test_to_levels_inverts_from_levels():
     assert t.to_levels(t.from_levels([0.5, np.nan, 2.0])) is None
 
 
+def test_to_levels_agrees_with_comparing_every_edge():
+    # NaN never passes and -0.0 == 0.0, as in the edge-by-edge test
+    t = build_tree(Homogeneous(2), depth=8, layout="explicit")
+    rng = np.random.default_rng(8)
+    pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0, 5e-324])
+    for _ in range(3000):
+        v = t.from_levels(rng.choice(pool, t.depth + 1))
+        for i in rng.integers(0, t.n_edges, rng.integers(0, 3)):
+            v[i] = rng.choice(pool)
+        first = v[[t.level_slice(k)[0] for k in range(t.depth + 1)]]
+        want = first if np.array_equal(t.from_levels(first), v) else None
+        got = t.to_levels(v)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+
+
 def counted(tree):
     """Count the calls of tree's two sweep primitives."""
     calls = {"sweep_up": 0, "push_down": 0}
