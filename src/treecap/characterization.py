@@ -89,6 +89,7 @@ def _verify_equilibrium(tree, M, pe, tol):
     scale = max(total, 1e-12)
 
     add = is_forward_additive(tree, M, tol=tol * scale)
+    add.residuals = None  # only its verdict and worst violation are read
     # tent energies E of |M|^(p') = M M_p (M_p has M's sign), summed in
     # M_p's buffer, so the sweep's own arrays are dropped; the residuals
     # |M (1 - V(b)) - E| in the buffer of the begin values V(b), one

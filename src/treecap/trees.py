@@ -564,6 +564,15 @@ def _level_offsets(degrees, budget=None):
     return offsets
 
 
+def _arena_offsets(degrees, layout="explicit"):
+    """_level_offsets cut short past the budget, refusing layout "explicit"."""
+    offsets = _level_offsets(degrees, MAX_EXPLICIT_EDGES)
+    if layout == "explicit" and offsets[-1] > MAX_EXPLICIT_EDGES:
+        raise TreeTooLargeError(f"{offsets[-1]}+ edges exceed the explicit "
+                                f"budget {MAX_EXPLICIT_EDGES}")
+    return offsets
+
+
 def build_tree(spec, depth=None, layout="auto"):
     """Realize a tree specification.
 
@@ -578,7 +587,6 @@ def build_tree(spec, depth=None, layout="auto"):
     """
     if layout not in ("auto", "explicit", "compact"):
         raise ValueError(f"unknown layout {layout!r}")
-    cap = MAX_EXPLICIT_EDGES
     if isinstance(spec, Explicit):
         tree = Tree.from_adjacency(spec.adjacency, root=spec.root)
         tree.spec = spec
@@ -588,14 +596,11 @@ def build_tree(spec, depth=None, layout="auto"):
     truncated = continuation is not None
 
     # level starts of the arena, cut short once it would not fit
-    offsets = None if layout == "compact" else _level_offsets(degs, cap)
-    if layout == "compact" or (layout == "auto" and offsets[-1] > cap):
+    offsets = None if layout == "compact" else _arena_offsets(degs, layout)
+    if offsets is None or offsets[-1] > MAX_EXPLICIT_EDGES:
         out = SymmetricTree(degs, truncated, continuation=continuation)
         out.spec = spec
         return out
-    if offsets[-1] > cap:
-        raise TreeTooLargeError(
-            f"{offsets[-1]}+ edges exceed the explicit budget {cap}")
 
     # each edge of level k has degs[k] children, listed in id order
     n_children = np.repeat(degs + [0], np.diff(offsets))
