@@ -462,14 +462,15 @@ class ResistanceResult:
     (1 - t)/t for a tail capacity value t.  total is below[root], the
     resistance of the tree minus its root edge, so the p = 2 capacity
     of the stored boundary is 1/(1 + total).  A compact symmetric tree
-    reports on its quotient, so its arrays are indexed by level.
+    reports on its quotient, so its arrays are indexed by level; after a
+    run on an explicit tree's quotient they are built on first read.
     """
 
     tree: object
     lower: float
     upper: float
-    below_lower: np.ndarray
-    below_upper: np.ndarray
+    below_lower: np.ndarray = _BuiltOnRead()
+    below_upper: np.ndarray = _BuiltOnRead()
 
     per_level = property(lambda r: r.tree.mult is not None)
 
@@ -505,9 +506,7 @@ def total_resistance(tree, tail_policy="interval"):
     host, q, (R_high,), (R_low,) = _tail_runs(
         tree, tail_policy, 2.0,
         lambda q, t: (_resistance_explicit(q, _tail_resistance(t)),))
-    if host is not q:  # spread the per-level values over the edges
-        same = R_low is R_high
-        R_high = host.from_levels(R_high)
-        R_low = R_high if same else host.from_levels(R_low)
-    return ResistanceResult(host, float(R_low[0]), float(R_high[0]),
-                            R_low, R_high)
+    lo, hi = float(R_low[0]), float(R_high[0])
+    if host is not q:
+        R_low, R_high = _Recipe(_on_edges, R_low), _Recipe(_on_edges, R_high)
+    return ResistanceResult(host, lo, hi, R_low, R_high)

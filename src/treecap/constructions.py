@@ -257,7 +257,7 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
         raise ValueError(
             f"leaf granularity too coarse: best subset has capacity "
             f"{achieved}, off target by {abs(achieved - target):.3e}")
-    first = tree.n_edges - total
+    first = tree.level_slice(depth)[0]
     return CompactSetResult(tree=_Recipe(_explicit_arena, tree.spec),
                             leaves=_Recipe(_leaf_ids, first, first + best),
                             capacity=achieved, target=float(target),

@@ -32,8 +32,9 @@ is tiny.  Near p = 1 Newton mostly does not converge: own values far
 below 1e-16 are lost to the cancellation in 1 - B_in h.
 
 Every point is certified the same way: made admissible on the full
-matrix, with its dual lower bound, and accepted when the relative gap
-is within max(tol, 1e-6).  A certified Newton point is the result, and
+matrix, with its dual lower bound, and accepted when the gap is within
+max(tol, 1e-6) of the value, which must be above 0 (a value can
+underflow at large p).  A certified Newton point is the result, and
 neither SLSQP nor scipy.optimize, about 0.6 s to import cold, is
 touched.  SLSQP runs only as the fallback: from the Newton point when
 its certificate fails, and from the start Newton was given where
@@ -397,13 +398,13 @@ def oracle_capacity(tree, boundary_set, p, tol=1e-6, method="auto"):
 
     def certify(f):
         """f made admissible, its value, the dual lower bound, and
-        whether the relative gap between the two is within
-        max(tol, 1e-6)."""
+        whether the value is positive and the gap between the two is
+        within max(tol, 1e-6) of it."""
         f = _feasible_correction(f, A, paths)
         value = float(np.sum(f ** pe.p))
         lower = _dual_bound(f, A, leaf_rows, pe.p)
         return (f, value, lower,
-                value - lower <= max(tol, 1e-6) * max(lower, 1e-12))
+                value > 0.0 and value - lower <= max(tol, 1e-6) * value)
 
     if pe.p == 2.0:
         f, value, lower, gap_ok = certify(_solve_kkt_p2(A))

@@ -304,7 +304,8 @@ def validate_tiling(tiling, tol=1e-9):
 
     nested = (known.all() and not (
         nonfinite.size or nonpositive.size or repeated.size or orphans.size)
-        and _nests(x, right, par_slot, tree.level[e], sticks_out, tol))
+        and _nests(x, right, par_slot, tree.level_of(e.max(initial=0)),
+                   sticks_out, tol))
     max_overlap = 0.0
     for a, b, amount in ([] if nested else
                          _first_overlaps(x, y, right, bottom, finite, tol)):
@@ -336,14 +337,14 @@ def validate_tiling(tiling, tol=1e-9):
                         n_squares=len(edge), messages=msgs)
 
 
-def _nests(x, right, par_slot, level, sticks_out, tol):
+def _nests(x, right, par_slot, depth, sticks_out, tol):
     """The nested certificate of validate_tiling, for squares that are
-    finite with positive sides and name distinct edges at the given
-    levels; par_slot[i] is the index of square i's parent square, -1 at
+    finite with positive sides and name distinct edges, none below level
+    depth; par_slot[i] is the index of square i's parent square, -1 at
     the root and nowhere else, and sticks_out holds the three parent
     differences of validate_tiling.  True proves that no two squares
     overlap; False proves nothing."""
-    delta = tol / (2.0 * (int(level.max(initial=0)) + 1))
+    delta = tol / (2.0 * (depth + 1))
     if delta < sys.float_info.min:  # a subnormal may round up by far more
         delta = 0.0
     order = np.lexsort((x, par_slot))

@@ -22,7 +22,8 @@ An explicit Tree is stored in compressed sparse row form.  Breadth
 first ids make parent[1:] non-decreasing with parent[i] < i, so the
 children of edge i are the contiguous id range
 [first_child[i], first_child[i] + n_children[i]) and every level is one
-contiguous id range as well.  Only this module knows the level layout.
+contiguous id range as well.  Only this module knows the level layout:
+both layouts answer level queries from one table, _starts.
 Child sums of a given edge function are one np.bincount over parent[1:];
 every pass that carries values across levels uses the two primitives
 
@@ -58,6 +59,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, filterfalse, repeat
 from numbers import Integral, Real
 from typing import Mapping, Sequence
@@ -186,21 +188,37 @@ def _spec_degree_sequence(spec, depth):
 
 
 # ---------------------------------------------------------------------------
-# explicit arena
+# level table and explicit arena
 
 
-class Tree:
+class _LevelTable:
+    """The level queries of both layouts, read from _starts, the first
+    id of every level followed by the edge count."""
+
+    n_edges = property(lambda t: t._starts[-1])
+    depth = property(lambda t: len(t._starts) - 2)
+
+    def level_of(self, i):
+        return bisect_right(self._starts, require_edge(self, i)) - 1
+
+    def level_slice(self, k):
+        """Contiguous id range [start, stop) of level k."""
+        return self._starts[k], self._starts[k + 1]
+
+
+class Tree(_LevelTable):
     """Immutable arena of edges with BFS ids, stored as CSR arrays.
 
-    parent (parent[0] = -1), first_child, n_children and level are int
-    arrays and tail is a bool array, all indexed by edge id.  children,
-    when given, must list exactly the children that parent implies, in
-    id order; it is checked and not stored.  orig_ids maps this tree's
-    ids back to the tree it was cut from, when it was produced by tent()
-    or spanned_subtree().  mult, when given, holds the multiplicity of
-    every edge, a whole number in [1, 2^63) read by _spec_int's rule (no
-    bool, NaN or infinity), and makes the tree a weighted quotient; ids,
-    n_edges and the per-edge arrays then count quotient nodes.
+    parent (parent[0] = -1), first_child, n_children and level (built on
+    first read) are int arrays and tail is a bool array, all indexed by
+    edge id.  children, when given, must list exactly the children that
+    parent implies, in id order; it is checked and not stored.  orig_ids
+    maps this tree's ids back to the tree it was cut from, when it was
+    produced by tent() or spanned_subtree().  mult, when given, holds
+    the multiplicity of every edge, a whole number in [1, 2^63) read by
+    _spec_int's rule (no bool, NaN or infinity), and makes the tree a
+    weighted quotient; ids, n_edges and the per-edge arrays then count
+    quotient nodes.
     """
 
     def __init__(self, parent, children=None, tail=None, labels=None,
@@ -226,7 +244,6 @@ class Tree:
         while starts[-1] < n:
             starts.append(first[starts[-1]])
         self._starts = starts
-        self.level = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
         self.tail = (np.zeros(n, dtype=bool) if tail is None
                      else np.asarray(tail, dtype=bool))
         if self.tail.shape != (n,):
@@ -247,7 +264,7 @@ class Tree:
         self._inner = None
 
     def _lists_children(self, children):
-        n = self.n_edges
+        n = self.parent.size
         if len(children) != n:
             return False
         counts = np.fromiter(map(len, children), dtype=np.int64, count=n)
@@ -316,16 +333,10 @@ class Tree:
     # -- basic queries ------------------------------------------------
 
     @property
-    def n_edges(self):
-        return len(self.parent)
-
-    @property
     def root(self):
         return 0
 
-    @property
-    def depth(self):
-        return len(self._starts) - 2
+    level = cached_property(lambda t: t.from_levels(np.arange(t.depth + 1)))
 
     @property
     def level_degrees(self):
@@ -341,9 +352,6 @@ class Tree:
     def parent_of(self, i):
         p = int(self.parent[require_edge(self, i)])
         return None if p < 0 else p
-
-    def level_of(self, i):
-        return int(self.level[require_edge(self, i)])
 
     def is_leaf(self, i):
         return bool(self.n_children[require_edge(self, i)] == 0)
@@ -362,10 +370,6 @@ class Tree:
 
     def tail_ids(self):
         return np.flatnonzero(self.tail).tolist()
-
-    def level_slice(self, k):
-        """Contiguous id range [start, stop) of level k."""
-        return self._starts[k], self._starts[k + 1]
 
     def label_of(self, i):
         i = require_edge(self, i)
@@ -484,44 +488,39 @@ def _raise_first_repeated_child(child_lists):
             seen.add(c)
 
 
-class SymmetricTree:
+class SymmetricTree(_LevelTable):
     """Compact spherically symmetric truncation: its level quotient,
-    which degrees, truncated, continuation and depth read, plus offsets.
+    which degrees, truncated and continuation read, plus the level table.
 
     Edge ids are still the BFS ids of the explicit arena (they may be
     astronomically large), defined arithmetically: level k occupies
-    ids [offset(k), offset(k+1)) in child-after-child order.
+    ids level_slice(k) in child-after-child order.
     """
 
     def __init__(self, degrees, truncated, continuation=None):
         self.quotient = _level_quotient(degrees, truncated, continuation)
         self.spec = None
-        self._offsets = _level_offsets(self.degrees)
+        self._starts = _level_offsets(self.degrees)
 
     degrees = property(lambda t: tuple(t.quotient.mult[1:].tolist()))
     truncated = property(lambda t: bool(t.quotient.tail[-1]))
     continuation = property(lambda t: t.quotient.continuation)
-    depth = property(lambda t: t.quotient.depth)
-    n_edges = property(lambda t: t._offsets[-1])
-
-    def level_of(self, i):
-        return bisect_right(self._offsets, require_edge(self, i)) - 1
 
     def parent_of(self, i):
         k = self.level_of(i)
         if k == 0:
             return None
-        j = require_edge(self, i) - self._offsets[k]
+        j = require_edge(self, i) - self._starts[k]
         # degrees[k - 1] is mult[k]; read the one level, not the tuple
-        return self._offsets[k - 1] + j // int(self.quotient.mult[k])
+        return self._starts[k - 1] + j // int(self.quotient.mult[k])
 
     def children_of(self, i):
         k = self.level_of(i)
         if k >= self.depth:
             return []
-        j = require_edge(self, i) - self._offsets[k]
+        j = require_edge(self, i) - self._starts[k]
         d = int(self.quotient.mult[k + 1])
-        base = self._offsets[k + 1] + j * d
+        base = self._starts[k + 1] + j * d
         return list(range(base, base + d))
 
     def is_tail(self, i):
@@ -530,7 +529,7 @@ class SymmetricTree:
     def tail_ids(self):
         if not self.truncated:
             return range(0)
-        return range(self._offsets[self.depth], self._offsets[self.depth + 1])
+        return range(*self.level_slice(self.depth))
 
     def tent_profile(self, k):
         """Degree data of any tent rooted at level k, as a SymmetricTree."""

@@ -797,3 +797,19 @@ def test_the_1_over_length_start_is_built_only_when_reached(
     else:
         assert oracle_capacity(tree, picked, 1.1).converged
     assert calls == {"_warm_start": builds, "_solve_slsqp": solves}
+
+
+@pytest.mark.parametrize("p, seed", [(30.0, 7), (30.0, 13), (30.0, 18),
+                                     (100.0, 1), (100.0, 4), (100.0, 6),
+                                     (100.0, 7)])
+def test_large_p_gap_is_certified_relative_to_the_value(p, seed):
+    # capacities here lie far below 1e-12, where a gap test floored at
+    # 1e-12 turned absolute and certified results 1.9 to 2.8 times off
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_edges=int(rng.integers(20, 201)))
+    leaves = tree.true_leaves()
+    picked = [z for z in leaves if rng.random() < 0.5] or leaves
+    res = oracle_capacity(tree, picked, p)
+    rec = capacity_of_set(tree, picked, p).capacity.midpoint
+    assert res.converged
+    assert abs(res.value - rec) <= 1e-6 * rec
