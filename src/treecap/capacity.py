@@ -28,16 +28,18 @@ becomes constant its tail is geometric and summed in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .potential import _report_json, as_exponent, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
-                    _is_real, _json_edge_mapping, _spec_int, edge_ids,
-                    leaf_indicator, predecessor_path, require_edge,
-                    require_explicit, require_int, tent)
+                    _BuiltOnRead, _is_real, _json_edge_mapping, _Recipe,
+                    _spec_int, _spread, edge_ids, leaf_indicator,
+                    predecessor_path, require_edge, require_explicit,
+                    require_int, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -188,54 +190,30 @@ def _tail_runs(tree, tail_policy, p, run):
 # results
 
 
-class _Recipe:
-    """A result field's value before its first read: make(result, *args)
-    builds it.  make is a module-level function and args are arrays, so
-    an unread result pickles."""
-
-    def __init__(self, make, *args):
-        self.make, self.args = make, args
-
-
-class _BuiltOnRead:
-    """Dataclass field descriptor: a stored _Recipe is built on the
-    first read and the value kept in its place, so every later read
-    returns the same object; any other value is kept as given."""
-
-    def __init__(self, default=MISSING):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # the dataclass asks for a default
-            if self.default is MISSING:
-                raise AttributeError(self.key)
-            return self.default
-        v = obj.__dict__[self.key]
-        if isinstance(v, _Recipe):
-            v = obj.__dict__[self.key] = v.make(obj, *v.args)
-        return v
-
-    def __set__(self, obj, v):
-        obj.__dict__[self.key] = v
-
-
-def _on_edges(r, levels):
-    return r.tree.from_levels(levels)
-
-
 def _measure_on_edges(r, m_levels):
-    return BoundaryMeasure(r.tree, _on_edges(r, m_levels), validate=False)
+    return BoundaryMeasure(r.tree, _Recipe(_spread, m_levels), validate=False)
 
 
-def _run_on_edges(r, c_levels, m_levels):
-    return _on_edges(r, c_levels), _measure_on_edges(r, m_levels)
+@dataclass(eq=False, repr=False)
+class _UpperRun(Sequence):
+    """upper_run (c, measure) after a sweep on an explicit tree's level
+    quotient, each item built on its first read.  It holds the tree and
+    levels, never the result, so it makes no reference cycle."""
+
+    tree: object
+    c: np.ndarray = _BuiltOnRead()
+    measure: BoundaryMeasure = _BuiltOnRead()
+
+    def __len__(self):
+        return 2
+
+    def __getitem__(self, i):
+        names, get = ("c", "measure")[i], self.__getattribute__
+        return tuple(map(get, names)) if isinstance(i, slice) else get(names)
 
 
-def _equilibrium_function(r, ids=slice(None)):
-    return signed_power(r.measure.M[ids], r.p)
+def _equilibrium_function(r):
+    return signed_power(r.measure.M, r.p)
 
 
 @dataclass
@@ -247,11 +225,12 @@ class EquilibriumResult:
     (c, measure) of the upper tail run when the tail values differ.  On
     a finite tree the two runs coincide and upper_run is None.
 
-    The result holds what its sweep computed.  When that sweep ran on
-    an explicit tree's level quotient, c_of_alpha, measure and upper_run
-    keep per-level arrays and spread them over the edges on first read;
-    equilibrium_function, unless given, is signed_power(measure.M, p),
-    taken on first read.  Each value is built once and kept.
+    The result holds what its sweep computed.  After a sweep on an
+    explicit tree's level quotient, c_of_alpha, measure.M and both
+    upper_run items keep per-level arrays, each spread over the edges on
+    its own first read and kept; the referees and rescaling_constant
+    read the levels until then.  equilibrium_function, unless given, is
+    signed_power(measure.M, p), taken on first read and kept.
     """
 
     tree: object
@@ -260,13 +239,13 @@ class EquilibriumResult:
     c_of_alpha: np.ndarray = _BuiltOnRead()
     measure: BoundaryMeasure = _BuiltOnRead()
     equilibrium_function: np.ndarray = _BuiltOnRead()
-    upper_run: tuple | None = _BuiltOnRead(None)
+    upper_run: Sequence | None = None
 
     def _equilibrium_function_at(self, ids):
         """equilibrium_function[ids], derived at ids alone while the
         whole array is unbuilt."""
         if isinstance(self.__dict__["_equilibrium_function"], _Recipe):
-            return _equilibrium_function(self, ids)
+            return signed_power(self.measure.at(ids), self.p)
         return np.asarray(self.equilibrium_function, dtype=float)[ids]
 
     def to_json(self, keep_zero=False):
@@ -361,8 +340,9 @@ def _equilibrium_result(tree, host, q, pe, lower, upper, pad=False):
         mu = BoundaryMeasure(host, M, validate=False)
         run_hi = (c_hi, BoundaryMeasure(host, M_hi, validate=False))
     else:
-        c, mu = _Recipe(_on_edges, c), _Recipe(_measure_on_edges, M)
-        run_hi = _Recipe(_run_on_edges, c_hi, M_hi)
+        c, mu = _Recipe(_spread, c), _Recipe(_measure_on_edges, M)
+        run_hi = _UpperRun(host, _Recipe(_spread, c_hi),
+                           _Recipe(_measure_on_edges, M_hi))
     cls = EquilibriumResult if host is tree else LevelEquilibriumResult
     return cls(tree=host, p=pe.p,
                capacity=CapacityInterval(min(lo, hi), max(lo, hi)),
@@ -441,11 +421,11 @@ def rescaling_constant(tree, result, alpha, tol=1e-12):
             "to rescale")
     k = (1.0 - v) ** (-pe.p / pe.conjugate)
     sub = tent(tree, alpha)
-    M = k * result.measure.M[np.asarray(sub.orig_ids)]
+    M = k * result.measure.at(np.asarray(sub.orig_ids))
     return RescalingResult(
         k=k, alpha=alpha, tent=sub,
         measure=BoundaryMeasure(sub, M, validate=False),
-        capacity=float(k * result.measure.M[alpha]),
+        capacity=float(k * result.measure.at(alpha)),
     )
 
 
@@ -508,5 +488,5 @@ def total_resistance(tree, tail_policy="interval"):
         lambda q, t: (_resistance_explicit(q, _tail_resistance(t)),))
     lo, hi = float(R_low[0]), float(R_high[0])
     if host is not q:
-        R_low, R_high = _Recipe(_on_edges, R_low), _Recipe(_on_edges, R_high)
+        R_low, R_high = _Recipe(_spread, R_low), _Recipe(_spread, R_high)
     return ResistanceResult(host, lo, hi, R_low, R_high)

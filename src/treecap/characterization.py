@@ -21,7 +21,7 @@ import numpy as np
 
 from .potential import _report_json, as_exponent, potential_all, signed_power
 from .trees import (co_potential, is_forward_additive, require_explicit,
-                    require_tolerance)
+                    require_tolerance, stored_levels)
 
 
 @dataclass
@@ -41,18 +41,22 @@ class CharacterizationReport:
     to_json = _report_json
 
 
-def _on_levels(check, tree, x, p, tol, read=co_potential):
+def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
     """Refuse a compact tree, a negative tol and a wrong length, then run
-    check(host, x, exponent, tol) on x = read(tree, x).  The host is the
-    tree's level quotient when it has one and x is constant on every
-    level, with the report spread back to the edges: arrays by level, id
-    lists as the ids of their levels, worst_edge as the first edge of its
-    level and skipped_tails as the tree's count.  Else it is the tree."""
+    check(host, x, exponent, tol).  The host is the tree's level quotient,
+    x its levels, when x's field named stored is unspread finite levels
+    on tree (a level-backed measure, a result's unread c_of_alpha) or x
+    = read(tree, x) is constant on every level.  The report is spread
+    back: arrays by level, id lists as the ids of their levels, worst_edge
+    as its level's first edge, skipped_tails as the tree's count.  Else
+    the host is the tree.  Levels not all finite are read, as edges are."""
     require_explicit(tree, "verification")
     require_tolerance(tol)
     pe = as_exponent(p)
-    x = read(tree, x)
-    levels = None if tree.quotient is None else tree.to_levels(x)
+    levels = stored_levels(x, stored, tree)
+    if levels is None or not np.isfinite(levels).all():
+        x = read(tree, x)
+        levels = None if tree.quotient is None else tree.to_levels(x)
     if levels is None:
         return check(tree, x, pe, tol)
     rep = check(tree.quotient, levels, pe, tol)
@@ -187,7 +191,8 @@ def capacity_equation_check(tree, c, p, tol=1e-9):
     children; true leaves carry c = 1 and W = 0.  Tail edges hold
     seeded values with no materialized children, so they are skipped.
     """
-    return _on_levels(_capacity_equation, tree, c, p, tol, _capacities)
+    return _on_levels(_capacity_equation, tree, c, p, tol, _capacities,
+                      "c_of_alpha")
 
 
 def _capacities(tree, c):

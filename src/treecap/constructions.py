@@ -24,13 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .capacity import (CapacityInterval, _BuiltOnRead, _one_step, _Recipe,
-                       _tent_capacities, homogeneous_capacity,
-                       symmetric_capacity)
+from .capacity import (CapacityInterval, _one_step, _tent_capacities,
+                       homogeneous_capacity, symmetric_capacity)
 from .potential import as_exponent
 from .trees import (SphericallySymmetric, Subdyadic, _arena_offsets,
-                    build_tree, predecessor_path, require_int,
-                    require_tolerance)
+                    _BuiltOnRead, _Recipe, build_tree, predecessor_path,
+                    require_int, require_tolerance)
 
 
 @dataclass(frozen=True)

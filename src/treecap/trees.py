@@ -768,7 +768,7 @@ def is_forward_additive(tree, f, tol=1e-12):
     r = np.where(tree.n_children > 0, f - S, 0.0)
     i = int(np.argmax(np.abs(r)))
     worst = float(abs(r[i]))
-    return AdditivityReport(worst <= tol, worst, i if worst > 0.0 else None,
+    return AdditivityReport(worst <= tol, worst, None if worst == 0.0 else i,
                             r)
 
 
@@ -776,15 +776,66 @@ def is_forward_additive(tree, f, tol=1e-12):
 # boundary measures
 
 
+class _Recipe:
+    """A field's value before its first read, built by make(obj, *args):
+    module-level make and array args, so its holder pickles."""
+
+    def __init__(self, make, *args):
+        self.make, self.args = make, args
+
+
+class _BuiltOnRead:
+    """Field descriptor: a stored _Recipe is built on the first read and
+    kept, so later reads return that object; other values are as given."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # a dataclass asks for a default: there is none
+            raise AttributeError(self.key)
+        v = obj.__dict__[self.key]
+        if isinstance(v, _Recipe):
+            v = obj.__dict__[self.key] = v.make(obj, *v.args)
+        return v
+
+    def __set__(self, obj, v):
+        obj.__dict__[self.key] = v
+
+
+def _spread(obj, levels):
+    return obj.tree.from_levels(levels)
+
+
+def stored_levels(obj, name, tree):
+    """The levels obj.name spreads over tree on first read, until then."""
+    v = getattr(obj, "__dict__", {}).get("_" + name)
+    return v.args[0] if isinstance(v, _Recipe) and obj.tree is tree else None
+
+
+def _refuse_masses(m, ok, ids=None):
+    """Name the first edge, ids[j] or else j, whose mass m[j] fails ok."""
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValueError(f"edge {j if ids is None else ids[j]} has mass "
+                         f"{m[j]}, not a finite number >= 0")
+
+
 class BoundaryMeasure:
-    """Finite measure on the boundary, stored as its co-potential M."""
+    """Finite measure on the boundary, stored as its co-potential M.  A
+    level-backed one, given M as _Recipe(_spread, levels), spreads M
+    over the edges on first read; at() and total_mass read the levels."""
+
+    M = _BuiltOnRead()
 
     def __init__(self, tree, co_potential, validate=True, tol=1e-9):
         self.tree = tree
-        self.M = np.asarray(co_potential, dtype=float)
+        self.M = (co_potential if isinstance(co_potential, _Recipe)
+                  else np.asarray(co_potential, dtype=float))
         if validate:
             if self.M.shape != (tree.n_edges,):
                 raise ValueError("co-potential must cover every edge")
+            _refuse_masses(self.M, np.isfinite(self.M))
             if np.any(self.M < -tol):
                 raise ValueError("negative mass")
             scale = max(float(self.M[0]), 1.0)
@@ -799,18 +850,22 @@ class BoundaryMeasure:
         """Additivize leaf masses {id: mass} upward into a co-potential."""
         ids = edge_ids(tree, masses, tree.n_children == 0, "leaf")
         m = np.fromiter(masses.values(), dtype=float, count=len(masses))
-        ok = np.isfinite(m) & (m >= 0)
-        if not ok.all():
-            raise ValueError(f"edge {ids[~ok][0]} has mass {m[~ok][0]}, "
-                             "not a finite number >= 0")
+        _refuse_masses(m, np.isfinite(m) & (m >= 0), ids)
         at_leaf = np.zeros(tree.n_edges)
         at_leaf[ids] = m
         M, _ = tree.sweep_up(lambda a, b, S: at_leaf[a:b] + S)
         return cls(tree, M, validate=False)
 
+    def at(self, ids):
+        """M[ids] for edge ids, read from the levels while M is unbuilt."""
+        levels = stored_levels(self, "M", self.tree)
+        if levels is None:
+            return self.M[ids]
+        return levels[np.searchsorted(self.tree._starts, ids, "right") - 1]
+
     @property
     def total_mass(self):
-        return float(self.M[0])
+        return float(self.at(0))
 
     def leaf_masses(self):
         ids = np.flatnonzero((self.tree.n_children == 0) & (self.M != 0.0))
@@ -823,11 +878,12 @@ class BoundaryMeasure:
 
 def co_potential(tree, measure):
     """The co-potential array of a BoundaryMeasure, or of an array of
-    per-edge masses, checked to hold one value per edge of tree."""
+    per-edge masses, checked to hold one finite value per edge of tree."""
     M = measure.M if isinstance(measure, BoundaryMeasure) else measure
     M = np.asarray(M, dtype=float)
     if M.shape != (tree.n_edges,):
         raise ValueError("measure length does not match the tree")
+    _refuse_masses(M, np.isfinite(M))
     return M
 
 

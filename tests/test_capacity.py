@@ -20,6 +20,7 @@ from treecap import (
     build_tree,
     capacity_of_set,
     capacity_recursive,
+    compact_set_of_capacity,
     homogeneous_capacity,
     potential_all,
     rescaling_constant,
@@ -30,6 +31,8 @@ from treecap import (
     total_resistance,
     verify_equilibrium,
 )
+from treecap.constructions import CompactSetResult
+from treecap.trees import stored_levels
 from helpers import random_p, random_tree
 
 
@@ -810,3 +813,79 @@ def test_an_unread_result_survives_a_pickle_round_trip():
         assert a.tobytes() == b.tobytes()
     assert back.measure.tree is back.tree
     assert back.tree.n_edges == t.n_edges
+
+
+def read_every_field(x):
+    """Read every field of x that is built on first read, and both items
+    of an upper run."""
+    if isinstance(x, EquilibriumResult):
+        x.c_of_alpha, x.measure.M, x.equilibrium_function
+        if x.upper_run is not None:
+            x.upper_run[0], x.upper_run[1].M
+    elif isinstance(x, BoundaryMeasure):
+        x.M
+    elif isinstance(x, CompactSetResult):
+        x.tree, x.leaves
+    else:
+        x.below_lower, x.below_upper
+
+
+EXPLICIT = build_tree(Homogeneous(2), depth=6, layout="explicit")
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("make", [
+    lambda: capacity_recursive(EXPLICIT, 2.5),
+    lambda: capacity_recursive(build_tree(Homogeneous(2), depth=40), 2.5),
+    lambda: compact_set_of_capacity(2, 2, 0.3, tol=0.01, depth=6),
+    lambda: total_resistance(EXPLICIT),
+    lambda: capacity_recursive(EXPLICIT, 2.5).measure,
+], ids=["explicit-result", "compact-result", "compact-set", "resistance",
+        "level-backed-measure"])
+def test_a_dropped_result_is_freed_with_the_collector_off(make, read):
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        x = make()
+        if read:
+            read_every_field(x)
+        gone = weakref.ref(x)
+        del x
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_the_upper_run_builds_each_item_on_its_own_first_read():
+    import pickle
+
+    t = build_tree(Homogeneous(3), depth=4, layout="explicit")
+    c_hi, mu_hi = capacity_recursive(t.quotient, 2.5).upper_run
+    same = lambda a, levels: a.tobytes() == t.from_levels(levels).tobytes()
+    run = capacity_recursive(t, 2.5).upper_run
+    assert run is not None and run and len(run) == 2
+    unread = pickle.loads(pickle.dumps(run))
+    assert same(run[1].M, mu_hi.M) and run[1].tree is t
+    assert stored_levels(run, "c", t) is not None  # [1] did not build [0]
+    half = pickle.loads(pickle.dumps(run))
+    assert run[0] is run[0] and run[-1] is run[1] and same(run[0], c_hi)
+    c, mu = run
+    assert (c, mu) == run[:2] and c is run[0] and mu is run[1]
+    for back in (unread, half):
+        c, mu = back
+        assert same(c, c_hi) and same(mu.M, mu_hi.M)
+        assert back[0] is c and mu.tree is back.tree
+
+    # a run on the host itself keeps a plain tuple
+    q = capacity_recursive(build_tree(Homogeneous(3), depth=4,
+                                      layout="compact"), 2.5)
+    assert type(q.upper_run) is tuple
+    assert q.c_levels_upper is q.upper_run[0]
+    assert q.m_levels_upper is q.upper_run[1].M
+    finite = capacity_recursive(build_tree(SphericallySymmetric([2, 3]),
+                                           layout="compact"), 2.5)
+    assert finite.upper_run is None
+    assert finite.c_levels_upper is finite.c_levels
+    assert finite.m_levels_upper is finite.m_levels

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from treecap import (Homogeneous, SphericallySymmetric, SymmetricTree, Tree,
-                     TreeStructureError, build_tree, capacity_equation_check,
-                     capacity_recursive, check_potential_bound,
-                     is_forward_additive, tree_to_json, verify_equilibrium)
+from treecap import (BoundaryMeasure, Homogeneous, SphericallySymmetric,
+                     SymmetricTree, Tree, TreeStructureError, build_tree,
+                     capacity_equation_check, capacity_recursive,
+                     check_potential_bound, is_forward_additive,
+                     rescaling_constant, tree_to_json, verify_equilibrium)
 from treecap.cli import main
+from treecap.trees import stored_levels
 from helpers import random_tree
 from test_capacity import spec_built_trees
 
@@ -194,3 +196,82 @@ def test_cli_names_an_unknown_label_alike_on_both_tree_files(tmp_path,
         assert main(["capacity", "--tree", str(path), "--set", "abc"]) == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == "treecap: \"unknown edge label 'abc'\"\n"
+
+
+def assert_bytes_equal(a, b):
+    """Reports a and b field by field: arrays by their bytes, the rest
+    by ==."""
+    assert type(a) is type(b)
+    for name, x in vars(a).items():
+        y = getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), name
+        else:
+            assert x == y, name
+
+
+def test_the_referees_read_an_unread_result_from_its_levels():
+    import tracemalloc
+
+    t = build_tree(Homogeneous(2), depth=16, layout="explicit")
+    p = 2.5
+    calls = [lambda r: verify_equilibrium(t, r.measure, p),
+             lambda r: check_potential_bound(t, r.measure, p),
+             lambda r: capacity_equation_check(t, r, p),
+             lambda r: rescaling_constant(t, r, 3)]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        r = capacity_recursive(t, p)
+        assert r.upper_run is not None
+        for call in calls:
+            call(r)
+        assert tracemalloc.get_traced_memory()[0] - held < 65536
+    finally:
+        tracemalloc.stop()
+    got = [call(r) for call in calls]
+    M, c = r.measure.M.copy(), r.c_of_alpha.copy()
+    want = [verify_equilibrium(t, M, p), check_potential_bound(t, M, p),
+            capacity_equation_check(t, c, p)]
+    for a, b in zip(got, want):
+        assert_bytes_equal(a, b)
+    # with M built, rescaling reads it instead of the levels
+    a, b = got[-1], rescaling_constant(t, r, 3)
+    assert (a.k, a.alpha, a.capacity) == (b.k, b.alpha, b.capacity)
+    assert a.measure.M.tobytes() == b.measure.M.tobytes()
+    assert a.tent.orig_ids.tobytes() == b.tent.orig_ids.tobytes()
+
+
+@pytest.mark.parametrize("M, says", [
+    ([np.nan, 0.5, 0.5], "edge 0 has mass nan"),
+    ([1.0, np.nan, 0.5], "edge 1 has mass nan"),
+    ([1.0, 0.5, np.inf], "edge 2 has mass inf"),
+    ([1.0, -np.inf, 0.5], "edge 1 has mass -inf"),
+], ids=["nan-root", "nan-leaf", "inf-leaf", "minus-inf-leaf"])
+def test_a_co_potential_that_is_not_finite_is_refused_by_its_edge(M, says):
+    t = build_tree(SphericallySymmetric([2]))
+    for call in (lambda: BoundaryMeasure(t, M),
+                 lambda: verify_equilibrium(t, np.array(M), 2),
+                 lambda: check_potential_bound(t, np.array(M), 2)):
+        with pytest.raises(ValueError,
+                           match=f"^{says}, not a finite number >= 0$"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_both_routes_refuse_a_level_that_is_not_finite_alike(bad):
+    t = build_tree(SphericallySymmetric([2, 2]))
+    mu = capacity_recursive(t, 2.5).measure
+    stored_levels(mu, "M", t)[2] = bad  # level 2 starts at edge 3
+    says = f"^edge 3 has mass {bad}, not a finite number >= 0$"
+    for x in (mu, t.from_levels(stored_levels(mu, "M", t))):
+        for f in (verify_equilibrium, check_potential_bound):
+            with pytest.raises(ValueError, match=says):
+                f(t, x, 2.5)
+
+
+def test_additivity_names_the_edge_of_a_nan_residual():
+    t = build_tree(SphericallySymmetric([2]))
+    rep = is_forward_additive(t, [1.0, np.nan, 0.5])
+    assert not rep.ok and np.isnan(rep.max_violation)
+    assert rep.worst_edge == 0
