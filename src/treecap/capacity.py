@@ -37,9 +37,9 @@ import numpy as np
 from .potential import _report_json, as_exponent, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
                     _BuiltOnRead, _is_real, _json_edge_mapping, _Recipe,
-                    _spec_int, _spread, edge_ids, leaf_indicator,
-                    predecessor_path, require_edge, require_explicit,
-                    require_int, tent)
+                    _repr_unread, _spec_int, _spread, edge_ids,
+                    leaf_indicator, predecessor_path, require_edge,
+                    require_explicit, require_int, stored_levels, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -240,6 +240,7 @@ class EquilibriumResult:
     measure: BoundaryMeasure = _BuiltOnRead()
     equilibrium_function: np.ndarray = _BuiltOnRead()
     upper_run: Sequence | None = None
+    __repr__ = _repr_unread
 
     def _equilibrium_function_at(self, ids):
         """equilibrium_function[ids], derived at ids alone while the
@@ -367,7 +368,7 @@ def capacity_recursive(tree, p, tail_policy="interval"):
         tree, tail_policy, pe,
         lambda q, t: _run_explicit(q, pe, np.where(q.tail, t, 1.0)))
     # certified seeds promise containment; absorb float rounding
-    pad = bool(np.any(host.tail)) and tail_policy == "interval"
+    pad = bool(np.any(q.tail)) and tail_policy == "interval"
     return _equilibrium_result(tree, host, q, pe, lower, upper, pad=pad)
 
 
@@ -410,8 +411,7 @@ def rescaling_constant(tree, result, alpha, tol=1e-12):
     pe = as_exponent(result.p)
     # I M_p at the begin vertex of alpha, from M_p on its path alone,
     # summed root first as potential sums it
-    x = tree.parent_of(alpha)
-    path = [] if x is None else predecessor_path(tree, x)
+    path = predecessor_path(tree, alpha)[:-1]
     v = 0.0
     for m in result._equilibrium_function_at(path).tolist():
         v += m
@@ -421,7 +421,9 @@ def rescaling_constant(tree, result, alpha, tol=1e-12):
             "to rescale")
     k = (1.0 - v) ** (-pe.p / pe.conjugate)
     sub = tent(tree, alpha)
-    M = k * result.measure.at(np.asarray(sub.orig_ids))
+    levels = stored_levels(result.measure, "M", tree)  # while M is unread
+    M = (k * result.measure.at(sub.orig_ids) if levels is None
+         else _Recipe(_spread, k * levels[tree.level_of(alpha):]))
     return RescalingResult(
         k=k, alpha=alpha, tent=sub,
         measure=BoundaryMeasure(sub, M, validate=False),
@@ -453,6 +455,7 @@ class ResistanceResult:
     below_upper: np.ndarray = _BuiltOnRead()
 
     per_level = property(lambda r: r.tree.mult is not None)
+    __repr__ = _repr_unread
 
     def capacity_interval(self):
         lo = 1.0 / (1.0 + self.upper) if np.isfinite(self.upper) else 0.0

@@ -68,8 +68,8 @@ def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
             v = list(chain(*(range(*tree.level_slice(k)) for k in v)))
         elif f.name == "worst_edge":
             v = tree.level_slice(v)[0]
-        elif f.name == "skipped_tails":
-            v = int(np.count_nonzero(tree.tail))
+        elif f.name == "skipped_tails":  # the deepest level, or none
+            v *= tree.n_edges - tree.level_slice(tree.depth)[0]
         setattr(rep, f.name, v)
     return rep
 

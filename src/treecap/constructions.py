@@ -28,8 +28,8 @@ from .capacity import (CapacityInterval, _one_step, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
 from .potential import as_exponent
 from .trees import (SphericallySymmetric, Subdyadic, _arena_offsets,
-                    _BuiltOnRead, _Recipe, build_tree, predecessor_path,
-                    require_int, require_tolerance)
+                    _BuiltOnRead, _Recipe, _repr_unread, build_tree,
+                    predecessor_path, require_int, require_tolerance)
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,14 @@ def _leaf_ids(r, start, stop):
 @dataclass
 class CompactSetResult:
     """Leaf prefix of a complete n-ary tree whose capacity meets a target;
-    tree (the explicit arena) and leaves (ids in it) are built on read."""
+    tree (an explicit tree) and leaves (ids in it) are built on read."""
 
     tree: object = _BuiltOnRead()
     leaves: list = _BuiltOnRead()
     capacity: float
     target: float
     n_leaves_total: int
+    __repr__ = _repr_unread
 
     @property
     def error(self):
@@ -197,9 +198,9 @@ def compact_set_of_capacity(n, p, target, tol=1e-3, depth=16):
     smaller set.  Each probe walks the one root path that holds the
     boundary of the prefix, O(depth) scalar steps, so the bisection
     costs O(depth^2) on the level quotient: about 0.6 ms at depth 12
-    and 0.9 ms at depth 16 on a 2-vCPU Xeon VM.  The result's tree (the
-    explicit arena) and leaves (ids in it) are built on their first
-    read.  Raises if the leaf granularity at this depth cannot
+    and 0.9 ms at depth 16 on a 2-vCPU Xeon VM.  The result's tree (an
+    explicit tree, its arena built on read) and leaves (ids in it) are
+    built on first read.  Raises if the leaf granularity at this depth cannot
     get within tol (target too close to jumps near 0, or above the
     capacity of the full boundary).
     """

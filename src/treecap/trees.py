@@ -58,7 +58,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, compress, filterfalse, repeat
 from numbers import Integral, Real
@@ -193,7 +193,8 @@ def _spec_degree_sequence(spec, depth):
 
 class _LevelTable:
     """The level queries of both layouts, read from _starts, the first
-    id of every level followed by the edge count."""
+    id of every level followed by the edge count, and parent_of of a
+    level-regular tree, from its forward degrees _degrees as well."""
 
     n_edges = property(lambda t: t._starts[-1])
     depth = property(lambda t: len(t._starts) - 2)
@@ -204,6 +205,13 @@ class _LevelTable:
     def level_slice(self, k):
         """Contiguous id range [start, stop) of level k."""
         return self._starts[k], self._starts[k + 1]
+
+    def parent_of(self, i):
+        k = self.level_of(i)
+        if k == 0:
+            return None
+        j = require_edge(self, i) - self._starts[k]
+        return self._starts[k - 1] + j // int(self._degrees[k - 1])
 
 
 class Tree(_LevelTable):
@@ -218,8 +226,22 @@ class Tree(_LevelTable):
     the multiplicity of every edge, a whole number in [1, 2^63) read by
     _spec_int's rule (no bool, NaN or infinity), and makes the tree a
     weighted quotient; ids, n_edges and the per-edge arrays then count
-    quotient nodes.
+    quotient nodes.  _level_tree makes a tree that builds them on read.
     """
+
+    spec = quotient = None  # generating spec and its level quotient
+    labels = mult = _degrees = _shift = _label_index = _inner = None
+    n_children = cached_property(
+        lambda t: t.from_levels(np.append(t._degrees, 0)))
+    first_child = cached_property(
+        lambda t: 1 + np.cumsum(t.n_children) - t.n_children)
+    parent = cached_property(lambda t: np.concatenate(
+        ([-1], np.repeat(np.arange(t.n_edges), t.n_children))))
+    # tails are the deepest level, exactly when the tree continues there
+    tail = cached_property(lambda t: t.from_levels(
+        [False] * t.depth + [t.continuation is not None]))
+    orig_ids = cached_property(lambda t: None if t._shift is None else
+                               np.arange(t.n_edges) + t.from_levels(t._shift))
 
     def __init__(self, parent, children=None, tail=None, labels=None,
                  continuation=None, orig_ids=None, mult=None):
@@ -234,7 +256,6 @@ class Tree(_LevelTable):
                 "edge ids are not in BFS order: need parent[0] = -1, "
                 "0 <= parent[i] < i and parent[1:] non-decreasing")
         self.n_children = np.bincount(rest, minlength=n)
-        self.first_child = 1 + np.cumsum(self.n_children) - self.n_children
         if children is not None and not self._lists_children(children):
             raise TreeStructureError("children lists disagree with parent")
         # first_child of a level's first edge is where the next level
@@ -258,10 +279,6 @@ class Tree(_LevelTable):
         self.labels = labels
         self.continuation = continuation
         self.orig_ids = orig_ids
-        self.spec = None  # generating spec, when built from one
-        self.quotient = None  # its level quotient, when built from a spec
-        self._label_index = None
-        self._inner = None
 
     def _lists_children(self, children):
         n = self.parent.size
@@ -350,6 +367,8 @@ class Tree(_LevelTable):
         return list(range(first, first + int(self.n_children[i])))
 
     def parent_of(self, i):
+        if self._degrees is not None:
+            return super().parent_of(i)
         p = int(self.parent[require_edge(self, i)])
         return None if p < 0 else p
 
@@ -505,14 +524,7 @@ class SymmetricTree(_LevelTable):
     degrees = property(lambda t: tuple(t.quotient.mult[1:].tolist()))
     truncated = property(lambda t: bool(t.quotient.tail[-1]))
     continuation = property(lambda t: t.quotient.continuation)
-
-    def parent_of(self, i):
-        k = self.level_of(i)
-        if k == 0:
-            return None
-        j = require_edge(self, i) - self._starts[k]
-        # degrees[k - 1] is mult[k]; read the one level, not the tuple
-        return self._starts[k - 1] + j // int(self.quotient.mult[k])
+    _degrees = property(lambda t: t.quotient.mult[1:])
 
     def children_of(self, i):
         k = self.level_of(i)
@@ -544,6 +556,16 @@ def _level_quotient(degrees, truncated, continuation):
     return Tree(levels - 1, mult=(1, *degrees),
                 tail=bool(truncated) & (levels == len(degrees)),
                 continuation=continuation)
+
+
+def _level_tree(starts, degrees, continuation, shift=None):
+    """An explicit Tree kept as its level table starts and degrees (an
+    int array), its arena built on first read; orig_ids too, when shift
+    holds what each level adds to an id.  quotient stays None."""
+    t = Tree.__new__(Tree)
+    t._starts, t._degrees, t._shift = starts, degrees, shift
+    t.continuation = continuation
+    return t
 
 
 def _level_offsets(degrees, budget=None):
@@ -582,7 +604,8 @@ def build_tree(spec, depth=None, layout="auto"):
 
     layout: "explicit" forces an arena (raising TreeTooLargeError over
     the budget), "compact" returns a SymmetricTree, "auto" picks
-    compact only when the arena would not fit.
+    compact only when the arena would not fit.  The explicit tree of a
+    level-regular spec is O(depth) to build, see _level_tree.
     """
     if layout not in ("auto", "explicit", "compact"):
         raise ValueError(f"unknown layout {layout!r}")
@@ -601,15 +624,9 @@ def build_tree(spec, depth=None, layout="auto"):
         out.spec = spec
         return out
 
-    # each edge of level k has degs[k] children, listed in id order
-    n_children = np.repeat(degs + [0], np.diff(offsets))
-    parent = np.concatenate(
-        ([-1], np.repeat(np.arange(n_children.size), n_children)))
-    tail = np.zeros(len(parent), dtype=bool)
-    tail[offsets[-2]:] = truncated
-    tree = Tree(parent, tail=tail, continuation=continuation)
-    tree.spec = spec
-    tree.quotient = _level_quotient(degs, truncated, continuation)
+    q = _level_quotient(degs, truncated, continuation)
+    tree = _level_tree(offsets, q.mult[1:], continuation)
+    tree.spec, tree.quotient = spec, q
     return tree
 
 
@@ -643,13 +660,21 @@ def _subtree(tree, order):
 def tent(tree, alpha):
     """The subtree of edges at or below alpha, re-rooted at alpha.
 
-    Levels restart at 0; orig_ids maps back to the host tree.
+    Levels restart at 0; orig_ids maps back to the host tree.  A tent of
+    a level-regular tree is cut from its level table, as _level_tree.
     """
     if isinstance(tree, SymmetricTree):
         return tree.tent_profile(tree.level_of(alpha))
+    lo = require_edge(tree, alpha)
+    if tree._degrees is not None:
+        s, k = tree._starts, tree.level_of(lo)
+        starts = _level_offsets(tree._degrees[k:].tolist())
+        # its level i is one run of ids on level k + i of the host
+        shift = [a + (lo - s[k]) * (b - c) - c
+                 for a, c, b in zip(s[k:], starts, starts[1:])]
+        return _level_tree(starts, tree._degrees[k:], tree.continuation, shift)
     # the descendants of alpha on each level form one contiguous id range
     ranges = []
-    lo = require_edge(tree, alpha)
     hi = lo + 1
     while lo < hi:
         ranges.append(np.arange(lo, hi))
@@ -783,6 +808,8 @@ class _Recipe:
     def __init__(self, make, *args):
         self.make, self.args = make, args
 
+    __repr__ = lambda r: "<unread>"  # as _repr_unread shows it
+
 
 class _BuiltOnRead:
     """Field descriptor: a stored _Recipe is built on the first read and
@@ -801,6 +828,15 @@ class _BuiltOnRead:
 
     def __set__(self, obj, v):
         obj.__dict__[self.key] = v
+
+
+def _repr_unread(obj):
+    """The dataclass repr of obj from the values it holds: an unbuilt
+    field shows as <unread>, and a repr builds nothing."""
+    d = obj.__dict__
+    shown = (f"{f.name}={d.get('_' + f.name, d.get(f.name))!r}"
+             for f in fields(obj) if f.repr)
+    return f"{type(obj).__qualname__}({', '.join(shown)})"
 
 
 def _spread(obj, levels):
