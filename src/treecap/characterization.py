@@ -43,7 +43,7 @@ class CharacterizationReport:
 
 def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
     """Refuse a compact tree, a negative tol and a wrong length, then run
-    check(host, x, exponent, tol).  The host is the tree's level quotient,
+    check(host, x, exponent, tol).  The host is the tree's quotient, if any,
     x its levels, when x's field named stored is unspread finite levels
     on tree (a level-backed measure, a result's unread c_of_alpha) or x
     = read(tree, x) is constant on every level.  The report is spread
@@ -53,7 +53,7 @@ def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
     require_explicit(tree, "verification")
     require_tolerance(tol)
     pe = as_exponent(p)
-    levels = stored_levels(x, stored, tree)
+    levels = None if tree.quotient is None else stored_levels(x, stored, tree)
     if levels is None or not np.isfinite(levels).all():
         x = read(tree, x)
         levels = None if tree.quotient is None else tree.to_levels(x)

@@ -192,9 +192,9 @@ def _spec_degree_sequence(spec, depth):
 
 
 class _LevelTable:
-    """The level queries of both layouts, read from _starts, the first
-    id of every level followed by the edge count, and parent_of of a
-    level-regular tree, from its forward degrees _degrees as well."""
+    """Level queries of both layouts, read from _starts, the first id of
+    every level then the edge count; for a level-regular tree parent_of
+    and children_of read its forward degrees _degrees as well."""
 
     n_edges = property(lambda t: t._starts[-1])
     depth = property(lambda t: len(t._starts) - 2)
@@ -212,6 +212,12 @@ class _LevelTable:
             return None
         j = require_edge(self, i) - self._starts[k]
         return self._starts[k - 1] + j // int(self._degrees[k - 1])
+
+    def children_of(self, i):
+        k = self.level_of(i)
+        d = int(self._degrees[k]) if k < self.depth else 0
+        base = self._starts[k + 1] + (require_edge(self, i) - self._starts[k]) * d
+        return list(range(base, base + d))
 
 
 class Tree(_LevelTable):
@@ -362,6 +368,8 @@ class Tree(_LevelTable):
         return None if q is None else q.mult[1:].tolist()
 
     def children_of(self, i):
+        if self._degrees is not None:
+            return super().children_of(i)
         i = require_edge(self, i)
         first = int(self.first_child[i])
         return list(range(first, first + int(self.n_children[i])))
@@ -525,15 +533,6 @@ class SymmetricTree(_LevelTable):
     truncated = property(lambda t: bool(t.quotient.tail[-1]))
     continuation = property(lambda t: t.quotient.continuation)
     _degrees = property(lambda t: t.quotient.mult[1:])
-
-    def children_of(self, i):
-        k = self.level_of(i)
-        if k >= self.depth:
-            return []
-        j = require_edge(self, i) - self._starts[k]
-        d = int(self.quotient.mult[k + 1])
-        base = self._starts[k + 1] + j * d
-        return list(range(base, base + d))
 
     def is_tail(self, i):
         return self.level_of(i) == self.depth and self.truncated

@@ -20,6 +20,7 @@ from treecap import (Homogeneous, SphericallySymmetric, Tree, build_tree,
                      verify_equilibrium)
 from treecap.trees import stored_levels
 from test_capacity import spec_built_trees
+from test_referee_routes import assert_same
 
 ARENA = {"parent", "n_children", "first_child", "tail"}
 READS = ["parent", "n_children", "first_child", "tail", "level",
@@ -95,6 +96,28 @@ def test_a_tent_of_a_spec_built_tree_keeps_the_contract(t, data):
     assert got.tent.orig_ids.tobytes() == unread.tent.orig_ids.tobytes()
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(t=spec_built_trees(), data=st.data())
+def test_the_referees_check_a_rescaled_tent_measure(t, data):
+    # a tent has no quotient: its level-backed measure is spread, and the
+    # reports are those of the same co-potential given as an array
+    alpha = data.draw(st.integers(0, t.n_edges - 1))
+    p = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+    try:
+        rs = rescaling_constant(t, capacity_recursive(t, p), alpha)
+    except ValueError:  # the potential reaches 1 above alpha
+        return
+    referees = (verify_equilibrium, check_potential_bound)
+    assert stored_levels(rs.measure, "M", rs.tent) is not None
+    unread = [f(rs.tent, rs.measure, p) for f in referees]
+    M = rs.measure.M.copy()
+    built = [f(rs.tent, rs.measure, p) for f in referees]
+    for f, a, b in zip(referees, unread, built):
+        want = f(rs.tent, M, p)
+        assert_same(a, want, exact=True)
+        assert_same(b, want, exact=True)
+
+
 def test_the_large_homogeneous_chain_builds_no_arena():
     tracemalloc.start()
     try:
@@ -107,6 +130,7 @@ def test_the_large_homogeneous_chain_builds_no_arena():
         capacity_equation_check(t, r, 2.5)
         rr = total_resistance(t)
         rs = rescaling_constant(t, r, 3)
+        kids = t.children_of(t.n_edges // 2 - 1), t.children_of(t.n_edges - 1)
         grown = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()
@@ -114,6 +138,7 @@ def test_the_large_homogeneous_chain_builds_no_arena():
     assert not ARENA & set(vars(t))
     assert grown < 65536
     assert rr.lower <= rr.upper and rs.tent.n_edges == 2 ** 18 - 1
+    assert kids == ([t.n_edges - 2, t.n_edges - 1], [])
 
 
 def test_repr_of_an_unread_result_builds_nothing():
