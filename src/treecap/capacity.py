@@ -14,12 +14,12 @@ and since (p-1)(p'-1) = 1 each factor is exactly 1 / (1 + S^(p'-1))^(p-1),
 the denominator of the step at g, so it is taken from there with no
 subtraction.
 
-A tree built from a level-regular spec, compact or explicit, runs the
-same sweeps on its weighted quotient, one node per level, whenever one
-value pair seeds every tail; other trees and per-tail values sweep every
-edge.  The capacity of a set E of true leaves is one run on the host
-tree with boundary values 1 on E and 0 on every other leaf and tail: an
-edge off E gets c = M = 0 exactly.  The level counting series
+A tree built from a level-regular spec, compact or explicit, or a tent
+of one, runs the same sweeps on its weighted quotient, one node per
+level, whenever one value pair seeds every tail; other trees and per-tail
+values sweep every edge.  The capacity of a set E of true leaves is one
+run on the host tree with boundary values 1 on E and 0 on every other
+leaf and tail: an edge off E gets c = M = 0 exactly.  The level counting series
 c = (sum_k card(k)^(1-p'))^(1-p) stays an independent route, used both
 for symmetric_capacity and for certifying tail seeds; where the degree
 becomes constant its tail is geometric and summed in closed form.
@@ -38,8 +38,9 @@ from .potential import _report_json, as_exponent, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
                     _BuiltOnRead, _is_real, _json_edge_mapping, _Recipe,
                     _repr_unread, _spec_int, _spread, edge_ids,
-                    leaf_indicator, predecessor_path, require_edge,
-                    require_explicit, require_int, stored_levels, tent)
+                    leaf_indicator, level_quotient, predecessor_path,
+                    require_edge, require_explicit, require_int,
+                    stored_levels, tent)
 
 ROUNDING_PAD = 1e-13
 
@@ -170,15 +171,16 @@ def _tail_bounds(tree, tail_policy, p):
 
 def _tail_runs(tree, tail_policy, p, run):
     """run(q, t), a tuple of arrays on the nodes of q, for the lower and
-    the upper tail values t.  q is the tree's weighted quotient when it
-    has one and one value pair seeds every tail, else the tree.  Returns
+    the upper tail values t.  q is the tree's level_quotient, if any, when
+    one value pair seeds every tail, else the tree.  Returns
     (host, q, lower run, upper run), one run when the values agree.  The
     host is q for a compact SymmetricTree, else the tree, whose edges a
     quotient run reaches through host.from_levels."""
     per_tail = isinstance(tail_policy, dict)
     if per_tail and isinstance(tree, SymmetricTree):  # no single tail ids
         raise ValueError("per-tail values need an explicit tree")
-    q = tree if per_tail or tree.quotient is None else tree.quotient
+    q = None if per_tail else level_quotient(tree)
+    q = tree if q is None else q
     t_lo, t_hi = _tail_bounds(q, tail_policy, p)
     lower = run(q, t_lo)
     upper = run(q, t_hi) if np.any((t_lo != t_hi) & q.tail) else lower

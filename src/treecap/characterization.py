@@ -14,28 +14,30 @@ capacities, checked by capacity_equation_check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from itertools import chain
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .potential import _report_json, as_exponent, potential_all, signed_power
-from .trees import (co_potential, is_forward_additive, require_explicit,
-                    require_tolerance, stored_levels)
+from .trees import (_BuiltOnRead, co_potential, is_forward_additive,
+                    level_quotient, require_explicit, require_tolerance,
+                    stored_levels)
 
 
 @dataclass
 class CharacterizationReport:
-    """What verify_equilibrium found for a measure and its boundary set."""
+    """What verify_equilibrium found for a measure and its boundary set.
+    Each id list holds the check's int64 id array until its first read
+    makes and keeps the list of Python ints (an empty one is [])."""
 
     is_equilibrium: bool
     max_residual: float
     residuals: np.ndarray = field(repr=False)
     additivity_ok: bool
     additivity_violation: float
-    recovered_set: list
-    irregular_points: list
-    undetermined: list
+    recovered_set: list = _BuiltOnRead(as_list=True)
+    irregular_points: list = _BuiltOnRead(as_list=True)
+    undetermined: list = _BuiltOnRead(as_list=True)
     total_mass: float
 
     to_json = _report_json
@@ -43,34 +45,35 @@ class CharacterizationReport:
 
 def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
     """Refuse a compact tree, a negative tol and a wrong length, then run
-    check(host, x, exponent, tol).  The host is the tree's quotient, if any,
-    x its levels, when x's field named stored is unspread finite levels
-    on tree (a level-backed measure, a result's unread c_of_alpha) or x
-    = read(tree, x) is constant on every level.  The report is spread
-    back: arrays by level, id lists as the ids of their levels, worst_edge
+    check(host, x, exponent, tol).  The host is the tree's level_quotient,
+    if any, x its levels, when x's field named stored is unspread finite
+    levels on tree (a level-backed measure, a result's unread c_of_alpha)
+    or x = read(tree, x) is constant on every level.  The report is spread
+    back: residuals by level, id arrays as the ids of their levels, worst_edge
     as its level's first edge, skipped_tails as the tree's count.  Else
     the host is the tree.  Levels not all finite are read, as edges are."""
     require_explicit(tree, "verification")
     require_tolerance(tol)
     pe = as_exponent(p)
-    levels = None if tree.quotient is None else stored_levels(x, stored, tree)
+    q = level_quotient(tree)
+    levels = None if q is None else stored_levels(x, stored, tree)
     if levels is None or not np.isfinite(levels).all():
         x = read(tree, x)
-        levels = None if tree.quotient is None else tree.to_levels(x)
+        levels = None if q is None else tree.to_levels(x)
     if levels is None:
         return check(tree, x, pe, tol)
-    rep = check(tree.quotient, levels, pe, tol)
-    for f in fields(rep):
-        v = getattr(rep, f.name)
-        if isinstance(v, np.ndarray):
+    rep = check(q, levels, pe, tol)
+    for name, v in vars(rep).items():  # an id list is stored as an array
+        if isinstance(v, np.ndarray) and v.dtype == np.int64:
+            ids = [np.arange(*tree.level_slice(k)) for k in v.tolist()]
+            v = ids[0] if len(ids) == 1 else np.concatenate(ids)  # no copy
+        elif isinstance(v, np.ndarray):
             v = tree.from_levels(v)
-        elif isinstance(v, list):
-            v = list(chain(*(range(*tree.level_slice(k)) for k in v)))
-        elif f.name == "worst_edge":
+        elif name == "worst_edge":
             v = tree.level_slice(v)[0]
-        elif f.name == "skipped_tails":  # the deepest level, or none
+        elif name == "skipped_tails":  # the deepest level, or none
             v *= tree.n_edges - tree.level_slice(tree.depth)[0]
-        setattr(rep, f.name, v)
+        vars(rep)[name] = v
     return rep
 
 
@@ -81,8 +84,8 @@ def verify_equilibrium(tree, measure, p, tol=1e-9):
     evaluated and are excluded; the offending tail edges are listed as
     undetermined and block certification.  recovered_set lists the
     support leaves where the potential reaches 1, which for a genuine
-    equilibrium is exactly the set the measure equilibrates.
-    """
+    equilibrium is exactly the set the measure equilibrates; id lists
+    are built on first read."""
     return _on_levels(_verify_equilibrium, tree, measure, p, tol)
 
 
@@ -108,23 +111,21 @@ def _verify_equilibrium(tree, M, pe, tol):
 
     # mass sitting on a tail edge makes every tent through it unverifiable
     on_tail = tree.tail & (M > tol * scale)
-    undetermined = np.flatnonzero(on_tail).tolist()
-    if undetermined:  # else no tent is blocked
+    undetermined = np.flatnonzero(on_tail)
+    if undetermined.size:  # else no tent is blocked
         blocked, _ = tree.sweep_up(lambda a, b, S: on_tail[a:b] + S)
-    checkable = residuals[blocked == 0] if undetermined else residuals
+    checkable = residuals[blocked == 0] if undetermined.size else residuals
     max_residual = float(checkable.max()) if checkable.size else 0.0
 
     z = np.flatnonzero(tree.true_leaf_mask() & (M > tol * scale))
     v = V.end_values[z]
-    recovered = z[np.abs(v - 1.0) <= tol].tolist()
-    irregular = z[v < 1.0 - tol].tolist()
-
-    ok = add.ok and max_residual <= tol * scale and not undetermined
+    ok = add.ok and max_residual <= tol * scale and not undetermined.size
     return CharacterizationReport(
         is_equilibrium=bool(ok), max_residual=max_residual,
         residuals=residuals, additivity_ok=add.ok,
-        additivity_violation=add.max_violation, recovered_set=recovered,
-        irregular_points=irregular, undetermined=undetermined,
+        additivity_violation=add.max_violation,
+        recovered_set=z[np.abs(v - 1.0) <= tol],
+        irregular_points=z[v < 1.0 - tol], undetermined=undetermined,
         total_mass=total)
 
 
@@ -136,12 +137,13 @@ def recover_equilibrium_set(tree, measure, p, tol=1e-9):
 
 @dataclass
 class PotentialBoundReport:
-    """Where the potential reaches or passes 1, from check_potential_bound."""
+    """Where the potential reaches or passes 1, from check_potential_bound;
+    equality_edges is built on first read, as CharacterizationReport's."""
 
     ok: bool
     max_value: float
     worst_edge: int
-    equality_edges: list
+    equality_edges: list = _BuiltOnRead(as_list=True)
     interior_strict: bool
 
     to_json = _report_json
@@ -149,9 +151,10 @@ class PotentialBoundReport:
 
 def check_potential_bound(tree, measure, p, tol=1e-9):
     """Admissibility side of the characterization: the potential stays
-    at or below 1, with equality only at boundary points.  Equality at
-    the end of a non-leaf edge means the measure pushes the potential
-    to 1 strictly inside the tree, reported via interior_strict."""
+    at or below 1, with equality only at boundary points (equality_edges,
+    built on first read).  Equality at the end of a non-leaf edge means
+    the measure pushes the potential to 1 strictly inside the tree,
+    reported via interior_strict."""
     return _on_levels(_potential_bound, tree, measure, p, tol)
 
 
@@ -162,7 +165,7 @@ def _potential_bound(tree, M, pe, tol):
     equality = np.flatnonzero(np.abs(V - 1.0) <= tol)
     return PotentialBoundReport(
         ok=max_value <= 1.0 + tol, max_value=max_value, worst_edge=worst,
-        equality_edges=equality.tolist(),
+        equality_edges=equality,
         interior_strict=bool(np.all(tree.n_children[equality] == 0)))
 
 

@@ -60,7 +60,7 @@ from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, compress, filterfalse, repeat
+from itertools import accumulate, chain, compress, filterfalse, repeat
 from numbers import Integral, Real
 from typing import Mapping, Sequence
 
@@ -380,10 +380,15 @@ class Tree(_LevelTable):
         p = int(self.parent[require_edge(self, i)])
         return None if p < 0 else p
 
+    # level-regular degrees are >= 1: the leaves are the deepest level
     def is_leaf(self, i):
+        if self._degrees is not None:
+            return self.level_of(i) == self.depth
         return bool(self.n_children[require_edge(self, i)] == 0)
 
     def is_tail(self, i):
+        if self._degrees is not None:
+            return self.is_leaf(i) and self.continuation is not None
         return bool(self.tail[require_edge(self, i)])
 
     def is_true_leaf(self, i):
@@ -396,6 +401,9 @@ class Tree(_LevelTable):
         return np.flatnonzero(self.true_leaf_mask()).tolist()
 
     def tail_ids(self):
+        if self._degrees is not None:
+            return list(range(*self.level_slice(self.depth))
+                        if self.continuation is not None else ())
         return np.flatnonzero(self.tail).tolist()
 
     def label_of(self, i):
@@ -567,6 +575,15 @@ def _level_tree(starts, degrees, continuation, shift=None):
     return t
 
 
+def level_quotient(tree):
+    """The quotient a level-regular tree runs on: its own, or one made
+    from a tent's level table (its quotient stays None); else None."""
+    if tree.quotient is not None or tree._degrees is None:
+        return tree.quotient
+    return _level_quotient(tree._degrees, tree.continuation is not None,
+                           tree.continuation)
+
+
 def _level_offsets(degrees, budget=None):
     """First id of every level, then the edge count, in exact ints (a
     compact tree may pass 2^63 edges); stops past budget, if given.
@@ -660,7 +677,9 @@ def tent(tree, alpha):
     """The subtree of edges at or below alpha, re-rooted at alpha.
 
     Levels restart at 0; orig_ids maps back to the host tree.  A tent of
-    a level-regular tree is cut from its level table, as _level_tree.
+    a level-regular tree is cut from its level table, as _level_tree;
+    any other joins the host's slices, one contiguous id range per level,
+    and holds no reference to its host.
     """
     if isinstance(tree, SymmetricTree):
         return tree.tent_profile(tree.level_of(alpha))
@@ -672,14 +691,22 @@ def tent(tree, alpha):
         shift = [a + (lo - s[k]) * (b - c) - c
                  for a, c, b in zip(s[k:], starts, starts[1:])]
         return _level_tree(starts, tree._degrees[k:], tree.continuation, shift)
-    # the descendants of alpha on each level form one contiguous id range
-    ranges = []
-    hi = lo + 1
+    runs, hi = [], lo + 1
     while lo < hi:
-        ranges.append(np.arange(lo, hi))
+        runs.append(slice(lo, hi))
         lo, hi = (int(tree.first_child[lo]),
                   int(tree.first_child[hi - 1] + tree.n_children[hi - 1]))
-    return _subtree(tree, np.concatenate(ranges))
+    # parent and first_child follow from n_children on first read
+    sub = Tree.__new__(Tree)
+    sub._starts = [0, *accumulate(r.stop - r.start for r in runs)]
+    sub.orig_ids = np.concatenate([np.arange(r.start, r.stop) for r in runs])
+    sub.n_children, sub.tail, sub.mult = (
+        None if x is None else np.concatenate([x[r] for r in runs])
+        for x in (tree.n_children, tree.tail, tree.mult))
+    if tree.labels is not None:
+        sub.labels = list(chain.from_iterable(tree.labels[r] for r in runs))
+    sub.continuation = tree.continuation
+    return sub
 
 
 def require_edge(tree, i):
@@ -812,7 +839,11 @@ class _Recipe:
 
 class _BuiltOnRead:
     """Field descriptor: a stored _Recipe is built on the first read and
-    kept, so later reads return that object; other values are as given."""
+    kept, so later reads return that object, and with as_list so is a
+    stored array's list ([] at once if empty); other values are as given."""
+
+    def __init__(self, as_list=False):
+        self.as_list = as_list
 
     def __set_name__(self, owner, name):
         self.key = "_" + name
@@ -823,10 +854,13 @@ class _BuiltOnRead:
         v = obj.__dict__[self.key]
         if isinstance(v, _Recipe):
             v = obj.__dict__[self.key] = v.make(obj, *v.args)
+        elif self.as_list and isinstance(v, np.ndarray):
+            v = obj.__dict__[self.key] = v.tolist()
         return v
 
     def __set__(self, obj, v):
-        obj.__dict__[self.key] = v
+        empty = self.as_list and isinstance(v, np.ndarray) and not v.size
+        obj.__dict__[self.key] = [] if empty else v
 
 
 def _repr_unread(obj):

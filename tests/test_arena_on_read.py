@@ -5,19 +5,22 @@ parent, n_children, first_child and tail are built from the table when
 first read, and a tent of it is cut from the table the same way.  Every
 array read must equal, byte for byte, the eager arena of the same spec:
 a Tree made from a parent array, which holds every array from the start.
+Leaf and tail queries read the table, and a tent runs on a quotient made
+from it, so neither builds the arena.
 """
 
 import pickle
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecap import (Homogeneous, SphericallySymmetric, Tree, build_tree,
                      capacity_equation_check, capacity_recursive,
                      check_potential_bound, compact_set_of_capacity,
-                     rescaling_constant, tent, total_resistance,
-                     verify_equilibrium)
+                     homogeneous_capacity, rescaling_constant, tent,
+                     total_resistance, verify_equilibrium)
 from treecap.trees import stored_levels
 from test_capacity import spec_built_trees
 from test_referee_routes import assert_same
@@ -164,3 +167,82 @@ def test_repr_of_an_unread_result_builds_nothing():
     assert f"leaves={cs.leaves!r}, capacity=" in repr(cs)
     finite = build_tree(SphericallySymmetric([2, 3]), layout="compact")
     assert "c_of_alpha=array(" in repr(capacity_recursive(finite, 2.0))
+
+
+def raising(*args, **kwargs):
+    raise AssertionError("swept a tent that has a level table")
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 2.7, 8.0])
+@settings(max_examples=40, deadline=None, database=None)
+@given(t=spec_built_trees(), data=st.data())
+def test_a_tent_of_a_spec_built_tree_runs_on_a_quotient(p, t, data):
+    # the spec-free copy of the tent sweeps every edge; a sum of d equal
+    # children is d v bit for bit when d <= 4 only
+    alpha = data.draw(st.integers(0, t.n_edges - 1))
+    sub = tent(t, alpha)
+    ref = tent(t, alpha)
+    swept = Tree(ref.parent, tail=ref.tail, continuation=ref.continuation)
+    exact = max(t.level_degrees[t.level_of(alpha):], default=1) <= 4
+    sub.sweep_up = sub.push_down = raising
+
+    def agree(a, b):
+        if exact:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+
+    r, s = capacity_recursive(sub, p), capacity_recursive(swept, p)
+    rr, sr = total_resistance(sub), total_resistance(swept)
+    assert stored_levels(r, "c_of_alpha", sub) is not None
+    got = [verify_equilibrium(sub, r.measure, p),
+           check_potential_bound(sub, r.measure, p),
+           capacity_equation_check(sub, r, p)]
+    assert not ARENA & set(vars(sub))
+    assert sub.quotient is None and sub.level_degrees is None
+    agree([r.capacity.lower, r.capacity.upper],
+          [s.capacity.lower, s.capacity.upper])
+    agree(r.c_of_alpha, s.c_of_alpha)
+    agree(r.measure.M, s.measure.M)
+    assert (r.upper_run is None) == (s.upper_run is None)
+    agree([rr.lower, rr.upper], [sr.lower, sr.upper])
+    agree(rr.below_lower, sr.below_lower)
+    want = [verify_equilibrium(swept, s.measure, p),
+            check_potential_bound(swept, s.measure, p),
+            capacity_equation_check(swept, s, p)]
+    for a, b in zip(got, want):
+        assert_same(a, b, exact)
+
+
+def test_the_large_tent_runs_on_a_quotient():
+    t = build_tree(Homogeneous(2), depth=19, layout="explicit")
+    sub = rescaling_constant(t, capacity_recursive(t, 2.5), 3).tent
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        r = capacity_recursive(sub, 2.5)
+        grown = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert sub.n_edges == 2 ** 18 - 1 and not ARENA & set(vars(sub))
+    assert grown < 65536 and r.upper_run is not None
+    assert r.capacity.lower <= homogeneous_capacity(2, 2.5) <= r.capacity.upper
+    assert t.is_leaf(t.n_edges - 1) and not t.is_leaf(5)
+    assert t.is_tail(t.n_edges - 1) and not t.is_true_leaf(5)
+    assert not ARENA & set(vars(t))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(t=spec_built_trees(), data=st.data())
+def test_leaf_and_tail_queries_build_no_arena(t, data):
+    alpha = data.draw(st.integers(0, t.n_edges - 1))
+    twin = eager_twin(t)
+    for tree, ref in ((t, twin), (tent(t, alpha), tent(twin, alpha))):
+        for name in ("is_leaf", "is_tail", "is_true_leaf"):
+            got = [getattr(tree, name)(i) for i in range(tree.n_edges)]
+            assert got == [getattr(ref, name)(i)
+                           for i in range(tree.n_edges)], name
+            assert all(type(v) is bool for v in got), name
+        ids = tree.tail_ids()
+        assert type(ids) is list and ids == ref.tail_ids()
+        assert not ARENA & set(vars(tree))
