@@ -34,10 +34,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .potential import _report_json, as_exponent, signed_power
+from .potential import _Report, as_exponent, signed_power
 from .trees import (BoundaryMeasure, SphericallySymmetric, SymmetricTree,
                     _BuiltOnRead, _is_real, _json_edge_mapping, _Recipe,
-                    _repr_unread, _spec_int, _spread, edge_ids,
+                    _repr_unread, _spec_int, _spread, edge_ids, held,
                     leaf_indicator, level_quotient, predecessor_path,
                     require_edge, require_explicit, require_int,
                     stored_levels, tent)
@@ -46,7 +46,7 @@ ROUNDING_PAD = 1e-13
 
 
 @dataclass(frozen=True)
-class CapacityInterval:
+class CapacityInterval(_Report):
     """Certified bracket of a capacity value, inside [0, 1]."""
 
     lower: float
@@ -66,8 +66,6 @@ class CapacityInterval:
 
     def contains(self, v, slack=0.0):
         return self.lower - slack <= v <= self.upper + slack
-
-    to_json = _report_json
 
 
 def homogeneous_capacity(n, p):
@@ -247,7 +245,7 @@ class EquilibriumResult:
     def _equilibrium_function_at(self, ids):
         """equilibrium_function[ids], derived at ids alone while the
         whole array is unbuilt."""
-        if isinstance(self.__dict__["_equilibrium_function"], _Recipe):
+        if isinstance(held(self, "equilibrium_function"), _Recipe):
             return signed_power(self.measure.at(ids), self.p)
         return np.asarray(self.equilibrium_function, dtype=float)[ids]
 

@@ -18,21 +18,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potential import _report_json, as_exponent, potential_all, signed_power
-from .trees import (_BuiltOnRead, co_potential, is_forward_additive,
-                    level_quotient, require_explicit, require_tolerance,
-                    stored_levels)
+from .potential import _Report, as_exponent, potential_all, signed_power
+from .trees import (Tree, _BuiltOnRead, co_potential, held,
+                    is_forward_additive, level_quotient, require_explicit,
+                    require_tolerance, stored_levels)
+
+
+def _level_ids(tree, v):  # the ids of levels v on tree; [] stays []
+    if not len(v):
+        return v
+    ids = [np.arange(*tree.level_slice(k)) for k in v.tolist()]
+    return ids[0] if len(ids) == 1 else np.concatenate(ids)  # no copy
 
 
 @dataclass
-class CharacterizationReport:
+class CharacterizationReport(_Report):
     """What verify_equilibrium found for a measure and its boundary set.
     Each id list holds the check's int64 id array until its first read
     makes and keeps the list of Python ints (an empty one is [])."""
 
     is_equilibrium: bool
     max_residual: float
-    residuals: np.ndarray = field(repr=False)
+    residuals: np.ndarray = field(repr=False, compare=False)
     additivity_ok: bool
     additivity_violation: float
     recovered_set: list = _BuiltOnRead(as_list=True)
@@ -40,7 +47,9 @@ class CharacterizationReport:
     undetermined: list = _BuiltOnRead(as_list=True)
     total_mass: float
 
-    to_json = _report_json
+    # each field a host tree changes: from its level quotient to its edges
+    spreads = {"residuals": Tree.from_levels, "recovered_set": _level_ids,
+               "irregular_points": _level_ids, "undetermined": _level_ids}
 
 
 def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
@@ -48,10 +57,9 @@ def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
     check(host, x, exponent, tol).  The host is the tree's level_quotient,
     if any, x its levels, when x's field named stored is unspread finite
     levels on tree (a level-backed measure, a result's unread c_of_alpha)
-    or x = read(tree, x) is constant on every level.  The report is spread
-    back: residuals by level, id arrays as the ids of their levels, worst_edge
-    as its level's first edge, skipped_tails as the tree's count.  Else
-    the host is the tree.  Levels not all finite are read, as edges are."""
+    or x = read(tree, x) is constant on every level; the report then
+    spreads back to the edges as its class's spreads declare.  Else the
+    host is the tree.  Levels not all finite are read, as edges are."""
     require_explicit(tree, "verification")
     require_tolerance(tol)
     pe = as_exponent(p)
@@ -63,17 +71,8 @@ def _on_levels(check, tree, x, p, tol, read=co_potential, stored="M"):
     if levels is None:
         return check(tree, x, pe, tol)
     rep = check(q, levels, pe, tol)
-    for name, v in vars(rep).items():  # an id list is stored as an array
-        if isinstance(v, np.ndarray) and v.dtype == np.int64:
-            ids = [np.arange(*tree.level_slice(k)) for k in v.tolist()]
-            v = ids[0] if len(ids) == 1 else np.concatenate(ids)  # no copy
-        elif isinstance(v, np.ndarray):
-            v = tree.from_levels(v)
-        elif name == "worst_edge":
-            v = tree.level_slice(v)[0]
-        elif name == "skipped_tails":  # the deepest level, or none
-            v *= tree.n_edges - tree.level_slice(tree.depth)[0]
-        vars(rep)[name] = v
+    for name, spread in rep.spreads.items():  # id lists still unread
+        setattr(rep, name, spread(tree, held(rep, name)))
     return rep
 
 
@@ -136,7 +135,7 @@ def recover_equilibrium_set(tree, measure, p, tol=1e-9):
 
 
 @dataclass
-class PotentialBoundReport:
+class PotentialBoundReport(_Report):
     """Where the potential reaches or passes 1, from check_potential_bound;
     equality_edges is built on first read, as CharacterizationReport's."""
 
@@ -146,7 +145,8 @@ class PotentialBoundReport:
     equality_edges: list = _BuiltOnRead(as_list=True)
     interior_strict: bool
 
-    to_json = _report_json
+    spreads = {"worst_edge": lambda tree, k: tree.level_slice(k)[0],
+               "equality_edges": _level_ids}
 
 
 def check_potential_bound(tree, measure, p, tol=1e-9):
@@ -170,15 +170,17 @@ def _potential_bound(tree, M, pe, tol):
 
 
 @dataclass
-class EquationReport:
+class EquationReport(_Report):
     """Residuals of the tent recursion, from capacity_equation_check."""
 
     ok: bool
     max_residual: float
-    residuals: np.ndarray = field(repr=False)
+    residuals: np.ndarray = field(repr=False, compare=False)
     skipped_tails: int = 0
 
-    to_json = _report_json
+    spreads = {"residuals": Tree.from_levels,  # the quotient's tail, or none
+               "skipped_tails": lambda tree, n:
+               n * (tree.n_edges - tree.level_slice(tree.depth)[0])}
 
 
 def capacity_equation_check(tree, c, p, tol=1e-9):

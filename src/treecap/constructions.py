@@ -28,7 +28,7 @@ from .capacity import (CapacityInterval, _one_step, _tent_capacities,
                        homogeneous_capacity, symmetric_capacity)
 from .potential import as_exponent
 from .trees import (SphericallySymmetric, Subdyadic, _arena_offsets,
-                    _BuiltOnRead, _Recipe, _repr_unread, build_tree,
+                    _BuiltOnRead, _Recipe, _repr_unread, build_tree, held,
                     predecessor_path, require_int, require_tolerance)
 
 
@@ -177,7 +177,7 @@ class CompactSetResult:
 
     def to_json(self):
         # an unread leaves field answers from its id range
-        ids = self.__dict__["_leaves"]
+        ids = held(self, "leaves")
         ids = range(*ids.args) if isinstance(ids, _Recipe) else ids
         return {
             "n_leaves": len(ids),

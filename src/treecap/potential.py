@@ -38,16 +38,19 @@ def as_exponent(p):
     return p if isinstance(p, PExponent) else PExponent(float(p))
 
 
-def _report_json(report):
-    """A report dataclass as a JSON object: the fields its repr shows,
-    in field order, with numpy scalars read as Python values and lists
-    copied.  Report classes take it as their to_json."""
-    def plain(v):
-        if isinstance(v, list):
-            return [x.item() if isinstance(x, np.generic) else x for x in v]
-        return v.item() if isinstance(v, np.generic) else v
-    return {f.name: plain(getattr(report, f.name))
-            for f in fields(report) if f.repr}
+class _Report:
+    """Base of the report dataclasses: a report shows the fields its repr
+    shows, and a per-edge array it keeps out takes compare=False too."""
+
+    def to_json(self):
+        """The fields shown, in field order, with numpy scalars read as
+        Python values and lists copied."""
+        def plain(v):
+            if isinstance(v, list):
+                return list(map(plain, v))
+            return v.item() if isinstance(v, np.generic) else v
+        return {f.name: plain(getattr(self, f.name))
+                for f in fields(self) if f.repr}
 
 
 def signed_power(f, p):

@@ -16,13 +16,14 @@ import io
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
 
 from .characterization import verify_equilibrium
-from .potential import _report_json, potential_all
+from .potential import _Report, potential_all
 from .trees import (BoundaryMeasure, _is_int, co_potential,
                     require_tolerance)
 
@@ -32,15 +33,13 @@ _BOOLS = {bool, np.bool_}
 
 
 @dataclass(frozen=True)
-class TilingSquare:
+class TilingSquare(_Report):
     """One square of a tiling: its edge, top left corner and side."""
 
     edge: int
     x: float
     y: float
     side: float
-
-    to_json = _report_json
 
 
 class Tiling:
@@ -61,23 +60,17 @@ class Tiling:
         self.x = _floats([s.x for s in squares])
         self.y = _floats([s.y for s in squares])
         self.side = _floats([s.side for s in squares])
-        self._squares = None
 
     @classmethod
     def _of_columns(cls, tree, width, height, edge, x, y, side):
         til = cls.__new__(cls)
         til.tree, til.width, til.height = tree, width, height
         til.edge, til.x, til.y, til.side = edge, x, y, side
-        til._squares = None
         return til
 
-    @property
-    def squares(self):
-        if self._squares is None:
-            self._squares = list(map(TilingSquare, self.edge.tolist(),
-                                     self.x.tolist(), self.y.tolist(),
-                                     self.side.tolist()))
-        return self._squares
+    squares = cached_property(lambda t: list(map(
+        TilingSquare, t.edge.tolist(), t.x.tolist(), t.y.tolist(),
+        t.side.tolist())))
 
     def area_defect(self):
         # square by square: numpy's square rounds differently from ** and
@@ -141,7 +134,7 @@ def build_tiling(tree, measure, tol=1e-9):
 
 
 @dataclass
-class TilingReport:
+class TilingReport(_Report):
     """Containment, overlap, area and adjacency defects of a tiling."""
 
     ok: bool
@@ -151,8 +144,6 @@ class TilingReport:
     adjacency_defect: float
     n_squares: int
     messages: list = field(default_factory=list)
-
-    to_json = _report_json
 
 
 def _id_text(i):

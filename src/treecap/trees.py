@@ -236,7 +236,7 @@ class Tree(_LevelTable):
     """
 
     spec = quotient = None  # generating spec and its level quotient
-    labels = mult = _degrees = _shift = _label_index = _inner = None
+    labels = mult = _degrees = _shift = None
     n_children = cached_property(
         lambda t: t.from_levels(np.append(t._degrees, 0)))
     first_child = cached_property(
@@ -333,12 +333,13 @@ class Tree(_LevelTable):
         """Positions j of the edges a + j with children in the level
         that starts at id a, as an int array.  Built for every level at
         the first call, then cached."""
-        if self._inner is None:
-            ids = np.flatnonzero(self.n_children > 0)
-            cut = ids.searchsorted(self._starts).tolist()
-            self._inner = {a: ids[i:j] - a for a, i, j
-                           in zip(self._starts, cut, cut[1:])}
         return self._inner[a]
+
+    @cached_property
+    def _inner(self):
+        ids = np.flatnonzero(self.n_children > 0)
+        cut = ids.searchsorted(self._starts).tolist()
+        return {a: ids[i:j] - a for a, i, j in zip(self._starts, cut, cut[1:])}
 
     def from_levels(self, values):
         """Edge function holding values[k] on every edge of level k."""
@@ -423,17 +424,16 @@ class Tree(_LevelTable):
             if not isinstance(i, Real):
                 raise KeyError(f"unknown edge label {label!r}")
             return require_edge(self, i)
-        if self._label_index is None:
-            ids = range(self.n_edges)
-            index = dict(zip(map(str, self.labels), ids))
-            index.update(zip(self.labels, ids))
-            self._label_index = index
         if not isinstance(label, (bool, np.bool_)):
             try:
                 return self._label_index[label]
             except (KeyError, TypeError):
                 pass
         raise KeyError(f"unknown edge label {label!r}")
+
+    _label_index = cached_property(lambda t: dict(chain(
+        zip(map(str, t.labels), range(t.n_edges)),
+        zip(t.labels, range(t.n_edges)))))
 
     # -- construction ---------------------------------------------------
 
@@ -792,7 +792,7 @@ class AdditivityReport:
     ok: bool
     max_violation: float
     worst_edge: int | None
-    residuals: np.ndarray = field(default=None, repr=False)
+    residuals: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def require_int(name, v):
@@ -863,12 +863,14 @@ class _BuiltOnRead:
         obj.__dict__[self.key] = [] if empty else v
 
 
+def held(obj, name):  # obj.name unbuilt: a _BuiltOnRead holds "_" + name
+    return obj.__dict__.get("_" + name, obj.__dict__.get(name))
+
+
 def _repr_unread(obj):
     """The dataclass repr of obj from the values it holds: an unbuilt
     field shows as <unread>, and a repr builds nothing."""
-    d = obj.__dict__
-    shown = (f"{f.name}={d.get('_' + f.name, d.get(f.name))!r}"
-             for f in fields(obj) if f.repr)
+    shown = (f"{f.name}={held(obj, f.name)!r}" for f in fields(obj) if f.repr)
     return f"{type(obj).__qualname__}({', '.join(shown)})"
 
 

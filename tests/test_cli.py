@@ -148,6 +148,15 @@ def test_capacity_of_set_on_a_compact_tree_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_a_depth_past_the_level_budget_exits_2(capsys, tmp_path):
+    tfile = tmp_path / "spec.json"
+    tfile.write_text(json.dumps({"spec": {"variant": "homogeneous", "n": 2}}))
+    code, out, err = run(capsys, ["capacity", "--tree", str(tfile),
+                                  "--depth", "2000001"])
+    assert code == 2 and out == ""
+    assert err.startswith("treecap: depth 2000001 is more than the 2000000 "
+                          "levels a tree may have")
+
 def test_verify_on_a_compact_tree_exits_2_for_either_measure_kind(
         capsys, tmp_path):
     # a spec with no depth loads as a compact tree; the leaf-mass

@@ -603,7 +603,7 @@ def test_solve_lands_on_the_recursion_when_newton_fails(monkeypatch):
 
 
 def test_converged_at_p8_means_on_the_recursion():
-    # ROADMAP item 4's recipe drawn with the tests' random_tree: SLSQP
+    # ROADMAP item 3's recipe drawn with the tests' random_tree: SLSQP
     # alone, its ftol bounding an absolute change of a tiny objective,
     # stopped here and reported converged 4.0e-5 off the recursion
     rng = np.random.default_rng(122)

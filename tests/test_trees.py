@@ -31,7 +31,8 @@ from treecap import (
     tree_from_json,
     tree_to_json,
 )
-from treecap.trees import MAX_EXPLICIT_EDGES, _json_edge_mapping
+from treecap.trees import (MAX_EXPLICIT_EDGES, MAX_LEVEL_TABLE_BITS,
+                           _json_edge_mapping)
 from helpers import random_tree
 from test_edge_ids import CASES as SINGLE_ID_CASES
 
@@ -837,6 +838,27 @@ def test_integral_float_degrees_read_as_ints_on_both_layouts():
         assert repr((tc.degrees, tc.continuation)) == \
             repr((tuple(te.level_degrees), te.continuation))
 
+
+@pytest.mark.parametrize("layout", ["explicit", "compact", "auto"])
+def test_a_depth_past_the_level_budget_is_refused_in_every_layout(layout):
+    depth = MAX_EXPLICIT_EDGES + 1
+    msg = f"depth {depth} is more than the {MAX_EXPLICIT_EDGES} levels"
+    with pytest.raises(TreeTooLargeError, match=msg):
+        build_tree(Homogeneous(2), depth=depth, layout=layout)
+    with pytest.raises(TreeTooLargeError, match=msg):
+        tree_from_json({"spec": spec_to_json(Homogeneous(2))}, depth=depth,
+                       layout=layout)
+
+
+def test_a_compact_level_table_past_its_bit_budget_is_refused():
+    # level k of Homogeneous(2) starts at 2^k - 1, a k-bit int, so the
+    # table of depth d holds about d^2 / 2 bits
+    assert build_tree(Homogeneous(2), depth=20_000, layout="compact").depth \
+        == 20_000
+    with pytest.raises(TreeTooLargeError, match=(
+            f"depth 25000 needs a level table of more than "
+            f"{MAX_LEVEL_TABLE_BITS} bits")):
+        build_tree(Homogeneous(2), depth=25_000, layout="compact")
 
 def test_children_lists_of_the_wrong_length_are_refused():
     with pytest.raises(TreeStructureError, match="disagree with parent"):
