@@ -47,7 +47,7 @@ class CharacterizationReport(_Report):
     undetermined: list = _BuiltOnRead(as_list=True)
     total_mass: float
 
-    # each field a host tree changes: from its level quotient to its edges
+    # how each field that depends on the host spreads from levels to edges
     spreads = {"residuals": Tree.from_levels, "recovered_set": _level_ids,
                "irregular_points": _level_ids, "undetermined": _level_ids}
 
