@@ -31,6 +31,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -190,6 +191,15 @@ def _tail_runs(tree, tail_policy, p, run):
 # results
 
 
+def _eq_on(*names):
+    """An __eq__ on the named fields alone: == reads no other field, so
+    it builds nothing unread, and a tree, having no == of its own,
+    compares by identity."""
+    shown = attrgetter(*names)
+    return lambda a, b: (shown(a) == shown(b) if type(a) is type(b)
+                         else NotImplemented)
+
+
 def _measure_on_edges(r, m_levels):
     return BoundaryMeasure(r.tree, _Recipe(_spread, m_levels), validate=False)
 
@@ -241,6 +251,7 @@ class EquilibriumResult:
     equilibrium_function: np.ndarray = _BuiltOnRead()
     upper_run: Sequence | None = None
     __repr__ = _repr_unread
+    __eq__ = _eq_on("tree", "p", "capacity")
 
     def _equilibrium_function_at(self, ids):
         """equilibrium_function[ids], derived at ids alone while the
@@ -456,6 +467,7 @@ class ResistanceResult:
 
     per_level = property(lambda r: r.tree.mult is not None)
     __repr__ = _repr_unread
+    __eq__ = _eq_on("tree", "lower", "upper")
 
     def capacity_interval(self):
         lo = 1.0 / (1.0 + self.upper) if np.isfinite(self.upper) else 0.0

@@ -65,7 +65,7 @@ independent referee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,7 +88,8 @@ class OracleResult:
 
     value: float            # feasible objective, an upper bound
     lower_bound: float      # dual certificate from the candidate measure
-    f: np.ndarray           # the admissible function attaining value
+    # the admissible function attaining value; == leaves it out
+    f: np.ndarray = field(compare=False)
     iterations: int         # Newton steps plus SLSQP iterations
     converged: bool
     method: str

@@ -12,7 +12,6 @@ certificate of the measure being an equilibrium.
 
 from __future__ import annotations
 
-import io
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -182,10 +181,8 @@ def _edge_column(ids):
 def _worst(*defects):
     """Largest entry of the defect arrays, at least 0.0; NaN counts as
     an infinite defect, so it cannot slip past a comparison with tol."""
-    d = np.concatenate([np.ravel(v) for v in defects])
-    if d.size == 0:
-        return 0.0
-    return max(0.0, float(np.where(np.isnan(d), np.inf, d).max()))
+    top = [0.0] + [float(v.max()) for v in defects if v.size]
+    return float("inf") if np.isnan(top).any() else max(top)
 
 
 def validate_tiling(tiling, tol=1e-9):
@@ -214,7 +211,9 @@ def validate_tiling(tiling, tol=1e-9):
     differences are all at most delta:
       x[p] - x[c], right[c] - right[p] and bottom[p] - y[c] for each
       square c with parent square p;
-      right[s] - x[t] for siblings s, t consecutive in order of x.
+      right[s] - x[t] for siblings s, t consecutive in id order;
+    and x[s] <= x[t] for those s and t, so x never falls along siblings
+    in id order.
     A computed difference at most delta means the exact one is at most
     delta' = delta / (1 - u), u = 2^-53; a subnormal difference is exact.
     Rounding is monotone and sides are positive, so right >= x and
@@ -223,15 +222,17 @@ def validate_tiling(tiling, tol=1e-9):
         squares, and y[b] >= bottom[a] - k delta' along it.  So they
         meet in y by at most d delta'.
       - otherwise: let s and t be the children of their lowest common
-        ancestor on the paths to a and b, with s first in x order.  Then
+        ancestor on the paths to a and b, with s first in id order.  x
+        does not fall from the next sibling of s to t, so
         right[s] - x[t] <= right[s] - x[next sibling of s] <= delta'.
         a lies within (d - 1) delta' of s in x, b within that of t.  So
         they meet in x by at most (2d - 1) delta'.
     With the rounding of delta and of the intersection itself, either
     bound stays below tol (2d - 1) / (2d + 2) (1 + 4u), under tol for
     every d below 10^15.  So no pair overlaps, and the sweep below would
-    find nothing.  The certificate is one sort of the squares by (parent,
-    x) and a few differences.
+    find nothing.  BFS ids give siblings contiguous ids, so the
+    certificate reads them in the edge -> square order validation builds
+    anyway: it sorts nothing and takes a few differences.
 
     Sweep fallback.  When the certificate fails, the sized squares are
     swept in order of their top edge, in O(n log n): the active squares
@@ -295,8 +296,8 @@ def validate_tiling(tiling, tol=1e-9):
 
     nested = (known.all() and not (
         nonfinite.size or nonpositive.size or repeated.size or orphans.size)
-        and _nests(x, right, par_slot, tree.level_of(e.max(initial=0)),
-                   sticks_out, tol))
+        and _nests(x, right, par_slot, slot[slot >= 0],
+                   tree.level_of(e.max(initial=0)), sticks_out, tol))
     max_overlap = 0.0
     for a, b, amount in ([] if nested else
                          _first_overlaps(x, y, right, bottom, finite, tol)):
@@ -328,22 +329,23 @@ def validate_tiling(tiling, tol=1e-9):
                         n_squares=len(edge), messages=msgs)
 
 
-def _nests(x, right, par_slot, depth, sticks_out, tol):
+def _nests(x, right, par_slot, by_id, depth, sticks_out, tol):
     """The nested certificate of validate_tiling, for squares that are
     finite with positive sides and name distinct edges, none below level
     depth; par_slot[i] is the index of square i's parent square, -1 at
-    the root and nowhere else, and sticks_out holds the three parent
-    differences of validate_tiling.  True proves that no two squares
-    overlap; False proves nothing."""
+    the root and nowhere else, by_id lists the squares in edge-id order,
+    and sticks_out holds the three parent differences of
+    validate_tiling.  True proves that no two squares overlap; False
+    proves nothing."""
     delta = tol / (2.0 * (depth + 1))
     if delta < sys.float_info.min:  # a subnormal may round up by far more
         delta = 0.0
-    order = np.lexsort((x, par_slot))
-    s, t = order[:-1], order[1:]
+    s, t = by_id[:-1], by_id[1:]
     siblings = par_slot[s] == par_slot[t]
     s, t = s[siblings], t[siblings]
     with np.errstate(invalid="ignore", over="ignore"):
         return bool(all((d <= delta).all() for d in sticks_out)
+                    and (x[s] <= x[t]).all()
                     and (right[s] - x[t] <= delta).all())
 
 
@@ -398,7 +400,11 @@ def measure_from_tiling(tree, tiling, tol=1e-9):
 
     Checks the parent adjacency combinatorics first, then rebuilds the
     co-potential from the square sides and verifies the equilibrium
-    identity.  Returns (measure, report); tol must be >= 0."""
+    identity.  Returns (measure, report); tol must be >= 0, and the
+    tiling must be one of tree."""
+    if tiling.tree.n_edges != tree.n_edges:
+        raise ValueError("the tiling was made on another tree: "
+                         f"{tiling.tree.n_edges} edges, not {tree.n_edges}")
     geo = validate_tiling(tiling, tol=tol)
     if not geo.ok:
         raise ValueError("tiling fails validation: " + "; ".join(geo.messages))
@@ -435,26 +441,23 @@ def emit_svg(tiling, labels=False):
     Labels are XML-escaped."""
     w = tiling.width * SVG_SCALE
     h = tiling.height * SVG_SCALE
-    out = io.StringIO()
-    out.write('<svg xmlns="http://www.w3.org/2000/svg" '
-              f'width="{w:.6g}" height="{h:.6g}" '
-              f'viewBox="0 0 {w:.6g} {h:.6g}">\n')
-    out.write(f'<rect x="0" y="0" width="{w:.6g}" height="{h:.6g}" '
-              'fill="none" stroke="black"/>\n')
+    frame = ('<svg xmlns="http://www.w3.org/2000/svg" '
+             f'width="{w:.6g}" height="{h:.6g}" '
+             f'viewBox="0 0 {w:.6g} {h:.6g}">\n'
+             f'<rect x="0" y="0" width="{w:.6g}" height="{h:.6g}" '
+             'fill="none" stroke="black"/>\n')
     edge, x, y, side = tiling._in_drawing_order()
-    sides = map("{:.8g}".format, (side * SVG_SCALE).tolist())
-    drawn = [f'<rect x="{a:.8g}" y="{b:.8g}" width="{s}" height="{s}" '
-             'fill="none" stroke="black" stroke-width="0.5"/>\n'
-             for a, b, s in zip((x * SVG_SCALE).tolist(),
-                                (y * SVG_SCALE).tolist(), sides)]
+    # one template per square, filled by one % from a flat tuple
+    square = ('<rect x="%.8g" y="%.8g" width="%.8g" height="%.8g" '
+              'fill="none" stroke="black" stroke-width="0.5"/>\n')
+    values = np.column_stack((x, y, side, side)) * SVG_SCALE
     if labels:
-        names = (_xml_text(tiling.tree.label_of(e)) for e in edge.tolist())
-        texts = [f'<text x="{a:.8g}" y="{b:.8g}" '
-                 f'font-size="8" text-anchor="middle">{t}</text>\n'
-                 for a, b, t in zip(((x + side / 2) * SVG_SCALE).tolist(),
-                                    ((y + side / 2) * SVG_SCALE).tolist(),
-                                    names)]
-        drawn = map(str.__add__, drawn, texts)
-    out.writelines(drawn)
-    out.write('</svg>\n')
-    return out.getvalue()
+        square += ('<text x="%.8g" y="%.8g" '
+                   'font-size="8" text-anchor="middle">%s</text>\n')
+        # an object column: numpy strings would drop trailing NULs
+        names = np.fromiter((_xml_text(tiling.tree.label_of(e))
+                             for e in edge.tolist()), object, len(edge))
+        values = np.column_stack((values, (x + side / 2) * SVG_SCALE,
+                                  (y + side / 2) * SVG_SCALE, names))
+    return (frame + square * len(edge) % tuple(values.ravel().tolist())
+            + '</svg>\n')

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from treecap import (AdditivityReport, CapacityInterval,
-                     CharacterizationReport, HarmonicityReport,
+                     CharacterizationReport, HarmonicityReport, Homogeneous,
                      SphericallySymmetric, Tiling, TilingReport, TilingSquare,
                      Tree, build_tiling, build_tree, capacity_equation_check,
                      capacity_recursive, check_potential_bound,
-                     is_forward_additive, is_p_harmonic, potential_all,
-                     validate_tiling, verify_equilibrium)
+                     is_forward_additive, is_p_harmonic, oracle_capacity,
+                     potential_all, total_resistance, validate_tiling,
+                     verify_equilibrium)
 from treecap.characterization import EquationReport, PotentialBoundReport
+from treecap.trees import _Recipe, held
 
 P = 2.0
 TREE = build_tree(SphericallySymmetric([2, 3]))
@@ -101,3 +103,31 @@ def test_the_quotient_route_and_the_edge_route_report_equal():
 def test_a_quotient_report_declares_a_spread_for_its_own_fields(cls):
     names = {f.name for f in fields(cls)}
     assert cls.spreads and set(cls.spreads) <= names
+
+
+TAILED = build_tree(Homogeneous(2), depth=3)
+
+# (result of a fixed input, result at another p or, for the resistance,
+# which takes none, at other tail values)
+RESULTS = {
+    "EquilibriumResult": (lambda: capacity_recursive(TREE, P),
+                          lambda: capacity_recursive(TREE, 3.0)),
+    "ResistanceResult": (lambda: total_resistance(TAILED, "pessimistic"),
+                         lambda: total_resistance(TAILED, "optimistic")),
+    "OracleResult": (lambda: oracle_capacity(TREE, TREE.true_leaves(), P),
+                     lambda: oracle_capacity(TREE, TREE.true_leaves(), 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_results_compare_what_they_show_and_build_nothing(name):
+    same, other = RESULTS[name]
+    a, b, c = same(), same(), other()
+    assert type(a).__name__ == name and a is not b
+    before = {f.name: held(a, f.name) for f in fields(a)}
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert [a] == [b] and a != "a result"
+    assert all(held(a, k) is v for k, v in before.items())
+    unread = [k for k, v in before.items() if isinstance(v, _Recipe)]
+    assert unread or name == "OracleResult"

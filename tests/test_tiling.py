@@ -413,6 +413,30 @@ def test_columns_serialize_as_the_per_square_code_did():
                     tree, t).tobytes()
 
 
+def test_svg_of_non_finite_and_signed_zero_coordinates():
+    # NaN sits only where the (y, x) order does not compare it, so the
+    # reference's sorted() and lexsort agree; the label ending in NUL
+    # would lose it in a numpy string array
+    tree = Tree.from_adjacency({"r": ["a", "b\0"], "a": ["c", "d"],
+                                "b\0": ["e", "f"], "c": [], "d": [],
+                                "e": [], "f": []})
+    nan, inf = math.nan, math.inf
+    til = Tiling(tree, 1.0, 1.0, [TilingSquare(*s) for s in [
+        (0, 0.0, -0.0, 1.0), (1, -0.0, 0.0, 0.5), (2, nan, 0.25, 0.5),
+        (3, inf, 0.5, nan), (4, -inf, inf, 0.25), (5, 0.5, -inf, -0.0),
+        (6, 1e300, 0.75, inf)]])
+    for labels in (False, True):
+        assert emit_svg(til, labels) == reference_emit_svg(til, labels)
+
+
+def test_measure_from_tiling_refuses_a_tiling_of_another_tree():
+    big = build_tree(SphericallySymmetric([2, 2]))
+    til = build_tiling(big, capacity_recursive(big, 2).measure)
+    small, _, _ = fixture_tiling()
+    with pytest.raises(ValueError, match="another tree: 7 edges, not 3"):
+        measure_from_tiling(small, til)
+
+
 def test_svg_labels_are_escaped():
     import xml.etree.ElementTree as ET
     tree = Tree.from_adjacency({"r": ["a<b", "c&d"], "a<b": [],
@@ -476,6 +500,28 @@ def test_built_tilings_take_the_nested_path(monkeypatch):
     for til, rep in zip(tilings, want):
         got = validate_tiling(til)
         assert got.ok and json.dumps(got.to_json()) == rep
+
+
+def test_mirrored_tilings_validate_through_the_sweep(monkeypatch):
+    # x -> width - x - side runs the siblings against id order: the
+    # certificate fails, and the sweep decides as it did alone
+    import treecap.tiling as tiling_mod
+    for tree in equivalence_trees():
+        til = build_tiling(tree, capacity_recursive(tree, 2).measure)
+        mirrored = Tiling(tree, til.width, til.height, list(map(
+            TilingSquare, til.edge.tolist(),
+            (til.width - til.x - til.side).tolist(), til.y.tolist(),
+            til.side.tolist())))
+        with monkeypatch.context() as m:
+            m.setattr(tiling_mod, "_nests", lambda *args: False)
+            want = json.dumps(validate_tiling(mirrored).to_json())
+        sweep = mock.Mock(wraps=tiling_mod._first_overlaps)
+        with monkeypatch.context() as m:
+            m.setattr(tiling_mod, "_first_overlaps", sweep)
+            got = validate_tiling(mirrored)
+        assert got.ok and json.dumps(got.to_json()) == want
+        parents = tree.parent[til.edge[1:]]
+        assert sweep.called == (np.bincount(parents).max() > 1)
 
 
 def edges_below(tree, a):
